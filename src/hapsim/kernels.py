@@ -1,6 +1,6 @@
-"""Batched zero-forcing quadratic forms, the Monte Carlo hot path.
+"""Batched zero-forcing quadratic forms: the one numerical core of hapsim.
 
-Both kernels take a stack of line-of-sight matrices ``los`` with shape
+Both sweep kernels take a stack of line-of-sight matrices ``los`` with shape
 (L, r, c), per-trial scattering draws ``nlos`` with shape (T, L, r, c), and
 per-link Rician mixing weights ``a``, ``b`` of shape (L,).  For each trial t
 and link l they form H = a[l]*los[l] + b[l]*nlos[t, l] and evaluate
@@ -8,60 +8,22 @@ and link l they form H = a[l]*los[l] + b[l]*nlos[t, l] and evaluate
     q = h_k^H (I - H~ (H~^H H~)^{-1} H~^H) h_k
 
 for the first column (first_stream_quadforms) or every column
-(all_stream_quadforms), flagging the matrix singular when the eigenvalue
-ratio of H^H H reaches the supplied limit.  Path gains and transmit power
-scale q from the outside, so one kernel pass serves every point of a sweep.
+(all_stream_quadforms).  Path gains and transmit power scale q from the
+outside, so one kernel pass serves every point of a sweep.
 
-Two interchangeable backends exist: a numba-compiled parallel loop and a
-vectorized numpy fallback.  Selection order is the HAPSIM_BACKEND
-environment variable ("numba" or "numpy"), then numba when importable.
-Both produce identical singular flags and quadratic forms to floating
-round-off; the test suite pins them together.
+A matrix is singular when cond(H^H H), taken from the eigenvalues of the
+Gram matrix, reaches CONDITION_LIMIT.  is_singular is the only place that
+decision is made.  The scalar API in zfcore calls gram_condition,
+is_singular and column_quadform too, so it raises on exactly the matrices
+a sweep counts as failed trials.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(func):
-            return func
-        return wrap
-
-    prange = range  # type: ignore[assignment]
-
-BACKEND_ENV_VAR = "HAPSIM_BACKEND"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    """Backend used for the next kernel call, honoring HAPSIM_BACKEND."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                f"{BACKEND_ENV_VAR}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if choice:
-        raise ValueError(
-            f"unknown {BACKEND_ENV_VAR} value {choice!r}; use 'numba' or 'numpy'"
-        )
-    return "numba" if HAVE_NUMBA else "numpy"
+# Gram-matrix condition number at or above this is treated as singular.
+CONDITION_LIMIT = 1e12
 
 
 def _check_inputs(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
@@ -82,24 +44,25 @@ def _check_inputs(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
     return los, nlos, a, b
 
 
-# ---------------------------------------------------------------------------
-# numpy backend: vectorized over (trial, link)
-
-def _mix_numpy(los, nlos, a, b):
+def _mix(los, nlos, a, b):
     return a[:, None, None] * los + b[:, None, None] * nlos
 
 
-def _flags_numpy(h, cond_limit):
-    # matmul, not einsum: keeps the Gram bitwise equal to the numba path.
+def gram_condition(h: np.ndarray) -> np.ndarray:
+    """cond(H^H H) of each (.., r, c) matrix; inf when H^H H is not positive."""
     gram = np.matmul(np.conj(h.swapaxes(-1, -2)), h)
     ev = np.linalg.eigvalsh(gram)
     lmin = ev[..., 0]
     safe = lmin > 0.0
-    cond = np.where(safe, ev[..., -1] / np.where(safe, lmin, 1.0), np.inf)
-    return cond >= cond_limit
+    return np.where(safe, ev[..., -1] / np.where(safe, lmin, 1.0), np.inf)
 
 
-def _quadform_numpy(h, k, singular):
+def is_singular(cond: np.ndarray) -> np.ndarray:
+    """True where a gram_condition value is too large for zero forcing."""
+    return ~(np.asarray(cond) < CONDITION_LIMIT)
+
+
+def column_quadform(h: np.ndarray, k: int, singular: np.ndarray) -> np.ndarray:
     """q for column k of each (.., r, c) matrix via a masked batched solve."""
     c = h.shape[-1]
     h1 = h[..., :, k]
@@ -118,107 +81,24 @@ def _quadform_numpy(h, k, singular):
     return np.where(singular, 0.0, np.maximum(q, 0.0))
 
 
-def _first_numpy(los, nlos, a, b, cond_limit):
-    h = _mix_numpy(los, nlos, a, b)
-    singular = _flags_numpy(h, cond_limit)
-    return _quadform_numpy(h, 0, singular), singular
-
-
-def _all_numpy(los, nlos, a, b, cond_limit):
-    h = _mix_numpy(los, nlos, a, b)
-    singular = _flags_numpy(h, cond_limit)
-    c = h.shape[-1]
-    q = np.stack([_quadform_numpy(h, k, singular) for k in range(c)], axis=-1)
-    return q, singular
-
-
-# ---------------------------------------------------------------------------
-# numba backend: explicit per-trial loop, parallel over trials
-
-@njit(cache=True, parallel=True)
-def _first_numba(los, nlos, a, b, cond_limit):  # pragma: no cover - jitted
-    n_trials, n_links, r, c = nlos.shape
-    q = np.zeros((n_trials, n_links))
-    singular = np.zeros((n_trials, n_links), dtype=np.bool_)
-    for t in prange(n_trials):
-        for l in range(n_links):
-            h = a[l] * los[l] + b[l] * nlos[t, l]
-            ev = np.linalg.eigvalsh(np.conj(h).T @ h)
-            lmin = ev[0]
-            if lmin <= 0.0 or ev[ev.size - 1] / lmin >= cond_limit:
-                singular[t, l] = True
-                continue
-            h1 = np.ascontiguousarray(h[:, 0])
-            base = np.vdot(h1, h1).real
-            if c == 1:
-                q[t, l] = base
-                continue
-            ht = np.ascontiguousarray(h[:, 1:])
-            gram = ht.conj().T @ ht
-            y = ht.conj().T @ h1
-            z = np.linalg.solve(gram, y)
-            val = base - np.vdot(y, z).real
-            q[t, l] = val if val > 0.0 else 0.0
-    return q, singular
-
-
-@njit(cache=True, parallel=True)
-def _all_numba(los, nlos, a, b, cond_limit):  # pragma: no cover - jitted
-    n_trials, n_links, r, c = nlos.shape
-    q = np.zeros((n_trials, n_links, c))
-    singular = np.zeros((n_trials, n_links), dtype=np.bool_)
-    for t in prange(n_trials):
-        for l in range(n_links):
-            h = a[l] * los[l] + b[l] * nlos[t, l]
-            ev = np.linalg.eigvalsh(np.conj(h).T @ h)
-            lmin = ev[0]
-            if lmin <= 0.0 or ev[ev.size - 1] / lmin >= cond_limit:
-                singular[t, l] = True
-                continue
-            for k in range(c):
-                h1 = np.ascontiguousarray(h[:, k])
-                base = np.vdot(h1, h1).real
-                if c == 1:
-                    q[t, l, k] = base
-                    continue
-                ht = np.empty((r, c - 1), dtype=np.complex128)
-                col = 0
-                for j in range(c):
-                    if j != k:
-                        for m in range(r):
-                            ht[m, col] = h[m, j]
-                        col += 1
-                gram = ht.conj().T @ ht
-                y = ht.conj().T @ h1
-                z = np.linalg.solve(gram, y)
-                val = base - np.vdot(y, z).real
-                q[t, l, k] = val if val > 0.0 else 0.0
-    return q, singular
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
 def first_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
-                           b: np.ndarray, cond_limit: float
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-(trial, link) first-column quadratic forms and singular flags.
 
     Returns:
         q: float64 (T, L); zero where the singular flag is set.
-        singular: bool (T, L); True where cond(H^H H) >= cond_limit.
+        singular: bool (T, L); True where cond(H^H H) >= CONDITION_LIMIT.
     """
-    los, nlos, a, b = _check_inputs(los, nlos, a, b)
-    if active_backend() == "numba":
-        return _first_numba(los, nlos, a, b, float(cond_limit))
-    return _first_numpy(los, nlos, a, b, float(cond_limit))
+    h = _mix(*_check_inputs(los, nlos, a, b))
+    singular = is_singular(gram_condition(h))
+    return column_quadform(h, 0, singular), singular
 
 
 def all_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
-                         b: np.ndarray, cond_limit: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-(trial, link, column) quadratic forms and per-matrix singular flags."""
-    los, nlos, a, b = _check_inputs(los, nlos, a, b)
-    if active_backend() == "numba":
-        return _all_numba(los, nlos, a, b, float(cond_limit))
-    return _all_numpy(los, nlos, a, b, float(cond_limit))
+    h = _mix(*_check_inputs(los, nlos, a, b))
+    singular = is_singular(gram_condition(h))
+    q = np.stack([column_quadform(h, k, singular) for k in range(h.shape[-1])],
+                 axis=-1)
+    return q, singular

@@ -29,7 +29,6 @@ from . import kernels
 from .capacity import NetworkConfig
 from .channel import db_to_linear, los_channel, rayleigh_channel
 from .geometry import FAR_FIELD_FACTOR, LinkGeometry
-from .zfcore import CONDITION_LIMIT
 
 _LN2 = math.log(2.0)
 
@@ -219,8 +218,8 @@ class TrialEnsemble:
         a_dn, b_dn = weights(cfg.kappa_down_db)
         relay_kernel = (kernels.all_stream_quadforms if cfg.all_streams
                         else kernels.first_stream_quadforms)
-        q_up, s_up = relay_kernel(los_up, nlos_up, a_up, b_up, CONDITION_LIMIT)
-        q_dn, s_dn = relay_kernel(los_dn, nlos_dn, a_dn, b_dn, CONDITION_LIMIT)
+        q_up, s_up = relay_kernel(los_up, nlos_up, a_up, b_up)
+        q_dn, s_dn = relay_kernel(los_dn, nlos_dn, a_dn, b_dn)
         if not cfg.all_streams:
             q_up = q_up[:, :, None]
             q_dn = q_dn[:, :, None]
@@ -236,7 +235,7 @@ class TrialEnsemble:
             a_dir = np.repeat(a_dir, n)
             b_dir = np.repeat(b_dir, n)
             q_dir, s_dir = kernels.all_stream_quadforms(
-                los_dir, nlos_dir, a_dir, b_dir, CONDITION_LIMIT)
+                los_dir, nlos_dir, a_dir, b_dir)
             self._q_dir = q_dir
             self._baseline_failed = s_dir.any(axis=1)
             self._gain_dir = np.repeat(np.array(cfg.ref_gain_direct), n)

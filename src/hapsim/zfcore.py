@@ -1,4 +1,4 @@
-"""Zero-forcing per-stream SNR via the orthogonal-complement projection.
+"""Zero-forcing per-stream SNR of one channel matrix: the scalar API.
 
 For a channel H = [h_1 H~] (column k pulled out, the rest collected in H~),
 the ZF post-detection SNR of stream k is
@@ -6,13 +6,15 @@ the ZF post-detection SNR of stream k is
     snr = snr_scale * h_1^H (I - H~ (H~^H H~)^{-1} H~^H) h_1,
 
 which equals snr_scale / [(H^H H)^{-1}]_{kk} without ever forming the full
-inverse.  The quadratic form is evaluated through a Hermitian
-positive-definite solve; explicit inverses appear only in test oracles.
+inverse; explicit inverses appear only in test oracles.  The quadratic form
+is the sweep kernel's column_quadform evaluated on a batch of one, so these
+functions and the Monte Carlo sweeps share one implementation.
 
 Nearly collinear columns (for example the large-kappa Rician regime, where
 every column collapses onto the rank-one line-of-sight matrix) make the Gram
-matrix numerically singular.  All entry points guard this with a condition
-number test and raise SingularChannelError instead of returning garbage.
+matrix numerically singular.  Every entry point applies the kernels'
+condition test, cond(H^H H) >= CONDITION_LIMIT, and raises
+SingularChannelError exactly where a sweep would count a failed trial.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-# Gram-matrix condition number at or above this is treated as singular.
-CONDITION_LIMIT = 1e12
+from . import kernels
+from .kernels import CONDITION_LIMIT, gram_condition
 
 
 class SingularChannelError(np.linalg.LinAlgError):
@@ -60,19 +61,9 @@ def _as_channel(h: np.ndarray, allow_empty: bool = False) -> np.ndarray:
     return h
 
 
-def gram_condition(h: np.ndarray) -> float:
-    """Condition number of h^H h, computed from singular values of h."""
-    if h.shape[1] == 0:
-        return 1.0
-    s = np.linalg.svd(h, compute_uv=False)
-    if not s[-1] > 0.0:
-        return np.inf
-    return float((s[0] / s[-1]) ** 2)
-
-
 def _check_rank(h: np.ndarray) -> None:
     cond = gram_condition(h)
-    if not cond < CONDITION_LIMIT:
+    if kernels.is_singular(cond):
         raise SingularChannelError(cond)
 
 
@@ -92,24 +83,17 @@ def projection_complement(h_tilde: np.ndarray) -> np.ndarray:
     if c == 0:
         return np.eye(n, dtype=np.complex128)
     _check_rank(h)
-    gram = h.conj().T @ h
-    factor = cho_factor(gram, lower=True)
-    return np.eye(n, dtype=np.complex128) - h @ cho_solve(factor, h.conj().T)
+    hh = h.conj().T
+    return np.eye(n, dtype=np.complex128) - h @ np.linalg.solve(hh @ h, hh)
 
 
-def _zf_quadform(h: np.ndarray, stream_index: int) -> float:
-    """h_1^H P h_1 for the partition that pulls out column stream_index."""
-    h1 = h[:, stream_index]
-    h_tilde = np.delete(h, stream_index, axis=1)
-    base = float(np.vdot(h1, h1).real)
-    if h_tilde.shape[1] == 0:
-        return base
-    gram = h_tilde.conj().T @ h_tilde
-    y = h_tilde.conj().T @ h1
-    factor = cho_factor(gram, lower=True)
-    z = cho_solve(factor, y)
-    # Clamp tiny negative round-off; the form is non-negative by construction.
-    return max(base - float(np.vdot(y, z).real), 0.0)
+def _stream_snrs(h: np.ndarray, streams, snr_scale: float) -> list[StreamSnr]:
+    """Kernel quadratic forms of the given columns of h, as a batch of one."""
+    _check_rank(h)
+    batch, regular = h[None], np.zeros(1, dtype=bool)
+    return [StreamSnr(k, snr_scale
+                      * float(kernels.column_quadform(batch, k, regular)[0]))
+            for k in streams]
 
 
 def zf_stream_snr(h: np.ndarray, stream_index: int, snr_scale: float) -> StreamSnr:
@@ -130,9 +114,7 @@ def zf_stream_snr(h: np.ndarray, stream_index: int, snr_scale: float) -> StreamS
         )
     if not float(snr_scale) > 0.0:
         raise ValueError(f"snr_scale must be positive, got {snr_scale!r}")
-    _check_rank(h)
-    return StreamSnr(int(stream_index),
-                     float(snr_scale) * _zf_quadform(h, int(stream_index)))
+    return _stream_snrs(h, [int(stream_index)], float(snr_scale))[0]
 
 
 def zf_all_streams(h: np.ndarray, snr_scale: float) -> list[StreamSnr]:
@@ -140,6 +122,4 @@ def zf_all_streams(h: np.ndarray, snr_scale: float) -> list[StreamSnr]:
     h = _as_channel(h)
     if not float(snr_scale) > 0.0:
         raise ValueError(f"snr_scale must be positive, got {snr_scale!r}")
-    _check_rank(h)
-    return [StreamSnr(k, float(snr_scale) * _zf_quadform(h, k))
-            for k in range(h.shape[1])]
+    return _stream_snrs(h, range(h.shape[1]), float(snr_scale))

@@ -242,7 +242,7 @@ def test_rate_degrades_and_singularities_appear_with_kappa(capsys):
                 f"{failures} of 600, {time.perf_counter() - t0:.1f} s")
 
 
-def test_csv_reruns_byte_identical(tmp_path, capsys, monkeypatch):
+def test_csv_reruns_byte_identical(tmp_path, capsys):
     t0 = time.perf_counter()
     snr_cfg = tmp_path / "snr.yaml"
     snr_cfg.write_text(yaml.safe_dump(dict(
@@ -265,13 +265,10 @@ def test_csv_reruns_byte_identical(tmp_path, capsys, monkeypatch):
             assert main([command, "--config", str(cfg), "--out", str(p)]) == 0
         return paths[0].read_bytes() == paths[1].read_bytes()
 
-    same = [run_twice("snr-sweep", snr_cfg, "snr_default"),
-            run_twice("altitude-sweep", alt_cfg, "alt_default")]
-    monkeypatch.setenv("HAPSIM_BACKEND", "numpy")
-    same.append(run_twice("snr-sweep", snr_cfg, "snr_numpy"))
-    ok = all(same)
+    same = {"snr-sweep": run_twice("snr-sweep", snr_cfg, "snr"),
+            "altitude-sweep": run_twice("altitude-sweep", alt_cfg, "alt")}
+    ok = all(same.values())
     with capsys.disabled():
-        _report("sweep re-runs are byte-identical CSVs, parallel and "
-                "fallback backends alike", ok,
-                f"matched {sum(same)}/3 pairs, "
-                f"{time.perf_counter() - t0:.1f} s")
+        _report("sweep re-runs are byte-identical CSVs", ok,
+                f"matched {sum(same.values())}/{len(same)} pairs ("
+                + ", ".join(same) + f"), {time.perf_counter() - t0:.1f} s")

@@ -1,9 +1,13 @@
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import hapsim
 from hapsim.cli import build_parser, main
 from hapsim.scenario import scenario_from_mapping
 
@@ -253,3 +257,14 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "d_sd_m=18000" in proc.stdout
+
+
+def test_cli_import_loads_neither_scipy_nor_numba():
+    code = ("import sys, hapsim.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'numba'}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hapsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

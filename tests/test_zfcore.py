@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_complex, random_unitary, well_conditioned
 
+from hapsim.kernels import first_stream_quadforms
 from hapsim.zfcore import (
     CONDITION_LIMIT,
     SingularChannelError,
@@ -158,3 +159,28 @@ class TestStreamSnr:
     def test_negative_snr_rejected(self):
         with pytest.raises(ValueError, match="snr_linear"):
             StreamSnr(0, -1e-9)
+
+
+class TestSingularityAgreement:
+    def test_scalar_api_raises_exactly_where_kernel_flags(self):
+        # cond(H^H H) = s**-2 straddles the 1e12 limit by about 0.2%, where
+        # two differently computed condition numbers can disagree.
+        rng = np.random.default_rng(0)
+        count = 1000
+        hs = np.stack([
+            random_unitary(rng, 4)
+            @ np.diag([1.0, 0.7, 0.3, 1e-6 * (1.0 + rng.uniform(-1e-3, 1e-3))])
+            @ random_unitary(rng, 4).conj().T
+            for _ in range(count)])
+        _, flags = first_stream_quadforms(np.zeros((1, 4, 4)), hs[:, None],
+                                          np.zeros(1), np.ones(1))
+        raised = []
+        for h in hs:
+            try:
+                zf_stream_snr(h, 0, 1.0)
+            except SingularChannelError:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert 0 < flags.sum() < count
+        np.testing.assert_array_equal(np.array(raised), flags[:, 0])
