@@ -21,7 +21,11 @@ from .geometry import LinkGeometry
 
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel quantity to linear scale."""
-    return float(10.0 ** (float(value_db) / 10.0))
+    try:
+        return float(10.0 ** (float(value_db) / 10.0))
+    except OverflowError:
+        raise ValueError(
+            f"{float(value_db)!r} dB is too large for a linear value") from None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .capacity import dof
@@ -100,6 +101,12 @@ def _all_points_failed(curve: SumRateCurve, trials: int) -> bool:
     return all(p.trials_failed == trials for p in curve.points)
 
 
+def _all_singular() -> int:
+    print("error: every trial was singular at every sweep point",
+          file=sys.stderr)
+    return 3
+
+
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -125,9 +132,7 @@ def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
                "snr_db,mean_rate_bps_hz,std_err,trials_failed,baseline_rate_bps_hz",
                _snr_rows(result))
     if _all_points_failed(result.relay, scenario.sweep.trials):
-        print("error: every trial was singular at every sweep point",
-              file=sys.stderr)
-        return 3
+        return _all_singular()
     return 0
 
 
@@ -139,9 +144,7 @@ def _cmd_altitude_sweep(scenario: Scenario, out_path: str,
     _write_csv(out_path, "relay_altitude_m,mean_rate_bps_hz,std_err,trials_failed",
                rows)
     if _all_points_failed(curve, scenario.sweep.trials):
-        print("error: every trial was singular at every sweep point",
-              file=sys.stderr)
-        return 3
+        return _all_singular()
     print(f"optimal_altitude_m={_fmt(curve.argmax_x)}")
     if cross_check:
         refined = find_optimal_altitude(
@@ -166,6 +169,8 @@ def _cmd_optimal_altitude(scenario: Scenario, args: argparse.Namespace) -> int:
     best = find_optimal_altitude(scenario.network, lo, hi, tol,
                                  trials=sweep.trials,
                                  master_seed=sweep.master_seed)
+    if math.isnan(best):
+        return _all_singular()
     print(f"optimal_altitude_m={_fmt(best)}")
     return 0
 

@@ -1,10 +1,11 @@
 """Scenario files: flat YAML key-value documents.
 
-Every physical quantity carries its unit in the key name.  Unknown keys are
-rejected, missing keys are filled from DEFAULTS, and validation failures
-name the offending key.  effective_mapping() resolves every default (and
-every derived value such as the relay antenna count), so a dumped scenario
-re-parses to an identical configuration.
+Every physical quantity carries its unit in the key name.  The key table
+_SCHEMA lists each key once; DEFAULTS, the parsing in scenario_from_mapping()
+and effective_mapping() all derive from it.  Unknown keys are rejected,
+missing keys take their defaults, and validation failures name the key.
+effective_mapping() resolves every default (and every derived value such as
+the relay antenna count), so a dumped scenario re-parses identically.
 """
 
 from __future__ import annotations
@@ -20,44 +21,6 @@ from .simulator import SweepSpec
 
 class ScenarioError(ValueError):
     """Scenario file failed to parse or validate."""
-
-
-DEFAULTS: dict = {
-    "num_haps": 3,
-    "num_gs": 3,
-    "antennas_per_node": 4,
-    "relay_antennas": None,
-    "hap_power": 1.0,
-    "relay_power": 1.0,
-    "noise_power": 1.0,
-    "streams_per_tx": None,
-    "kappa_up_db": 30.0,
-    "kappa_down_db": 15.0,
-    "kappa_direct_db": None,
-    "ref_gain_up": 1.0,
-    "ref_gain_down": 1.0,
-    "ref_gain_direct": None,
-    "hap_altitude_m": 18000.0,
-    "relay_altitude_m": 17000.0,
-    "gs_altitude_m": 0.0,
-    "hap_spacing_m": 1125.0,
-    "gs_spacing_m": 0.1,
-    "wavelength_m": 0.00625,
-    "rx_spacing_m": None,
-    "tx_spacing_m": None,
-    "aoa_deg": 30.0,
-    "aod_deg": 30.0,
-    "all_streams": False,
-    "snr_reference": "pre_path_loss",
-    "spacing_dof_beta": 1.0,
-    "sweep_variable": "snr_db",
-    "sweep_start": 0.0,
-    "sweep_stop": 30.0,
-    "sweep_step": 2.5,
-    "trials": 1000,
-    "master_seed": 12345,
-    "include_baseline": True,
-}
 
 
 @dataclass(frozen=True)
@@ -79,43 +42,36 @@ class Scenario:
         return replace(self, sweep=sweep)
 
 
-def _number(values: dict, key: str) -> float:
-    v = values[key]
+def _number(key: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{key} must be a number, got {v!r}")
     return float(v)
 
 
-def _integer(values: dict, key: str) -> int:
-    v = values[key]
+def _integer(key: str, v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"{key} must be an integer, got {v!r}")
     return v
 
 
-def _optional(coerce, values: dict, key: str):
-    return None if values[key] is None else coerce(values, key)
+def _optional(parse):
+    return lambda key, v: None if v is None else parse(key, v)
 
 
-def _boolean(values: dict, key: str) -> bool:
-    v = values[key]
+def _boolean(key: str, v) -> bool:
     if not isinstance(v, bool):
         raise ScenarioError(f"{key} must be true or false, got {v!r}")
     return v
 
 
-def _text(values: dict, key: str) -> str:
-    v = values[key]
+def _text(key: str, v) -> str:
     if not isinstance(v, str):
         raise ScenarioError(f"{key} must be a string, got {v!r}")
     return v
 
 
-def _per_link(values: dict, key: str):
+def _per_link(key: str, v):
     """Scalar or list of numbers; broadcasting happens in NetworkConfig."""
-    v = values[key]
-    if v is None:
-        return None
     if isinstance(v, (list, tuple)):
         out = []
         for item in v:
@@ -123,7 +79,64 @@ def _per_link(values: dict, key: str):
                 raise ScenarioError(f"{key} entries must be numbers, got {item!r}")
             out.append(float(item))
         return tuple(out)
-    return _number(values, key)
+    return _optional(_number)(key, v)
+
+
+# The schema: every scenario key as (key, default, parser), grouped by the
+# object it configures and in the order the objects are built and the keys
+# checked.  A key names its object's field, with a sweep_ prefix on the
+# SweepSpec fields; a null default is resolved by that object.
+_SCHEMA = {
+    ScenarioLayout: (
+        ("hap_altitude_m", 18000.0, _number),
+        ("relay_altitude_m", 17000.0, _number),
+        ("hap_spacing_m", 1125.0, _number),
+        ("gs_spacing_m", 0.1, _number),
+        ("gs_altitude_m", 0.0, _number),
+    ),
+    NetworkConfig: (
+        ("num_haps", 3, _integer),
+        ("num_gs", 3, _integer),
+        ("antennas_per_node", 4, _integer),
+        ("relay_antennas", None, _optional(_integer)),
+        ("hap_power", 1.0, _number),
+        ("relay_power", 1.0, _number),
+        ("noise_power", 1.0, _number),
+        ("streams_per_tx", None, _optional(_integer)),
+        ("kappa_up_db", 30.0, _per_link),
+        ("kappa_down_db", 15.0, _per_link),
+        ("kappa_direct_db", None, _per_link),
+        ("ref_gain_up", 1.0, _per_link),
+        ("ref_gain_down", 1.0, _per_link),
+        ("ref_gain_direct", None, _per_link),
+        ("wavelength_m", 0.00625, _number),
+        ("rx_spacing_m", None, _optional(_number)),
+        ("tx_spacing_m", None, _optional(_number)),
+        ("aoa_deg", 30.0, _number),
+        ("aod_deg", 30.0, _number),
+        ("all_streams", False, _boolean),
+        ("snr_reference", "pre_path_loss", _text),
+    ),
+    SweepSpec: (
+        ("sweep_variable", "snr_db", _text),
+        ("sweep_start", 0.0, _number),
+        ("sweep_stop", 30.0, _number),
+        ("sweep_step", 2.5, _number),
+        ("trials", 1000, _integer),
+        ("master_seed", 12345, _integer),
+    ),
+    Scenario: (
+        ("include_baseline", True, _boolean),
+        ("spacing_dof_beta", 1.0, _number),
+    ),
+}
+
+DEFAULTS: dict = {key: default for keys in _SCHEMA.values()
+                  for key, default, _ in keys}
+
+
+def _field(key: str) -> str:
+    return key.removeprefix("sweep_")
 
 
 def scenario_from_mapping(mapping: dict) -> Scenario:
@@ -136,61 +149,18 @@ def scenario_from_mapping(mapping: dict) -> Scenario:
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {', '.join(unknown)}")
     values = {**DEFAULTS, **mapping}
-    try:
-        layout = ScenarioLayout(
-            hap_altitude_m=_number(values, "hap_altitude_m"),
-            relay_altitude_m=_number(values, "relay_altitude_m"),
-            hap_spacing_m=_number(values, "hap_spacing_m"),
-            gs_spacing_m=_number(values, "gs_spacing_m"),
-            gs_altitude_m=_number(values, "gs_altitude_m"),
-        )
-        network = NetworkConfig(
-            num_haps=_integer(values, "num_haps"),
-            num_gs=_integer(values, "num_gs"),
-            antennas_per_node=_integer(values, "antennas_per_node"),
-            layout=layout,
-            relay_antennas=_optional(_integer, values, "relay_antennas"),
-            hap_power=_number(values, "hap_power"),
-            relay_power=_number(values, "relay_power"),
-            noise_power=_number(values, "noise_power"),
-            streams_per_tx=_optional(_integer, values, "streams_per_tx"),
-            kappa_up_db=_per_link(values, "kappa_up_db"),
-            kappa_down_db=_per_link(values, "kappa_down_db"),
-            kappa_direct_db=_per_link(values, "kappa_direct_db"),
-            ref_gain_up=_per_link(values, "ref_gain_up"),
-            ref_gain_down=_per_link(values, "ref_gain_down"),
-            ref_gain_direct=_per_link(values, "ref_gain_direct"),
-            wavelength_m=_number(values, "wavelength_m"),
-            rx_spacing_m=_optional(_number, values, "rx_spacing_m"),
-            tx_spacing_m=_optional(_number, values, "tx_spacing_m"),
-            aoa_deg=_number(values, "aoa_deg"),
-            aod_deg=_number(values, "aod_deg"),
-            all_streams=_boolean(values, "all_streams"),
-            snr_reference=_text(values, "snr_reference"),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    try:
-        sweep = SweepSpec(
-            variable=_text(values, "sweep_variable"),
-            start=_number(values, "sweep_start"),
-            stop=_number(values, "sweep_stop"),
-            step=_number(values, "sweep_step"),
-            trials=_integer(values, "trials"),
-            master_seed=_integer(values, "master_seed"),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"sweep: {exc}") from exc
-    return Scenario(
-        network=network,
-        sweep=sweep,
-        include_baseline=_boolean(values, "include_baseline"),
-        spacing_dof_beta=_number(values, "spacing_dof_beta"),
-    )
+
+    def build(cls, prefix: str = "", **parts):
+        try:
+            return cls(**parts, **{_field(key): parse(key, values[key])
+                                   for key, _, parse in _SCHEMA[cls]})
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(f"{prefix}{exc}") from exc
+
+    network = build(NetworkConfig, layout=build(ScenarioLayout))
+    return build(Scenario, network=network, sweep=build(SweepSpec, "sweep: "))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -205,45 +175,12 @@ def load_scenario(path: str) -> Scenario:
 
 def effective_mapping(scenario: Scenario) -> dict:
     """Fully resolved key-value view; every default and derivation applied."""
-    net = scenario.network
-    lay = net.layout
-    sweep = scenario.sweep
-    return {
-        "num_haps": net.num_haps,
-        "num_gs": net.num_gs,
-        "antennas_per_node": net.antennas_per_node,
-        "relay_antennas": net.relay_antennas,
-        "hap_power": net.hap_power,
-        "relay_power": net.relay_power,
-        "noise_power": net.noise_power,
-        "streams_per_tx": net.streams_per_tx,
-        "kappa_up_db": list(net.kappa_up_db),
-        "kappa_down_db": list(net.kappa_down_db),
-        "kappa_direct_db": list(net.kappa_direct_db),
-        "ref_gain_up": list(net.ref_gain_up),
-        "ref_gain_down": list(net.ref_gain_down),
-        "ref_gain_direct": list(net.ref_gain_direct),
-        "hap_altitude_m": lay.hap_altitude_m,
-        "relay_altitude_m": lay.relay_altitude_m,
-        "gs_altitude_m": lay.gs_altitude_m,
-        "hap_spacing_m": lay.hap_spacing_m,
-        "gs_spacing_m": lay.gs_spacing_m,
-        "wavelength_m": net.wavelength_m,
-        "rx_spacing_m": net.rx_spacing_m,
-        "tx_spacing_m": net.tx_spacing_m,
-        "aoa_deg": net.aoa_deg,
-        "aod_deg": net.aod_deg,
-        "all_streams": net.all_streams,
-        "snr_reference": net.snr_reference,
-        "spacing_dof_beta": scenario.spacing_dof_beta,
-        "sweep_variable": sweep.variable,
-        "sweep_start": sweep.start,
-        "sweep_stop": sweep.stop,
-        "sweep_step": sweep.step,
-        "trials": sweep.trials,
-        "master_seed": sweep.master_seed,
-        "include_baseline": scenario.include_baseline,
-    }
+    objects = {ScenarioLayout: scenario.network.layout,
+               NetworkConfig: scenario.network,
+               SweepSpec: scenario.sweep, Scenario: scenario}
+    out = {key: getattr(objects[cls], _field(key))
+           for cls, keys in _SCHEMA.items() for key, _, _ in keys}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 def dump_scenario(scenario: Scenario) -> str:

@@ -5,12 +5,7 @@ from (master_seed, trial index) alone, so the same scattering draws are
 reused at every sweep point (common random numbers).  Comparisons along a
 sweep are therefore pathwise: per-trial rates are monotone in power, curve
 argmaxes are stable, and results are independent of evaluation order or
-parallel scheduling.
-
-The per-trial draw order inside a stream is fixed: the M uplink matrices,
-then the N downlink matrices, then the M*N direct matrices (only when the
-baseline is requested, and after the relay draws so relay results do not
-depend on whether the baseline is enabled).
+parallel scheduling.  The draw order inside a stream follows _hops().
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration.  The
 resulting quadratic forms are invariant under uniform scaling of a channel
@@ -22,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +34,6 @@ SWEEP_VARIABLES = (SNR_DB, RELAY_ALTITUDE_M)
 
 DEFAULT_TRIALS = 1000
 DEFAULT_MASTER_SEED = 12345
-DEFAULT_ALTITUDE_STEP_M = 250.0
-DEFAULT_ALTITUDE_BAND_M = (1000.0, 17500.0)
 
 
 @dataclass(frozen=True)
@@ -162,6 +156,45 @@ def _aggregate(x: float, rates: np.ndarray) -> CurvePoint:
     return CurvePoint(float(x), float(finite.mean()), std_err, failed)
 
 
+class _Hop(NamedTuple):
+    """One kind of link: its links share a line-of-sight matrix and a kernel."""
+
+    distance: str                 # ScenarioLayout property holding the length
+    links: int
+    shape: tuple[int, int]        # (receive, transmit) antennas of every link
+    kappa_db: tuple[float, ...]   # per-link Rician factor
+    ref_gain: np.ndarray          # per-link reference gain
+    all_streams: bool             # every column counts, not just the first
+
+
+_UP, _DOWN, _DIRECT = range(3)
+
+
+def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
+    """The hops of a trial ensemble, in the per-trial draw order.
+
+    Each trial draws every link of each hop in turn: the M uplink matrices
+    (platform i to relay), then the N downlink matrices (relay to ground
+    station j), then, only with the baseline and after the relay draws so
+    that relay results do not depend on it, the M*N direct matrices
+    (platform i to ground station j at index i*N + j, with platform i's
+    Rician factor and gain).
+    """
+    m, n = cfg.num_haps, cfg.num_gs
+    a_node, r_ant = cfg.antennas_per_node, cfg.relay_antennas
+    hops = [
+        _Hop("d_sr_m", m, (r_ant, a_node), cfg.kappa_up_db,
+             np.array(cfg.ref_gain_up), cfg.all_streams),
+        _Hop("d_rd_m", n, (a_node, r_ant), cfg.kappa_down_db,
+             np.array(cfg.ref_gain_down), cfg.all_streams),
+    ]
+    if include_baseline:
+        hops.append(_Hop("d_sd_m", m * n, (a_node, a_node),
+                         tuple(np.repeat(cfg.kappa_direct_db, n)),
+                         np.repeat(np.array(cfg.ref_gain_direct), n), True))
+    return tuple(hops)
+
+
 class TrialEnsemble:
     """Channel draws and zero-forcing quadratic forms for a fixed scenario.
 
@@ -179,95 +212,62 @@ class TrialEnsemble:
         self.trials = int(trials)
         self.master_seed = int(master_seed)
         self.has_baseline = bool(include_baseline)
+        self._hops = _hops(cfg, include_baseline)
 
-        m, n = cfg.num_haps, cfg.num_gs
-        a_node, r_ant = cfg.antennas_per_node, cfg.relay_antennas
-        lay = cfg.layout
-        aoa = math.radians(cfg.aoa_deg)
-        aod = math.radians(cfg.aod_deg)
-
-        def los(distance_m: float, rows: int, cols: int) -> np.ndarray:
-            geom = LinkGeometry(distance_m, cfg.wavelength_m, aoa, aod,
-                                cfg.rx_spacing_m, cfg.tx_spacing_m)
-            return los_channel(geom, rows, cols)
-
-        los_up = np.broadcast_to(los(lay.d_sr_m, r_ant, a_node),
-                                 (m, r_ant, a_node))
-        los_dn = np.broadcast_to(los(lay.d_rd_m, a_node, r_ant),
-                                 (n, a_node, r_ant))
-
-        nlos_up = np.empty((self.trials, m, r_ant, a_node), dtype=np.complex128)
-        nlos_dn = np.empty((self.trials, n, a_node, r_ant), dtype=np.complex128)
-        nlos_dir = (np.empty((self.trials, m * n, a_node, a_node),
-                             dtype=np.complex128) if include_baseline else None)
+        nlos = [np.empty((self.trials, hop.links, *hop.shape),
+                         dtype=np.complex128) for hop in self._hops]
+        draws = [(buf, hop.links, *hop.shape)
+                 for buf, hop in zip(nlos, self._hops)]
         for t in range(self.trials):
             rng = trial_rng(self.master_seed, t)
-            for i in range(m):
-                nlos_up[t, i] = rayleigh_channel(r_ant, a_node, rng)
-            for j in range(n):
-                nlos_dn[t, j] = rayleigh_channel(a_node, r_ant, rng)
-            if include_baseline:
-                for ij in range(m * n):
-                    nlos_dir[t, ij] = rayleigh_channel(a_node, a_node, rng)
+            for buf, links, rows, cols in draws:
+                for link in range(links):
+                    buf[t, link] = rayleigh_channel(rows, cols, rng)
 
-        def weights(kappas_db: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-            k = np.array([db_to_linear(v) for v in kappas_db])
-            return np.sqrt(k / (1.0 + k)), np.sqrt(1.0 / (1.0 + k))
+        aoa, aod = math.radians(cfg.aoa_deg), math.radians(cfg.aod_deg)
+        self._q, self._failed = [], []
+        for hop, nlos_h in zip(self._hops, nlos):
+            geom = LinkGeometry(getattr(cfg.layout, hop.distance),
+                                cfg.wavelength_m, aoa, aod,
+                                cfg.rx_spacing_m, cfg.tx_spacing_m)
+            los = np.broadcast_to(los_channel(geom, *hop.shape),
+                                  (hop.links, *hop.shape))
+            k = np.array([db_to_linear(v) for v in hop.kappa_db])
+            kernel = (kernels.all_stream_quadforms if hop.all_streams
+                      else kernels.first_stream_quadforms)
+            q, singular = kernel(los, nlos_h, np.sqrt(k / (1.0 + k)),
+                                 np.sqrt(1.0 / (1.0 + k)))
+            self._q.append(q if hop.all_streams else q[:, :, None])
+            self._failed.append(singular.any(axis=1))
 
-        a_up, b_up = weights(cfg.kappa_up_db)
-        a_dn, b_dn = weights(cfg.kappa_down_db)
-        relay_kernel = (kernels.all_stream_quadforms if cfg.all_streams
-                        else kernels.first_stream_quadforms)
-        q_up, s_up = relay_kernel(los_up, nlos_up, a_up, b_up)
-        q_dn, s_dn = relay_kernel(los_dn, nlos_dn, a_dn, b_dn)
-        if not cfg.all_streams:
-            q_up = q_up[:, :, None]
-            q_dn = q_dn[:, :, None]
-        self._q_up, self._q_dn = q_up, q_dn
-        self._relay_failed = s_up.any(axis=1) | s_dn.any(axis=1)
-        self._gain_up = np.array(cfg.ref_gain_up)
-        self._gain_dn = np.array(cfg.ref_gain_down)
-
-        if include_baseline:
-            los_dir = np.broadcast_to(los(lay.d_sd_m, a_node, a_node),
-                                      (m * n, a_node, a_node))
-            a_dir, b_dir = weights(cfg.kappa_direct_db)
-            a_dir = np.repeat(a_dir, n)
-            b_dir = np.repeat(b_dir, n)
-            q_dir, s_dir = kernels.all_stream_quadforms(
-                los_dir, nlos_dir, a_dir, b_dir)
-            self._q_dir = q_dir
-            self._baseline_failed = s_dir.any(axis=1)
-            self._gain_dir = np.repeat(np.array(cfg.ref_gain_direct), n)
-
-    def _path_factor(self, gains: np.ndarray, distance_m: float) -> np.ndarray:
-        if self.cfg.snr_reference == "post_path_loss":
-            return np.ones_like(gains)
-        return (gains / float(distance_m) ** 2) ** 2
-
-    def _check_distance(self, name: str, value: float) -> None:
-        if not float(value) > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+    def _hop_rate(self, index: int, snr_scale: float,
+                  distance_m: float) -> np.ndarray:
+        """Per-trial sum of log2(1 + snr) over every stream of one hop."""
+        hop = self._hops[index]
+        if not float(distance_m) > 0.0:
+            raise ValueError(
+                f"{hop.distance} must be positive, got {distance_m!r}")
         margin = FAR_FIELD_FACTOR * max(self.cfg.rx_spacing_m,
                                         self.cfg.tx_spacing_m)
-        if not float(value) > margin:
-            raise ValueError(
-                f"{name} = {value!r} m is inside the far-field limit {margin:g} m"
-            )
+        if not float(distance_m) > margin:
+            raise ValueError(f"{hop.distance} = {distance_m!r} m is inside "
+                             f"the far-field limit {margin:g} m")
+        if self.cfg.snr_reference == "post_path_loss":
+            path = np.ones_like(hop.ref_gain)
+        else:
+            path = (hop.ref_gain / float(distance_m) ** 2) ** 2
+        f = float(snr_scale) * path
+        return np.log1p(f[None, :, None] * self._q[index]).sum(axis=(1, 2)) / _LN2
 
     def relay_rates(self, snr_scale_up: float, snr_scale_dn: float,
                     d_sr_m: float, d_rd_m: float) -> np.ndarray:
         """Per-trial relay sum-rates; NaN where a trial was singular."""
         if not float(snr_scale_up) > 0.0 or not float(snr_scale_dn) > 0.0:
             raise ValueError("snr scales must be positive")
-        self._check_distance("d_sr_m", d_sr_m)
-        self._check_distance("d_rd_m", d_rd_m)
-        fu = float(snr_scale_up) * self._path_factor(self._gain_up, d_sr_m)
-        fd = float(snr_scale_dn) * self._path_factor(self._gain_dn, d_rd_m)
-        c1 = np.log1p(fu[None, :, None] * self._q_up).sum(axis=(1, 2)) / _LN2
-        c2 = np.log1p(fd[None, :, None] * self._q_dn).sum(axis=(1, 2)) / _LN2
+        c1 = self._hop_rate(_UP, snr_scale_up, d_sr_m)
+        c2 = self._hop_rate(_DOWN, snr_scale_dn, d_rd_m)
         rates = self.cfg.dof_prefactor * np.minimum(c1, c2)
-        return np.where(self._relay_failed, np.nan, rates)
+        return np.where(self._failed[_UP] | self._failed[_DOWN], np.nan, rates)
 
     def baseline_rates(self, snr_scale: float) -> np.ndarray:
         """Per-trial time-sharing baseline rates over the direct links."""
@@ -275,22 +275,17 @@ class TrialEnsemble:
             raise RuntimeError("ensemble was built without baseline draws")
         if not float(snr_scale) > 0.0:
             raise ValueError("snr scale must be positive")
-        d_sd = self.cfg.layout.d_sd_m
-        self._check_distance("d_sd_m", d_sd)
-        f = float(snr_scale) * self._path_factor(self._gain_dir, d_sd)
-        rate = np.log1p(f[None, :, None] * self._q_dir).sum(axis=(1, 2)) / _LN2
+        rate = self._hop_rate(_DIRECT, snr_scale, self.cfg.layout.d_sd_m)
         rate /= self.cfg.num_haps * self.cfg.num_gs
-        return np.where(self._baseline_failed, np.nan, rate)
+        return np.where(self._failed[_DIRECT], np.nan, rate)
 
 
-def _config_scales(cfg: NetworkConfig) -> tuple[float, float]:
-    """Per-hop snr scales power/(noise * N_T) from the configured powers."""
-    up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
-    dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
-    return up, dn
+def _altitude_points(cfg: NetworkConfig, lo: float, hi: float, trials: int,
+                     master_seed: int):
+    """Relay altitude in [lo, hi] -> CurvePoint, on one fixed trial ensemble.
 
-
-def _check_altitude_band(cfg: NetworkConfig, lo: float, hi: float) -> None:
+    Each hop runs at its configured snr scale power/(noise * N_T).
+    """
     lay = cfg.layout
     if not lay.gs_altitude_m < lo < hi < lay.hap_altitude_m:
         raise ValueError(
@@ -303,6 +298,16 @@ def _check_altitude_band(cfg: NetworkConfig, lo: float, hi: float) -> None:
             f"altitude range [{lo:g}, {hi:g}] leaves a link shorter than "
             f"the far-field limit {margin:g} m"
         )
+    ens = TrialEnsemble(cfg, trials, master_seed)
+    scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
+    scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+
+    def point(alt: float) -> CurvePoint:
+        alt = float(alt)
+        return _aggregate(alt, ens.relay_rates(scale_up, scale_dn,
+                                               lay.hap_altitude_m - alt,
+                                               alt - lay.gs_altitude_m))
+    return point
 
 
 def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
@@ -337,17 +342,9 @@ def run_altitude_sweep(cfg: NetworkConfig, spec: SweepSpec) -> SumRateCurve:
             f"spec.variable must be {RELAY_ALTITUDE_M!r}, got {spec.variable!r}"
         )
     grid = spec.grid()
-    _check_altitude_band(cfg, float(grid[0]), float(grid[-1]))
-    ens = TrialEnsemble(cfg, spec.trials, spec.master_seed)
-    scale_up, scale_dn = _config_scales(cfg)
-    lay = cfg.layout
-    points = []
-    for alt in grid:
-        rates = ens.relay_rates(scale_up, scale_dn,
-                                lay.hap_altitude_m - float(alt),
-                                float(alt) - lay.gs_altitude_m)
-        points.append(_aggregate(alt, rates))
-    return SumRateCurve(tuple(points))
+    point = _altitude_points(cfg, float(grid[0]), float(grid[-1]),
+                             spec.trials, spec.master_seed)
+    return SumRateCurve(tuple(point(alt) for alt in grid))
 
 
 def find_optimal_altitude(cfg: NetworkConfig, lo: float, hi: float, tol: float,
@@ -357,30 +354,27 @@ def find_optimal_altitude(cfg: NetworkConfig, lo: float, hi: float, tol: float,
 
     The objective reuses one fixed trial ensemble for every evaluation, so
     it is deterministic in altitude and the search result is reproducible.
-    Returns the interval midpoint once the bracket is narrower than tol.
+    Returns the interval midpoint once the bracket is narrower than tol,
+    or NaN when no trial of the ensemble is valid (singular trials do not
+    depend on altitude, so the objective is then NaN everywhere).
     """
     lo, hi, tol = float(lo), float(hi), float(tol)
     if not lo < hi:
         raise ValueError(f"lo must be < hi, got ({lo!r}, {hi!r})")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    _check_altitude_band(cfg, lo, hi)
-    ens = TrialEnsemble(cfg, trials, master_seed)
-    scale_up, scale_dn = _config_scales(cfg)
-    lay = cfg.layout
+    point = _altitude_points(cfg, lo, hi, trials, master_seed)
 
     def objective(alt: float) -> float:
-        rates = ens.relay_rates(scale_up, scale_dn,
-                                lay.hap_altitude_m - alt,
-                                alt - lay.gs_altitude_m)
-        finite = rates[np.isfinite(rates)]
-        return float(finite.mean()) if finite.size else -math.inf
+        return point(alt).mean_rate
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
+    if math.isnan(fc):
+        return math.nan
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc

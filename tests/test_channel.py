@@ -31,6 +31,10 @@ class TestDbToLinear:
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
         assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-12)
 
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            db_to_linear(4000.0)
+
 
 class TestLosChannel:
     def test_single_element(self):

@@ -195,6 +195,14 @@ class TestOptimalAltitudeCommand:
         assert main(["optimal-altitude", "--config", cfg]) == 2
         assert "--lo/--hi/--tol" in capsys.readouterr().err
 
+    def test_all_singular_exits_3_without_optimum(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, **altitude_keys(
+            kappa_up_db=200.0, kappa_down_db=200.0, trials=50))
+        assert main(["optimal-altitude", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "every trial was singular" in captured.err
+
 
 class TestDumpConfig:
     def test_dump_reparses_to_same_scenario(self, tmp_path, capsys):
@@ -233,6 +241,17 @@ class TestExitCodes:
         out = tmp_path / "curve.csv"
         assert main(["snr-sweep", "--config", cfg, "--out", str(out),
                      "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("keys", [
+        dict(kappa_up_db=4000.0),
+        dict(sweep_stop=4000.0, sweep_step=1000.0),
+    ], ids=["kappa", "snr"])
+    def test_db_overflow_exits_2(self, tmp_path, capsys, keys):
+        cfg = write_scenario(tmp_path, **snr_keys(**keys))
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "4000.0 dB" in err
 
     def test_missing_config_exits_4(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")

@@ -1,7 +1,11 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
+from hapsim.capacity import NetworkConfig
+from hapsim.geometry import ScenarioLayout
 from hapsim.scenario import (
     DEFAULTS,
     Scenario,
@@ -11,6 +15,9 @@ from hapsim.scenario import (
     load_scenario,
     scenario_from_mapping,
 )
+from hapsim.simulator import SweepSpec
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestDefaults:
@@ -33,6 +40,27 @@ class TestDefaults:
     def test_defaults_cover_every_key(self):
         resolved = effective_mapping(scenario_from_mapping({}))
         assert set(resolved) == set(DEFAULTS)
+
+
+class TestDefaultsDrift:
+    """DEFAULTS, the README scenario table and the dataclass defaults agree."""
+
+    def test_every_key_in_readme_table(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        documented = set()
+        for line in readme.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        assert set(DEFAULTS) <= documented, set(DEFAULTS) - documented
+
+    @pytest.mark.parametrize("cls", [NetworkConfig, ScenarioLayout, SweepSpec])
+    def test_dataclass_defaults_match(self, cls):
+        for field in dataclasses.fields(cls):
+            if field.default is dataclasses.MISSING:
+                continue
+            for key in (field.name, f"sweep_{field.name}"):
+                if key in DEFAULTS:
+                    assert field.default == DEFAULTS[key], field.name
 
 
 class TestValidation:
@@ -149,7 +177,7 @@ class TestLoading:
 
 
 class TestShippedScenarios:
-    SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+    SCENARIO_DIR = REPO / "scenarios"
 
     def test_every_shipped_file_loads(self):
         paths = sorted(self.SCENARIO_DIR.glob("*.yaml"))

@@ -123,8 +123,23 @@ class TestHarnessTransparency:
                 direct.append(row)
         return up, dn, direct
 
-    def test_snr_points_match_direct_capacity(self):
-        cfg = make_cfg(noise_power=2.0, ref_gain_down=1.62e8)
+    # 2 platforms, 3 ground stations: every link has its own Rician factor
+    # and gain, so a hop whose links are permuted or mis-broadcast (the
+    # direct links follow their platform) changes the rates.
+    PER_LINK = dict(
+        num_haps=2, num_gs=3, relay_antennas=4,
+        kappa_up_db=[12.0, 25.0], kappa_down_db=[3.0, 9.0, 16.0],
+        kappa_direct_db=[6.0, 18.0],
+        ref_gain_up=[2.4e8, 3.6e8], ref_gain_down=[1.2e8, 1.6e8, 2.0e8],
+        ref_gain_direct=[2.5e8, 3.5e8])
+
+    @pytest.mark.parametrize("overrides,binding", [
+        (dict(noise_power=2.0, ref_gain_down=1.62e8), None),
+        (PER_LINK, "uplink"),
+        (dict(PER_LINK, ref_gain_down=[1.2e7, 1.6e7, 2.0e7]), "downlink"),
+    ], ids=["3x3-scalar", "per-link-uplink-binds", "per-link-downlink-binds"])
+    def test_snr_points_match_direct_capacity(self, overrides, binding):
+        cfg = make_cfg(**overrides)
         spec = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=1, master_seed=777)
         result = run_snr_sweep(cfg, spec, include_baseline=True)
         up, dn, direct = self._rebuild_links(cfg, 0, 777, with_direct=True)
@@ -134,8 +149,11 @@ class TestHarnessTransparency:
                 cfg,
                 hap_power=gamma * cfg.noise_power * cfg.uplink_streams(),
                 relay_power=gamma * cfg.noise_power * cfg.downlink_streams())
-            expected = df_capacity(up, dn, cfg_pt).total
-            assert point.mean_rate == pytest.approx(expected, rel=1e-9)
+            expected = df_capacity(up, dn, cfg_pt)
+            assert point.mean_rate == pytest.approx(expected.total, rel=1e-9)
+            if binding is not None:
+                uplink_binds = expected.uplink_rate < expected.downlink_rate
+                assert uplink_binds == (binding == "uplink")
             cfg_dir = replace(
                 cfg,
                 hap_power=gamma * cfg.noise_power * cfg.antennas_per_node)
@@ -310,6 +328,12 @@ class TestOptimalAltitude:
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError, match="lo must be"):
             find_optimal_altitude(make_cfg(), 9000.0, 9000.0, 10.0, trials=2)
+
+    def test_all_singular_returns_nan(self):
+        cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
+        alt = find_optimal_altitude(cfg, 4000.0, 14000.0, 250.0,
+                                    trials=20, master_seed=4)
+        assert math.isnan(alt)
 
 
 class TestBootstrapCi:
