@@ -7,24 +7,8 @@ receivers zero-force, and network capacity follows the two-hop min-cut with
 the interference-alignment prefactor M*N/(M+N-1).
 """
 
-from .capacity import (
-    CapacityBreakdown,
-    NetworkConfig,
-    asymptotic_capacity,
-    df_capacity,
-    dof,
-    hop_sum_rate,
-    no_relay_baseline,
-)
-from .channel import (
-    RicianLink,
-    apply_path_loss,
-    db_to_linear,
-    los_channel,
-    rayleigh_channel,
-    rician_mix,
-    synth_link,
-)
+from .capacity import NetworkConfig, asymptotic_capacity, dof
+from .channel import db_to_linear, los_channel, rayleigh_channel
 from .geometry import (
     FAR_FIELD_FACTOR,
     LinkGeometry,
@@ -32,6 +16,7 @@ from .geometry import (
     link_distances,
     min_hap_separation,
 )
+from .kernels import CONDITION_LIMIT
 from .scenario import (
     DEFAULTS,
     Scenario,
@@ -54,59 +39,38 @@ from .simulator import (
     run_snr_sweep,
     trial_rng,
 )
-from .zfcore import (
-    CONDITION_LIMIT,
-    SingularChannelError,
-    StreamSnr,
-    projection_complement,
-    zf_all_streams,
-    zf_stream_snr,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CONDITION_LIMIT",
-    "CapacityBreakdown",
     "DEFAULTS",
     "FAR_FIELD_FACTOR",
     "LinkGeometry",
     "NetworkConfig",
     "RELAY_ALTITUDE_M",
-    "RicianLink",
     "SNR_DB",
     "Scenario",
     "ScenarioError",
     "ScenarioLayout",
-    "SingularChannelError",
     "SnrSweepResult",
-    "StreamSnr",
     "SumRateCurve",
     "SweepSpec",
     "TrialEnsemble",
-    "apply_path_loss",
     "asymptotic_capacity",
     "bootstrap_mean_ci",
     "db_to_linear",
-    "df_capacity",
     "dof",
     "dump_scenario",
     "effective_mapping",
     "find_optimal_altitude",
-    "hop_sum_rate",
     "link_distances",
     "load_scenario",
     "los_channel",
     "min_hap_separation",
-    "no_relay_baseline",
-    "projection_complement",
     "rayleigh_channel",
-    "rician_mix",
     "run_altitude_sweep",
     "run_snr_sweep",
     "scenario_from_mapping",
-    "synth_link",
     "trial_rng",
-    "zf_all_streams",
-    "zf_stream_snr",
 ]

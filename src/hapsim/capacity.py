@@ -1,28 +1,26 @@
-"""Sum-rate expressions for the relayed X network.
+"""Network configuration and closed-form capacity helpers.
 
 The decode-and-forward capacity of the two-hop network is
 
     C = [M*N / (M + N - 1)] * min(C1, C2),
 
 where C1 sums one zero-forced stream per platform on the uplink and C2 does
-the same per ground station on the downlink.  The multiplexing-order helper
-dof() returns the high-SNR slope M*N*A / (M + N - 1), which carries the
-per-node antenna count and is deliberately a separate quantity from the
-capacity prefactor.
+the same per ground station on the downlink.  NetworkConfig carries every
+input of that formula; simulator.TrialEnsemble evaluates it per trial over
+the kernels' quadratic forms.  The multiplexing-order helper dof() returns
+the high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna
+count and is deliberately a separate quantity from the capacity prefactor,
+and asymptotic_capacity() its leading beta * log2(snr) term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScenarioLayout
-from .zfcore import zf_all_streams, zf_stream_snr
-
-_LN2 = math.log(2.0)
+from .geometry import FAR_FIELD_FACTOR, ScenarioLayout
 
 # Whether the configured SNR scale applies before or after the 1/d^2 path factor.
 SNR_REFERENCE_CHOICES = ("pre_path_loss", "post_path_loss")
@@ -141,6 +139,11 @@ class NetworkConfig:
         return max(1, (self.num_haps - 1) * (self.num_gs - 1))
 
     @property
+    def far_field_m(self) -> float:
+        """Shortest admissible link: FAR_FIELD_FACTOR x the widest spacing."""
+        return FAR_FIELD_FACTOR * max(self.rx_spacing_m, self.tx_spacing_m)
+
+    @property
     def dof_prefactor(self) -> float:
         """Capacity prefactor M*N / (M + N - 1); carries no antenna count."""
         return self.num_haps * self.num_gs / (self.num_haps + self.num_gs - 1)
@@ -152,25 +155,6 @@ class NetworkConfig:
     def downlink_streams(self) -> int:
         """N_T on the downlink: configured override or the relay column count."""
         return self.streams_per_tx or self.relay_antennas
-
-
-@dataclass(frozen=True)
-class CapacityBreakdown:
-    """Per-hop rates and their min-cut combination, all in bits/s/Hz."""
-
-    uplink_rate: float
-    downlink_rate: float
-    dof_prefactor: float
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.uplink_rate < 0.0 or self.downlink_rate < 0.0:
-            raise ValueError("hop rates must be non-negative")
-        if not self.dof_prefactor > 0.0:
-            raise ValueError("dof_prefactor must be positive")
-        object.__setattr__(
-            self, "total",
-            self.dof_prefactor * min(self.uplink_rate, self.downlink_rate))
 
 
 def dof(num_tx: int, num_rx: int, antennas: int) -> float:
@@ -188,88 +172,3 @@ def asymptotic_capacity(dof_beta: float, snr_linear: float) -> float:
     if not float(snr_linear) > 1.0:
         raise ValueError(f"snr_linear must exceed 1, got {snr_linear!r}")
     return float(dof_beta) * math.log2(float(snr_linear))
-
-
-def hop_sum_rate(channels: Sequence[np.ndarray], power: float, noise: float,
-                 streams: int | None = None, all_streams: bool = False) -> float:
-    """Sum of log2(1 + snr) over the zero-forced streams of one hop.
-
-    Each channel contributes its first column's ZF SNR at scale
-    power / (noise * N_T), where N_T is `streams` when given and the
-    channel's column count otherwise.  With all_streams=True every column
-    contributes instead of just the first.
-
-    Raises:
-        SingularChannelError: some channel has correlated columns.
-    """
-    if not float(power) > 0.0:
-        raise ValueError(f"power must be positive, got {power!r}")
-    if not float(noise) > 0.0:
-        raise ValueError(f"noise must be positive, got {noise!r}")
-    total = 0.0
-    for h in channels:
-        h = np.asarray(h, dtype=np.complex128)
-        n_t = int(streams) if streams is not None else h.shape[1]
-        scale = float(power) / (float(noise) * n_t)
-        if all_streams:
-            snrs = [s.snr_linear for s in zf_all_streams(h, scale)]
-        else:
-            snrs = [zf_stream_snr(h, 0, scale).snr_linear]
-        total += float(np.sum(np.log1p(snrs)) / _LN2)
-    return total
-
-
-def df_capacity(uplink_channels: Sequence[np.ndarray],
-                downlink_channels: Sequence[np.ndarray],
-                cfg: NetworkConfig) -> CapacityBreakdown:
-    """Decode-and-forward network capacity from explicit channel lists.
-
-    Args:
-        uplink_channels: M matrices, platform i to relay.
-        downlink_channels: N matrices, relay to ground station j.
-        cfg: scenario supplying powers, noise, and stream counts.
-
-    Returns:
-        CapacityBreakdown; total = [M*N/(M+N-1)] * min(C1, C2).
-    """
-    if len(uplink_channels) != cfg.num_haps:
-        raise ValueError(
-            f"expected {cfg.num_haps} uplink channels, got {len(uplink_channels)}"
-        )
-    if len(downlink_channels) != cfg.num_gs:
-        raise ValueError(
-            f"expected {cfg.num_gs} downlink channels, got {len(downlink_channels)}"
-        )
-    c1 = hop_sum_rate(uplink_channels, cfg.hap_power, cfg.noise_power,
-                      cfg.streams_per_tx, cfg.all_streams)
-    c2 = hop_sum_rate(downlink_channels, cfg.relay_power, cfg.noise_power,
-                      cfg.streams_per_tx, cfg.all_streams)
-    return CapacityBreakdown(c1, c2, cfg.dof_prefactor)
-
-
-def no_relay_baseline(direct_channels: Sequence[Sequence[np.ndarray]],
-                      cfg: NetworkConfig) -> float:
-    """Orthogonal time-sharing rate without the relay, in bits/s/Hz.
-
-    Each of the M*N platform-to-ground pairs is active for a 1/(M*N) time
-    share and zero-forces all of its own streams; no cross-pair interference
-    is modeled because the pairs never transmit simultaneously.
-    """
-    if len(direct_channels) != cfg.num_haps:
-        raise ValueError(
-            f"expected {cfg.num_haps} rows of direct channels, "
-            f"got {len(direct_channels)}"
-        )
-    total = 0.0
-    for row in direct_channels:
-        if len(row) != cfg.num_gs:
-            raise ValueError(
-                f"expected {cfg.num_gs} direct channels per row, got {len(row)}"
-            )
-        for h in row:
-            h = np.asarray(h, dtype=np.complex128)
-            n_t = cfg.streams_per_tx or h.shape[1]
-            scale = cfg.hap_power / (cfg.noise_power * n_t)
-            snrs = [s.snr_linear for s in zf_all_streams(h, scale)]
-            total += float(np.sum(np.log1p(snrs)) / _LN2)
-    return total / (cfg.num_haps * cfg.num_gs)

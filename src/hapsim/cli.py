@@ -7,7 +7,7 @@ import math
 import sys
 
 from .capacity import dof
-from .geometry import FAR_FIELD_FACTOR, link_distances, min_hap_separation
+from .geometry import link_distances, min_hap_separation
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     RELAY_ALTITUDE_M,
@@ -78,7 +78,6 @@ def _cmd_geometry(scenario: Scenario) -> int:
                                       lay.gs_altitude_m)
     spacing = min_hap_separation(d_sd, net.wavelength_m,
                                  scenario.spacing_dof_beta, lay.gs_spacing_m)
-    margin = FAR_FIELD_FACTOR * max(net.rx_spacing_m, net.tx_spacing_m)
     lines = [
         f"d_sd_m={_fmt(d_sd)}",
         f"d_sr_m={_fmt(d_sr)}",
@@ -91,7 +90,7 @@ def _cmd_geometry(scenario: Scenario) -> int:
         f"relay_antennas_ok={_verdict(net.relay_antennas >= net.required_relay_antennas)}",
         f"dof_total={_fmt(dof(net.num_haps, net.num_gs, net.antennas_per_node))}",
         f"zero_forcing_feasible={_verdict(net.antennas_per_node == net.relay_antennas)}",
-        f"far_field_ok={_verdict(min(d_sr, d_rd) > margin)}",
+        f"far_field_ok={_verdict(min(d_sr, d_rd) > net.far_field_m)}",
     ]
     print("\n".join(lines))
     return 0

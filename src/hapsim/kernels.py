@@ -11,11 +11,14 @@ for the first column (first_stream_quadforms) or every column
 (all_stream_quadforms).  Path gains and transmit power scale q from the
 outside, so one kernel pass serves every point of a sweep.
 
+With stream k's SNR equal to scale * q, this is the zero-forcing SNR
+scale / [(H^H H)^{-1}]_{kk} without forming the inverse.  Nothing else in
+hapsim computes a ZF SNR: simulator.TrialEnsemble is the only caller, and
+the tests check both against an independent full-inverse oracle.
+
 A matrix is singular when cond(H^H H), taken from the eigenvalues of the
 Gram matrix, reaches CONDITION_LIMIT.  is_singular is the only place that
-decision is made.  The scalar API in zfcore calls gram_condition,
-is_singular and column_quadform too, so it raises on exactly the matrices
-a sweep counts as failed trials.
+decision is made; a sweep counts such a trial as failed.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .capacity import NetworkConfig
 from .channel import db_to_linear, los_channel, rayleigh_channel
-from .geometry import FAR_FIELD_FACTOR, LinkGeometry
+from .geometry import LinkGeometry
 
 _LN2 = math.log(2.0)
 
@@ -160,6 +160,7 @@ class _Hop(NamedTuple):
     """One kind of link: its links share a line-of-sight matrix and a kernel."""
 
     distance: str                 # ScenarioLayout property holding the length
+    snr_keys: str                 # scenario keys that set the hop's SNR
     links: int
     shape: tuple[int, int]        # (receive, transmit) antennas of every link
     kappa_db: tuple[float, ...]   # per-link Rician factor
@@ -183,13 +184,16 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     m, n = cfg.num_haps, cfg.num_gs
     a_node, r_ant = cfg.antennas_per_node, cfg.relay_antennas
     hops = [
-        _Hop("d_sr_m", m, (r_ant, a_node), cfg.kappa_up_db,
+        _Hop("d_sr_m", "hap_power/noise_power, ref_gain_up", m,
+             (r_ant, a_node), cfg.kappa_up_db,
              np.array(cfg.ref_gain_up), cfg.all_streams),
-        _Hop("d_rd_m", n, (a_node, r_ant), cfg.kappa_down_db,
+        _Hop("d_rd_m", "relay_power/noise_power, ref_gain_down", n,
+             (a_node, r_ant), cfg.kappa_down_db,
              np.array(cfg.ref_gain_down), cfg.all_streams),
     ]
     if include_baseline:
-        hops.append(_Hop("d_sd_m", m * n, (a_node, a_node),
+        hops.append(_Hop("d_sd_m", "hap_power/noise_power, ref_gain_direct",
+                         m * n, (a_node, a_node),
                          tuple(np.repeat(cfg.kappa_direct_db, n)),
                          np.repeat(np.array(cfg.ref_gain_direct), n), True))
     return tuple(hops)
@@ -242,22 +246,30 @@ class TrialEnsemble:
 
     def _hop_rate(self, index: int, snr_scale: float,
                   distance_m: float) -> np.ndarray:
-        """Per-trial sum of log2(1 + snr) over every stream of one hop."""
+        """Per-trial sum of log2(1 + snr) over every stream of one hop.
+
+        Raises ValueError when the hop's SNR overflows float64, so an input
+        too large to represent is not mistaken for a singular trial.
+        """
         hop = self._hops[index]
         if not float(distance_m) > 0.0:
             raise ValueError(
                 f"{hop.distance} must be positive, got {distance_m!r}")
-        margin = FAR_FIELD_FACTOR * max(self.cfg.rx_spacing_m,
-                                        self.cfg.tx_spacing_m)
+        margin = self.cfg.far_field_m
         if not float(distance_m) > margin:
             raise ValueError(f"{hop.distance} = {distance_m!r} m is inside "
                              f"the far-field limit {margin:g} m")
-        if self.cfg.snr_reference == "post_path_loss":
-            path = np.ones_like(hop.ref_gain)
-        else:
-            path = (hop.ref_gain / float(distance_m) ** 2) ** 2
-        f = float(snr_scale) * path
-        return np.log1p(f[None, :, None] * self._q[index]).sum(axis=(1, 2)) / _LN2
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.cfg.snr_reference == "post_path_loss":
+                path = np.ones_like(hop.ref_gain)
+            else:
+                path = (hop.ref_gain / float(distance_m) ** 2) ** 2
+            f = float(snr_scale) * path
+            rate = np.log1p(f[None, :, None] * self._q[index]).sum(axis=(1, 2))
+        if not np.isfinite(rate).all():
+            raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
+                             f"{hop.snr_keys} or the swept SNR")
+        return rate / _LN2
 
     def relay_rates(self, snr_scale_up: float, snr_scale_dn: float,
                     d_sr_m: float, d_rd_m: float) -> np.ndarray:
@@ -292,7 +304,7 @@ def _altitude_points(cfg: NetworkConfig, lo: float, hi: float, trials: int,
             f"altitude range [{lo:g}, {hi:g}] must lie strictly inside "
             f"({lay.gs_altitude_m:g}, {lay.hap_altitude_m:g})"
         )
-    margin = FAR_FIELD_FACTOR * max(cfg.rx_spacing_m, cfg.tx_spacing_m)
+    margin = cfg.far_field_m
     if lo - lay.gs_altitude_m <= margin or lay.hap_altitude_m - hi <= margin:
         raise ValueError(
             f"altitude range [{lo:g}, {hi:g}] leaves a link shorter than "
@@ -327,6 +339,9 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     base_pts = []
     for x in spec.grid():
         gamma = db_to_linear(x)
+        if gamma == 0.0:
+            raise ValueError(
+                f"snr_db sweep point {float(x)!r} dB is too small for a linear value")
         relay_pts.append(
             _aggregate(x, ens.relay_rates(gamma, gamma, lay.d_sr_m, lay.d_rd_m)))
         if include_baseline:

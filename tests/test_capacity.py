@@ -1,22 +1,23 @@
+"""Network configuration, closed-form helpers, and the capacity formula.
+
+The rates themselves come from the trial ensemble, the one place hapsim
+evaluates C = [M*N/(M+N-1)] * min(C1, C2); they are checked here against
+exact values and the independent oracle in oracles.py.
+"""
+
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import well_conditioned
+import oracles
+from helpers import random_complex
 
-from hapsim.capacity import (
-    CapacityBreakdown,
-    NetworkConfig,
-    asymptotic_capacity,
-    df_capacity,
-    dof,
-    hop_sum_rate,
-    no_relay_baseline,
-)
-from hapsim.channel import los_channel, rayleigh_channel, rician_mix
-from hapsim.geometry import LinkGeometry, ScenarioLayout
-from hapsim.zfcore import SingularChannelError, gram_condition
+from hapsim.capacity import NetworkConfig, asymptotic_capacity, dof
+from hapsim.geometry import ScenarioLayout
+from hapsim.kernels import gram_condition
+from hapsim.simulator import TrialEnsemble
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
 
@@ -28,22 +29,6 @@ def make_cfg(m: int = 3, n: int = 3, antennas: int | None = None, **kwargs
         num_haps=m, num_gs=n,
         antennas_per_node=relay if antennas is None else antennas,
         layout=LAYOUT, **kwargs)
-
-
-def oracle_total(uplink, downlink, cfg: NetworkConfig) -> float:
-    """One-shot reimplementation: explicit Gram inversion, first column."""
-    def hop(channels, power):
-        total = 0.0
-        for h in channels:
-            n_t = cfg.streams_per_tx or h.shape[1]
-            gram_inv = np.linalg.inv(h.conj().T @ h)
-            snr = (power / (cfg.noise_power * n_t)) / gram_inv[0, 0].real
-            total += np.log2(1.0 + snr)
-        return total
-    c1 = hop(uplink, cfg.hap_power)
-    c2 = hop(downlink, cfg.relay_power)
-    m, n = cfg.num_haps, cfg.num_gs
-    return (m * n / (m + n - 1)) * min(c1, c2)
 
 
 class TestDof:
@@ -74,170 +59,217 @@ class TestAsymptoticCapacity:
             asymptotic_capacity(1.8, 1.0)
 
 
+def unit_los_cfg() -> NetworkConfig:
+    """1x1 network, one antenna per node, 400 dB Rician factor: every h is 1."""
+    return make_cfg(1, 1, antennas=1, kappa_up_db=400.0, kappa_down_db=400.0,
+                    snr_reference="post_path_loss")
+
+
+def oracle_relay_rates(cfg: NetworkConfig, ens: TrialEnsemble
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble and oracle relay rates per trial, at the configured powers."""
+    lay = cfg.layout
+    scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
+    scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+    got = ens.relay_rates(scale_up, scale_dn, lay.d_sr_m, lay.d_rd_m)
+    expected = []
+    for t in range(ens.trials):
+        up, dn, _ = oracles.trial_links(cfg, ens.master_seed, t, lay.d_sr_m,
+                                        lay.d_rd_m)
+        expected.append(oracles.relay_rate(
+            cfg.num_haps, cfg.num_gs,
+            oracles.hop_rate(up, scale_up, cfg.all_streams),
+            oracles.hop_rate(dn, scale_dn, cfg.all_streams)))
+    return got, np.array(expected)
+
+
+def unit_los_network(m: int, n: int) -> NetworkConfig:
+    """M x N network of single-antenna nodes, 400 dB Rician factor: h = 1."""
+    return make_cfg(m, n, antennas=1, kappa_up_db=400.0, kappa_down_db=400.0,
+                    snr_reference="post_path_loss")
+
+
+def oracle_hops(cfg: NetworkConfig, ens: TrialEnsemble, scale_up: float,
+                scale_dn: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle uplink and downlink sum rates of every trial of ens."""
+    lay = cfg.layout
+    c_up, c_dn = [], []
+    for t in range(ens.trials):
+        up, dn, _ = oracles.trial_links(cfg, ens.master_seed, t, lay.d_sr_m,
+                                        lay.d_rd_m)
+        c_up.append(oracles.hop_rate(up, scale_up, cfg.all_streams))
+        c_dn.append(oracles.hop_rate(dn, scale_dn, cfg.all_streams))
+    return np.array(c_up), np.array(c_dn)
+
+
+class TestCapacityBreakdown:
+    def test_total_derived_from_min(self):
+        # Per trial the weaker hop sets the rate, and both hops bind somewhere.
+        cfg = make_cfg(2, 3, kappa_up_db=5.0, kappa_down_db=5.0,
+                       snr_reference="post_path_loss")
+        ens = TrialEnsemble(cfg, trials=40, master_seed=40)
+        c_up, c_dn = oracle_hops(cfg, ens, 8.0, 2.0)
+        got = ens.relay_rates(8.0, 2.0, LAYOUT.d_sr_m, LAYOUT.d_rd_m)
+        np.testing.assert_allclose(
+            got, cfg.dof_prefactor * np.minimum(c_up, c_dn), rtol=1e-9)
+        assert (c_up < c_dn).any() and (c_dn < c_up).any()
+
+
 class TestHopSumRate:
     def test_scalar_channel(self):
-        assert hop_sum_rate([np.array([[1.0 + 0j]])], 1.0, 1.0,
-                            streams=1) == pytest.approx(1.0, rel=1e-15)
+        ens = TrialEnsemble(unit_los_cfg(), trials=2, master_seed=1)
+        for snr, bits in ((1.0, 1.0), (3.0, 2.0), (15.0, 4.0)):
+            rates = ens.relay_rates(snr, snr, 9000.0, 9000.0)
+            assert rates.tolist() == pytest.approx([bits, bits], rel=1e-15)
 
     def test_two_identity_channels(self):
-        chans = [np.eye(2, dtype=complex)] * 2
-        assert hop_sum_rate(chans, 1.0, 1.0, streams=1) == pytest.approx(
-            2.0, rel=1e-15)
+        # Two unit links per hop carry one bit each at unit SNR.
+        cfg = unit_los_network(2, 2)
+        ens = TrialEnsemble(cfg, trials=2, master_seed=1)
+        rates = ens.relay_rates(1.0, 1.0, 9000.0, 9000.0)
+        assert rates.tolist() == pytest.approx(
+            [cfg.dof_prefactor * 2.0] * 2, rel=1e-15)
 
     def test_matches_inverse_oracle(self):
-        rng = np.random.default_rng(41)
-        for _ in range(30):
-            chans = [well_conditioned(rng, 4, 2, cond_max=1e3)
-                     for _ in range(3)]
-            got = hop_sum_rate(chans, 2.0, 0.5)
-            ref = 0.0
-            for h in chans:
-                scale = 2.0 / (0.5 * 2)
-                snr = scale / np.linalg.inv(h.conj().T @ h)[0, 0].real
-                ref += np.log2(1.0 + snr)
-            assert math.isclose(got, ref, rel_tol=1e-9)
+        # A downlink 120 dB stronger leaves the uplink sum as the rate.
+        cfg = make_cfg(3, 2, antennas=2, kappa_up_db=5.0, kappa_down_db=5.0,
+                       snr_reference="post_path_loss")
+        ens = TrialEnsemble(cfg, trials=30, master_seed=41)
+        c_up, c_dn = oracle_hops(cfg, ens, 2.0, 2e12)
+        assert (c_up < c_dn).all()
+        got = ens.relay_rates(2.0, 2e12, LAYOUT.d_sr_m, LAYOUT.d_rd_m)
+        np.testing.assert_allclose(got, cfg.dof_prefactor * c_up, rtol=1e-9)
 
     def test_all_streams_counts_every_column(self):
-        h = np.eye(3, dtype=complex)
-        one = hop_sum_rate([h], 3.0, 1.0, streams=1)
-        every = hop_sum_rate([h], 3.0, 1.0, streams=1, all_streams=True)
-        assert every == pytest.approx(3.0 * one, rel=1e-12)
-
-    def test_bad_power_rejected(self):
-        with pytest.raises(ValueError, match="power"):
-            hop_sum_rate([np.eye(2, dtype=complex)], 0.0, 1.0)
+        cfg = make_cfg(2, 3, all_streams=True, kappa_up_db=[3.0, 8.0],
+                       kappa_down_db=[0.0, 4.0, 9.0], ref_gain_up=8.1e7,
+                       ref_gain_down=[6e7, 8.1e7, 1e8], hap_power=3.0)
+        got, expected = oracle_relay_rates(cfg, TrialEnsemble(cfg, 20, 41))
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
 class TestDfCapacity:
     def test_unit_point_to_point(self):
-        cfg = make_cfg(1, 1, antennas=1, streams_per_tx=1)
-        h = [np.array([[1.0 + 0j]])]
-        out = df_capacity(h, h, cfg)
-        assert out.total == pytest.approx(1.0, rel=1e-12)
-        assert out.dof_prefactor == 1.0
+        ens = TrialEnsemble(unit_los_cfg(), trials=3, master_seed=1)
+        rates = ens.relay_rates(1.0, 1.0, 9000.0, 9000.0)
+        np.testing.assert_allclose(rates, 1.0, rtol=1e-12)
 
     def test_symmetric_hops_are_tight(self):
-        rng = np.random.default_rng(42)
-        chans = [well_conditioned(rng, 4, 4) for _ in range(3)]
-        out = df_capacity(chans, chans, make_cfg(3, 3))
-        assert out.uplink_rate == out.downlink_rate
-        assert out.total == pytest.approx(1.8 * out.uplink_rate, rel=1e-12)
+        # Equal hops both bind: raising either one alone changes nothing.
+        cfg = unit_los_network(2, 2)
+        ens = TrialEnsemble(cfg, trials=2, master_seed=42)
+        tight = ens.relay_rates(3.0, 3.0, 9000.0, 9000.0)
+        np.testing.assert_allclose(tight, cfg.dof_prefactor * 2.0 * 2.0,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(ens.relay_rates(30.0, 3.0, 9000.0,
+                                                      9000.0), tight)
+        np.testing.assert_array_equal(ens.relay_rates(3.0, 30.0, 9000.0,
+                                                      9000.0), tight)
 
     def test_matches_transliteration_oracle(self):
+        # Per-link factors and gains, both SNR references and N_T overrides.
         rng = np.random.default_rng(43)
-        for _ in range(40):
-            cfg = make_cfg(2, 3, hap_power=float(rng.uniform(0.5, 5.0)),
-                           relay_power=float(rng.uniform(0.5, 5.0)),
-                           noise_power=float(rng.uniform(0.5, 2.0)))
-            up = [well_conditioned(rng, 2, 2, cond_max=1e3) for _ in range(2)]
-            dn = [well_conditioned(rng, 2, 2, cond_max=1e3) for _ in range(3)]
-            got = df_capacity(up, dn, cfg).total
-            assert math.isclose(got, oracle_total(up, dn, cfg), rel_tol=1e-9)
+        for i in range(40):
+            cfg = make_cfg(
+                2, 3, hap_power=float(rng.uniform(0.5, 5.0)),
+                relay_power=float(rng.uniform(0.5, 5.0)),
+                noise_power=float(rng.uniform(0.5, 2.0)),
+                kappa_up_db=rng.uniform(0.0, 10.0, 2).tolist(),
+                kappa_down_db=rng.uniform(0.0, 10.0, 3).tolist(),
+                ref_gain_up=rng.uniform(4e7, 1.6e8, 2).tolist(),
+                ref_gain_down=rng.uniform(4e7, 1.6e8, 3).tolist(),
+                streams_per_tx=[None, 1, 3][i % 3],
+                snr_reference=["pre_path_loss", "post_path_loss"][i % 2])
+            got, expected = oracle_relay_rates(cfg, TrialEnsemble(cfg, 2, i))
+            np.testing.assert_allclose(got, expected, rtol=1e-9)
 
-    def test_length_mismatch_rejected(self):
-        cfg = make_cfg(2, 3)
-        chans = [np.eye(2, dtype=complex)] * 3
-        with pytest.raises(ValueError, match="uplink"):
-            df_capacity(chans, chans, cfg)
-        with pytest.raises(ValueError, match="downlink"):
-            df_capacity(chans[:2], chans[:2], cfg)
-
-    def test_monotone_in_power(self):
-        rng = np.random.default_rng(44)
-        up = [well_conditioned(rng, 4, 4) for _ in range(3)]
-        dn = [well_conditioned(rng, 4, 4) for _ in range(3)]
-        totals = [df_capacity(up, dn, make_cfg(3, 3, hap_power=p,
-                                               relay_power=p)).total
-                  for p in (0.5, 1.0, 5.0, 20.0, 100.0)]
-        assert all(b >= a for a, b in zip(totals, totals[1:]))
-
-    def test_hop_swap_symmetry(self):
-        rng = np.random.default_rng(45)
-        up = [well_conditioned(rng, 2, 2) for _ in range(2)]
-        dn = [well_conditioned(rng, 2, 2) for _ in range(3)]
-        fwd = make_cfg(2, 3, hap_power=3.0, relay_power=1.5)
-        rev = make_cfg(3, 2, hap_power=1.5, relay_power=3.0)
-        assert df_capacity(up, dn, fwd).total == df_capacity(dn, up, rev).total
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), kappa_db=st.floats(0.0, 40.0))
+    def test_monotone_in_power(self, seed, kappa_db):
+        # Common random numbers: every trial's rate is monotone in SNR.
+        ens = TrialEnsemble(make_cfg(kappa_up_db=kappa_db,
+                                     kappa_down_db=kappa_db),
+                            trials=20, master_seed=seed)
+        rates = np.array([ens.relay_rates(g, g, 9000.0, 9000.0)
+                          for g in 10.0 ** np.arange(0.0, 4.5, 0.5)])
+        valid = np.isfinite(rates).all(axis=0)
+        assert valid.any()
+        assert (np.diff(rates[:, valid], axis=0) >= 0.0).all()
 
     def test_high_snr_slope(self):
-        rng = np.random.default_rng(46)
-        up = [well_conditioned(rng, 4, 4) for _ in range(3)]
-        dn = [well_conditioned(rng, 4, 4) for _ in range(3)]
-        p1, p2 = 1e12, 1e16
-        t1 = df_capacity(up, dn, make_cfg(3, 3, hap_power=p1,
-                                          relay_power=p1)).total
-        t2 = df_capacity(up, dn, make_cfg(3, 3, hap_power=p2,
-                                          relay_power=p2)).total
-        slope = (t2 - t1) / math.log2(p2 / p1)
+        cfg = make_cfg(kappa_up_db=10.0, kappa_down_db=10.0,
+                       ref_gain_up=8.1e7, ref_gain_down=8.1e7)
+        ens = TrialEnsemble(cfg, trials=200, master_seed=46)
+        r1 = ens.relay_rates(1e12, 1e12, 9000.0, 9000.0)
+        r2 = ens.relay_rates(1e16, 1e16, 9000.0, 9000.0)
+        slope = (r2 - r1) / math.log2(1e4)
         # One summed stream per node on each hop: prefactor times 3.
-        assert slope == pytest.approx(1.8 * 3.0, rel=0.05)
+        np.testing.assert_allclose(slope, cfg.dof_prefactor * 3.0,
+                                   rtol=4e-9, atol=0.0)
 
 
 class TestNoRelayBaseline:
     def test_point_to_point(self):
-        cfg = make_cfg(1, 1, antennas=1, streams_per_tx=1, hap_power=3.0)
-        out = no_relay_baseline([[np.array([[1.0 + 0j]])]], cfg)
-        assert out == pytest.approx(math.log2(4.0), rel=1e-12)
+        ens = TrialEnsemble(unit_los_cfg(), trials=3, master_seed=1,
+                            include_baseline=True)
+        np.testing.assert_allclose(ens.baseline_rates(3.0), 2.0, rtol=1e-12)
+
 
     def test_identity_grid(self):
-        cfg = make_cfg(2, 2, antennas=2, streams_per_tx=1)
-        h = np.eye(2, dtype=complex)
-        out = no_relay_baseline([[h, h], [h, h]], cfg)
-        assert out == pytest.approx(2.0, rel=1e-12)
+        # Four unit direct links, one bit each, each active a quarter of the time.
+        ens = TrialEnsemble(unit_los_network(2, 2), trials=2, master_seed=1,
+                            include_baseline=True)
+        np.testing.assert_allclose(ens.baseline_rates(1.0), 1.0, rtol=1e-12)
 
     def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(47)
-        cfg = make_cfg(2, 3, antennas=3, hap_power=4.0, noise_power=0.5)
-        grid = [[well_conditioned(rng, 3, 3, cond_max=1e3) for _ in range(3)]
-                for _ in range(2)]
-        got = no_relay_baseline(grid, cfg)
-        ref = 0.0
-        for row in grid:
-            for h in row:
-                gram_inv = np.linalg.inv(h.conj().T @ h)
-                for k in range(3):
-                    snr = (4.0 / (0.5 * 3)) / gram_inv[k, k].real
-                    ref += np.log2(1.0 + snr)
-        ref /= 6.0
-        assert math.isclose(got, ref, rel_tol=1e-9)
-
-    def test_shape_mismatch_rejected(self):
-        cfg = make_cfg(2, 2, antennas=2)
-        h = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="direct"):
-            no_relay_baseline([[h, h]], cfg)
+        cfg = make_cfg(2, 3, antennas=3, hap_power=4.0, noise_power=0.5,
+                       kappa_up_db=[2.0, 7.0], ref_gain_up=[8.1e7, 6e7])
+        ens = TrialEnsemble(cfg, trials=10, master_seed=47,
+                            include_baseline=True)
+        scale = 4.0 / (0.5 * 3)
+        got = ens.baseline_rates(scale)
+        lay = cfg.layout
+        for t in range(ens.trials):
+            _, _, direct = oracles.trial_links(cfg, 47, t, lay.d_sr_m,
+                                               lay.d_rd_m, lay.d_sd_m)
+            assert math.isclose(got[t], oracles.baseline_rate(2, 3, direct,
+                                                              scale),
+                                rel_tol=1e-9)
 
 
 class TestCorrelatedColumnsDegradation:
     """Rate falls and the Gram matrix degenerates as kappa grows."""
 
-    def setup_method(self):
-        geom = LinkGeometry(1000.0, 0.00625, 0.5, 0.3, 0.003125, 0.003125)
-        self.los = los_channel(geom, 4, 4)
-        rng = np.random.default_rng(48)
-        self.draws = [rayleigh_channel(4, 4, rng) for _ in range(150)]
-
-    def _mean_cond(self, kappa: float) -> float:
-        return float(np.mean([gram_condition(rician_mix(kappa, self.los, w))
-                              for w in self.draws]))
-
     def test_condition_number_grows_with_kappa(self):
-        conds = [self._mean_cond(k) for k in (1.0, 1e2, 1e4, 1e6)]
+        # cond(H^H H) of Rician channels as the rank-one part takes over.
+        rng = np.random.default_rng(48)
+        cfg = make_cfg(aoa_deg=math.degrees(0.5), aod_deg=math.degrees(0.3))
+        los = oracles.line_of_sight(cfg, 4, 4)
+        draws = [random_complex(rng, 4, 4) for _ in range(150)]
+        conds = [np.mean(gram_condition(np.stack(
+            [oracles.rician(kappa_db, los, w) for w in draws])))
+            for kappa_db in (0.0, 20.0, 40.0, 60.0)]
         assert all(b > a for a, b in zip(conds, conds[1:]))
 
     def test_rate_non_increasing_in_kappa(self):
-        def mean_rate(kappa):
-            rates = [hop_sum_rate([rician_mix(kappa, self.los, w)], 10.0, 1.0,
-                                  streams=1)
-                     for w in self.draws]
+        def mean_rate(kappa_db):
+            cfg = make_cfg(kappa_up_db=kappa_db, kappa_down_db=kappa_db,
+                           aoa_deg=math.degrees(0.5),
+                           aod_deg=math.degrees(0.3),
+                           snr_reference="post_path_loss")
+            rates = TrialEnsemble(cfg, 150, 48).relay_rates(
+                10.0, 10.0, 9000.0, 9000.0)
+            assert np.isfinite(rates).all()
             return float(np.mean(rates))
-        rates = [mean_rate(k) for k in (1.0, 10.0, 100.0)]
+        rates = [mean_rate(k) for k in (0.0, 10.0, 20.0)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_huge_kappa_raises_singularity(self):
-        h = rician_mix(1e13, self.los, self.draws[0])
-        with pytest.raises(SingularChannelError):
-            hop_sum_rate([h], 1.0, 1.0)
+        # 130 dB leaves a rank-one channel: every trial is singular.
+        cfg = make_cfg(kappa_up_db=130.0, kappa_down_db=130.0,
+                       aoa_deg=math.degrees(0.5), aod_deg=math.degrees(0.3))
+        rates = TrialEnsemble(cfg, 5, 48).relay_rates(1.0, 1.0, 9000.0, 9000.0)
+        assert np.isnan(rates).all()
 
 
 class TestNetworkConfig:
@@ -268,6 +300,10 @@ class TestNetworkConfig:
         assert cfg.rx_spacing_m == 0.005
         assert cfg.tx_spacing_m == 0.005
 
+    def test_far_field_limit_uses_widest_spacing(self):
+        cfg = make_cfg(2, 2, rx_spacing_m=0.01, tx_spacing_m=0.02)
+        assert cfg.far_field_m == pytest.approx(2.0, rel=1e-15)
+
     def test_bad_snr_reference_rejected(self):
         with pytest.raises(ValueError, match="snr_reference"):
             make_cfg(2, 2, snr_reference="mid")
@@ -275,13 +311,3 @@ class TestNetworkConfig:
     def test_non_positive_power_rejected(self):
         with pytest.raises(ValueError, match="noise_power"):
             make_cfg(2, 2, noise_power=0.0)
-
-
-class TestCapacityBreakdown:
-    def test_total_derived_from_min(self):
-        out = CapacityBreakdown(3.0, 2.0, 1.5)
-        assert out.total == 3.0
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            CapacityBreakdown(-1.0, 2.0, 1.5)

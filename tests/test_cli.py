@@ -245,13 +245,35 @@ class TestExitCodes:
     @pytest.mark.parametrize("keys", [
         dict(kappa_up_db=4000.0),
         dict(sweep_stop=4000.0, sweep_step=1000.0),
-    ], ids=["kappa", "snr"])
+        dict(sweep_start=-4000.0, sweep_stop=10.0, sweep_step=2000.0),
+    ], ids=["kappa", "snr", "snr-underflow"])
     def test_db_overflow_exits_2(self, tmp_path, capsys, keys):
         cfg = write_scenario(tmp_path, **snr_keys(**keys))
         out = tmp_path / "curve.csv"
         assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4000.0 dB" in err
+
+    @pytest.mark.parametrize("command,keys,names", [
+        ("altitude-sweep", altitude_keys(hap_power=1e308, relay_power=1e308,
+                                         noise_power=1e-300),
+         "hap_power/noise_power"),
+        ("optimal-altitude", altitude_keys(hap_power=1e308, relay_power=1e308,
+                                           noise_power=1e-300),
+         "hap_power/noise_power"),
+        ("snr-sweep", snr_keys(ref_gain_up=1e200, ref_gain_down=1e200),
+         "ref_gain_up"),
+    ], ids=["altitude-power", "optimal-power", "snr-gain"])
+    def test_snr_overflow_exits_2(self, tmp_path, capsys, command, keys,
+                                  names):
+        cfg = write_scenario(tmp_path, **keys)
+        argv = [command, "--config", cfg]
+        if command != "optimal-altitude":
+            argv += ["--out", str(tmp_path / "curve.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and names in captured.err
 
     def test_missing_config_exits_4(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")

@@ -1,18 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hapsim.capacity import NetworkConfig, df_capacity, no_relay_baseline
-from hapsim.channel import (
-    apply_path_loss,
-    db_to_linear,
-    los_channel,
-    rayleigh_channel,
-    rician_mix,
-)
-from hapsim.geometry import LinkGeometry, ScenarioLayout
+import oracles
+
+from hapsim.capacity import NetworkConfig
+from hapsim.channel import db_to_linear
+from hapsim.geometry import ScenarioLayout
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
     SNR_DB,
@@ -83,45 +78,9 @@ class TestTrialRng:
 
 
 class TestHarnessTransparency:
-    """Sweep points must reproduce direct capacity calls on the same draws."""
+    """Sweep points must reproduce the oracle on the same draws."""
 
-    def _rebuild_links(self, cfg, trial, master_seed, with_direct):
-        m, n = cfg.num_haps, cfg.num_gs
-        a_node, r_ant = cfg.antennas_per_node, cfg.relay_antennas
-        lay = cfg.layout
-        aoa, aod = math.radians(cfg.aoa_deg), math.radians(cfg.aod_deg)
-
-        def los(distance, rows, cols):
-            geom = LinkGeometry(distance, cfg.wavelength_m, aoa, aod,
-                                cfg.rx_spacing_m, cfg.tx_spacing_m)
-            return los_channel(geom, rows, cols)
-
-        rng = trial_rng(master_seed, trial)
-        up = []
-        for i in range(m):
-            w = rayleigh_channel(r_ant, a_node, rng)
-            h = rician_mix(db_to_linear(cfg.kappa_up_db[i]),
-                           los(lay.d_sr_m, r_ant, a_node), w)
-            up.append(apply_path_loss(h, cfg.ref_gain_up[i], lay.d_sr_m))
-        dn = []
-        for j in range(n):
-            w = rayleigh_channel(a_node, r_ant, rng)
-            h = rician_mix(db_to_linear(cfg.kappa_down_db[j]),
-                           los(lay.d_rd_m, a_node, r_ant), w)
-            dn.append(apply_path_loss(h, cfg.ref_gain_down[j], lay.d_rd_m))
-        direct = None
-        if with_direct:
-            direct = []
-            for i in range(m):
-                row = []
-                for j in range(n):
-                    w = rayleigh_channel(a_node, a_node, rng)
-                    h = rician_mix(db_to_linear(cfg.kappa_direct_db[i]),
-                                   los(lay.d_sd_m, a_node, a_node), w)
-                    row.append(apply_path_loss(h, cfg.ref_gain_direct[i],
-                                               lay.d_sd_m))
-                direct.append(row)
-        return up, dn, direct
+    TRIALS = 4
 
     # 2 platforms, 3 ground stations: every link has its own Rician factor
     # and gain, so a hop whose links are permuted or mis-broadcast (the
@@ -140,37 +99,46 @@ class TestHarnessTransparency:
     ], ids=["3x3-scalar", "per-link-uplink-binds", "per-link-downlink-binds"])
     def test_snr_points_match_direct_capacity(self, overrides, binding):
         cfg = make_cfg(**overrides)
-        spec = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=1, master_seed=777)
+        spec = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=self.TRIALS,
+                         master_seed=777)
         result = run_snr_sweep(cfg, spec, include_baseline=True)
-        up, dn, direct = self._rebuild_links(cfg, 0, 777, with_direct=True)
+        lay = cfg.layout
+        m, n = cfg.num_haps, cfg.num_gs
+        links = [oracles.trial_links(cfg, 777, t, lay.d_sr_m, lay.d_rd_m,
+                                     lay.d_sd_m)
+                 for t in range(self.TRIALS)]
         for point, base_pt in zip(result.relay.points, result.baseline.points):
             gamma = db_to_linear(point.x)
-            cfg_pt = replace(
-                cfg,
-                hap_power=gamma * cfg.noise_power * cfg.uplink_streams(),
-                relay_power=gamma * cfg.noise_power * cfg.downlink_streams())
-            expected = df_capacity(up, dn, cfg_pt)
-            assert point.mean_rate == pytest.approx(expected.total, rel=1e-9)
+            hops = [(oracles.hop_rate(up, gamma), oracles.hop_rate(dn, gamma))
+                    for up, dn, _ in links]
+            expected = np.mean([oracles.relay_rate(m, n, *h) for h in hops])
+            assert point.mean_rate == pytest.approx(expected, rel=1e-9)
             if binding is not None:
-                uplink_binds = expected.uplink_rate < expected.downlink_rate
-                assert uplink_binds == (binding == "uplink")
-            cfg_dir = replace(
-                cfg,
-                hap_power=gamma * cfg.noise_power * cfg.antennas_per_node)
-            base_expected = no_relay_baseline(direct, cfg_dir)
+                for c_up, c_down in hops:
+                    assert (c_up < c_down) == (binding == "uplink")
+            base_expected = np.mean([
+                oracles.baseline_rate(m, n, direct, gamma)
+                for _, _, direct in links])
             assert base_pt.mean_rate == pytest.approx(base_expected, rel=1e-9)
 
     def test_altitude_point_matches_direct_capacity(self):
         cfg = make_cfg(hap_power=50.0, relay_power=80.0, noise_power=2.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0,
-                         trials=1, master_seed=778)
+                         trials=self.TRIALS, master_seed=778)
         curve = run_altitude_sweep(cfg, spec)
+        scale_up = 50.0 / (2.0 * cfg.uplink_streams())
+        scale_dn = 80.0 / (2.0 * cfg.downlink_streams())
         for point in curve.points:
-            moved = replace(cfg, layout=replace(cfg.layout,
-                                                relay_altitude_m=point.x))
-            up, dn, _ = self._rebuild_links(moved, 0, 778, with_direct=False)
-            expected = df_capacity(up, dn, moved).total
-            assert point.mean_rate == pytest.approx(expected, rel=1e-9)
+            d_sr = cfg.layout.hap_altitude_m - point.x
+            d_rd = point.x - cfg.layout.gs_altitude_m
+            expected = []
+            for t in range(self.TRIALS):
+                up, dn, _ = oracles.trial_links(cfg, 778, t, d_sr, d_rd)
+                expected.append(oracles.relay_rate(
+                    cfg.num_haps, cfg.num_gs, oracles.hop_rate(up, scale_up),
+                    oracles.hop_rate(dn, scale_dn)))
+            assert point.mean_rate == pytest.approx(np.mean(expected),
+                                                    rel=1e-9)
 
 
 class TestSnrSweep:
@@ -231,6 +199,14 @@ class TestSnrSweep:
         with pytest.raises(ValueError, match="snr_db"):
             run_snr_sweep(make_cfg(), spec)
 
+    @pytest.mark.parametrize("key", ["ref_gain_up", "ref_gain_down",
+                                     "ref_gain_direct"])
+    def test_overflowing_gain_is_an_input_error(self, key):
+        cfg = make_cfg(**{key: 1e200})
+        spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=3, master_seed=2)
+        with pytest.raises(ValueError, match=f"overflows.*{key}"):
+            run_snr_sweep(cfg, spec, include_baseline=True)
+
 
 class TestAltitudeSweep:
     def test_grid_and_symmetric_peak(self):
@@ -258,6 +234,12 @@ class TestAltitudeSweep:
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=2)
         with pytest.raises(ValueError, match="relay_altitude_m"):
             run_altitude_sweep(make_cfg(), spec)
+
+    def test_overflowing_power_is_an_input_error(self):
+        cfg = make_cfg(hap_power=1e308, relay_power=1e308, noise_power=1e-300)
+        spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0, trials=3)
+        with pytest.raises(ValueError, match="overflows.*hap_power"):
+            run_altitude_sweep(cfg, spec)
 
 
 class TestSumRateCurve:
