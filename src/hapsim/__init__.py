@@ -8,7 +8,7 @@ the interference-alignment prefactor M*N/(M+N-1).
 """
 
 from .capacity import NetworkConfig, asymptotic_capacity, dof
-from .channel import db_to_linear, los_channel, rayleigh_channel
+from .channel import db_to_linear, los_channel
 from .geometry import (
     FAR_FIELD_FACTOR,
     LinkGeometry,
@@ -68,7 +68,6 @@ __all__ = [
     "load_scenario",
     "los_channel",
     "min_hap_separation",
-    "rayleigh_channel",
     "run_altitude_sweep",
     "run_snr_sweep",
     "scenario_from_mapping",

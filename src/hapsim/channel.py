@@ -5,11 +5,12 @@ Rayleigh scattering matrix,
 
     H = sqrt(kappa / (1 + kappa)) * H_los + sqrt(1 / (1 + kappa)) * H_nlos,
 
-then applies a scalar path gain ref_gain / distance^2.  This module draws
-the two parts; the kernels mix them and the trial ensemble applies the
-path gain.  The line-of-sight part is the outer product of receive and
-transmit steering vectors, so its rank is one regardless of the array
-sizes.
+then applies a scalar path gain ref_gain / distance^2.  This module holds
+the dB conversion and the line-of-sight part.  The trial ensemble draws
+the scattering part from each trial's stream, the kernels mix the two and
+the ensemble applies the path gain.  The line-of-sight part is the outer
+product of receive and transmit steering vectors, so its rank is one
+regardless of the array sizes.
 """
 
 from __future__ import annotations
@@ -54,12 +55,3 @@ def los_channel(geometry: LinkGeometry, rows: int, cols: int) -> np.ndarray:
                      geometry.aod_rad)
     return np.outer(a_rx, a_tx)
 
-
-def rayleigh_channel(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an i.i.d. CN(0, 1) scattering matrix (variance 1/2 per component)."""
-    if int(rows) < 1 or int(cols) < 1:
-        raise ValueError(f"matrix shape must be positive, got ({rows!r}, {cols!r})")
-    shape = (int(rows), int(cols))
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)

@@ -5,12 +5,16 @@ from (master_seed, trial index) alone, so the same scattering draws are
 reused at every sweep point (common random numbers).  Comparisons along a
 sweep are therefore pathwise: per-trial rates are monotone in power, curve
 argmaxes are stable, and results are independent of evaluation order or
-parallel scheduling.  The draw order inside a stream follows _hops().
+parallel scheduling.  Each trial takes one standard-normal fill from its
+stream, laid out in _hops() order.
 
-A TrialEnsemble runs the zero-forcing kernels once per configuration.  The
-resulting quadratic forms are invariant under uniform scaling of a channel
-matrix, so transmit power and the 1/d^2 path factors multiply in afterwards
-and each sweep point costs only scalar arithmetic over the stored forms.
+A TrialEnsemble runs the zero-forcing kernels once per configuration, on
+chunks of _CHUNK_TRIALS trials, and keeps only the resulting quadratic
+forms and singular flags; the draws alive at any time are bounded by the
+chunk, so memory grows with the stored forms alone.  The forms are
+invariant under uniform scaling of a channel matrix, so transmit power and
+the 1/d^2 path factors multiply in afterwards and each sweep point costs
+only scalar arithmetic over the stored forms.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .capacity import NetworkConfig
-from .channel import db_to_linear, los_channel, rayleigh_channel
+from .channel import db_to_linear, los_channel
 from .geometry import LinkGeometry
 
 _LN2 = math.log(2.0)
@@ -34,6 +38,9 @@ SWEEP_VARIABLES = (SNR_DB, RELAY_ALTITUDE_M)
 
 DEFAULT_TRIALS = 1000
 DEFAULT_MASTER_SEED = 12345
+
+# Trials drawn and reduced together; results do not depend on this size.
+_CHUNK_TRIALS = 1024
 
 
 @dataclass(frozen=True)
@@ -174,12 +181,13 @@ _UP, _DOWN, _DIRECT = range(3)
 def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     """The hops of a trial ensemble, in the per-trial draw order.
 
-    Each trial draws every link of each hop in turn: the M uplink matrices
-    (platform i to relay), then the N downlink matrices (relay to ground
-    station j), then, only with the baseline and after the relay draws so
-    that relay results do not depend on it, the M*N direct matrices
-    (platform i to ground station j at index i*N + j, with platform i's
-    Rician factor and gain).
+    Each trial's fill holds every link of each hop in turn: the M uplink
+    matrices (platform i to relay), then the N downlink matrices (relay to
+    ground station j), then, only with the baseline and after the relay
+    draws so that relay results do not depend on it, the M*N direct
+    matrices (platform i to ground station j at index i*N + j, with
+    platform i's Rician factor and gain).  A link takes 2*r*c values: the
+    real parts of its r x c entries, then the imaginary parts.
     """
     m, n = cfg.num_haps, cfg.num_gs
     a_node, r_ant = cfg.antennas_per_node, cfg.relay_antennas
@@ -200,12 +208,17 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
 
 
 class TrialEnsemble:
-    """Channel draws and zero-forcing quadratic forms for a fixed scenario.
+    """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
-    The kernels run once at construction; relay_rates and baseline_rates
-    then evaluate any (power, distance) operating point as scalar
-    arithmetic over the stored forms.  Failed (singular) trials surface as
-    NaN rates so callers can count and exclude them.
+    Construction draws and reduces the trials chunk by chunk: one
+    standard-normal fill per trial, in hop order, becomes the CN(0, 1)
+    scattering matrices of every link, and the kernels turn each chunk into
+    quadratic forms q and singular flags.  Only q (float64, one per link
+    and stream) and the per-trial flags are kept, so results are the same
+    at any chunk size.  relay_rates and baseline_rates then evaluate any
+    (power, distance) operating point as scalar arithmetic over the stored
+    forms.  Failed (singular) trials surface as NaN rates so callers can
+    count and exclude them.
     """
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
@@ -218,31 +231,39 @@ class TrialEnsemble:
         self.has_baseline = bool(include_baseline)
         self._hops = _hops(cfg, include_baseline)
 
-        nlos = [np.empty((self.trials, hop.links, *hop.shape),
-                         dtype=np.complex128) for hop in self._hops]
-        draws = [(buf, hop.links, *hop.shape)
-                 for buf, hop in zip(nlos, self._hops)]
-        for t in range(self.trials):
-            rng = trial_rng(self.master_seed, t)
-            for buf, links, rows, cols in draws:
-                for link in range(links):
-                    buf[t, link] = rayleigh_channel(rows, cols, rng)
-
         aoa, aod = math.radians(cfg.aoa_deg), math.radians(cfg.aod_deg)
-        self._q, self._failed = [], []
-        for hop, nlos_h in zip(self._hops, nlos):
+        stages, self._q, self._failed = [], [], []
+        width = 0
+        for hop in self._hops:
+            rows, cols = hop.shape
             geom = LinkGeometry(getattr(cfg.layout, hop.distance),
                                 cfg.wavelength_m, aoa, aod,
                                 cfg.rx_spacing_m, cfg.tx_spacing_m)
-            los = np.broadcast_to(los_channel(geom, *hop.shape),
-                                  (hop.links, *hop.shape))
+            los = np.broadcast_to(los_channel(geom, rows, cols),
+                                  (hop.links, rows, cols))
             k = np.array([db_to_linear(v) for v in hop.kappa_db])
             kernel = (kernels.all_stream_quadforms if hop.all_streams
                       else kernels.first_stream_quadforms)
-            q, singular = kernel(los, nlos_h, np.sqrt(k / (1.0 + k)),
-                                 np.sqrt(1.0 / (1.0 + k)))
-            self._q.append(q if hop.all_streams else q[:, :, None])
-            self._failed.append(singular.any(axis=1))
+            span = slice(width, width + 2 * hop.links * rows * cols)
+            width = span.stop
+            stages.append((span, los, np.sqrt(k / (1.0 + k)),
+                           np.sqrt(1.0 / (1.0 + k)), kernel))
+            self._q.append(np.empty((self.trials, hop.links,
+                                     cols if hop.all_streams else 1)))
+            self._failed.append(np.empty(self.trials, dtype=bool))
+
+        for lo in range(0, self.trials, _CHUNK_TRIALS):
+            hi = min(lo + _CHUNK_TRIALS, self.trials)
+            x = np.empty((hi - lo, width))
+            for t, row in enumerate(x, lo):
+                trial_rng(self.master_seed, t).standard_normal(out=row)
+            for hop, (span, los, a, b, kernel), q_out, failed_out in zip(
+                    self._hops, stages, self._q, self._failed):
+                z = x[:, span].reshape(hi - lo, hop.links, 2, *hop.shape)
+                nlos = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+                q, singular = kernel(los, nlos, a, b)
+                q_out[lo:hi] = q.reshape(q_out[lo:hi].shape)
+                failed_out[lo:hi] = singular.any(axis=1)
 
     def _hop_rate(self, index: int, snr_scale: float,
                   distance_m: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Channel parts, and the Rician mix and path loss as the ensemble applies them.
 
-hapsim draws line-of-sight and scattering matrices here; the trial
-ensemble mixes them through the kernels and applies gain / d^2 to the SNR.
+hapsim builds line-of-sight matrices here; the trial ensemble draws the
+scattering matrices, mixes the two through the kernels and applies
+gain / d^2 to the SNR.
 The mix and the path factor are checked through the ensemble's rates, on
 single-antenna links where a rate gives |h|^2 back as 2**rate - 1, and
 against the independent oracle in oracles.py.
@@ -15,9 +16,9 @@ import pytest
 import oracles
 
 from hapsim.capacity import NetworkConfig
-from hapsim.channel import db_to_linear, los_channel, rayleigh_channel
+from hapsim.channel import db_to_linear, los_channel
 from hapsim.geometry import LinkGeometry, ScenarioLayout
-from hapsim.simulator import TrialEnsemble, trial_rng
+from hapsim.simulator import TrialEnsemble
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
 
@@ -79,23 +80,13 @@ class TestLosChannel:
 
 
 class TestRayleighChannel:
-    def test_moments_over_million_draws(self):
-        rng = np.random.default_rng(22)
-        h = rayleigh_channel(1000, 1000, rng)
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.01)
-        assert abs(np.mean(h.real)) < 0.01
-        assert abs(np.mean(h.imag)) < 0.01
-        # Real and imaginary parts carry half the power each.
-        assert np.mean(h.real ** 2) == pytest.approx(0.5, abs=0.01)
-
-    def test_same_seed_is_deterministic(self):
-        a = rayleigh_channel(8, 5, np.random.default_rng(23))
-        b = rayleigh_channel(8, 5, np.random.default_rng(23))
-        np.testing.assert_array_equal(a, b)
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            rayleigh_channel(0, 3, np.random.default_rng(0))
+    def test_trial_draw_moments(self):
+        # |h|^2 of a CN(0, 1) entry is Exp(1): E|h|^2 = 1, E|h|^4 = 2.  The
+        # fourth moment would read 3 with all the power in the real part.
+        cfg = network(kappa_db=-4000.0, snr_reference="post_path_loss")
+        power = direct_power(cfg, 10000, 22, 1.0)
+        assert np.mean(power) == pytest.approx(1.0, abs=0.04)
+        assert np.mean(power ** 2) == pytest.approx(2.0, abs=0.2)
 
 
 def network(m: int = 1, n: int = 1, antennas: int = 1, kappa_db: float = 0.0,
@@ -232,10 +223,10 @@ class TestSynthLink:
         power = direct_power(cfg, 20, 27, 1.0)
         expected = []
         for t in range(20):
-            rng = trial_rng(27, t)
+            rng = oracles.trial_stream(27, t)
             for _ in range(2):
-                rayleigh_channel(1, 1, rng)
-            expected.append(abs(rayleigh_channel(1, 1, rng)[0, 0]) ** 2)
+                oracles.scattering(rng, 1, 1)
+            expected.append(abs(oracles.scattering(rng, 1, 1)[0, 0]) ** 2)
         np.testing.assert_allclose(power, expected, rtol=1e-12)
 
     def test_equals_explicit_composition(self):

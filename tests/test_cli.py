@@ -212,7 +212,8 @@ class TestDumpConfig:
         out = capsys.readouterr().out
         assert "d_sd_m=" not in out
         dumped = scenario_from_mapping(yaml.safe_load(out))
-        original = scenario_from_mapping(yaml.safe_load(open(cfg)))
+        with open(cfg, encoding="utf-8") as fh:
+            original = scenario_from_mapping(yaml.safe_load(fh))
         assert dumped == original
 
     def test_dump_reflects_overrides(self, tmp_path, capsys):

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
 from hapsim.capacity import NetworkConfig
 from hapsim.channel import db_to_linear
+from hapsim import simulator
 from hapsim.geometry import ScenarioLayout
+from hapsim.scenario import load_scenario
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
     SNR_DB,
@@ -286,6 +290,61 @@ class TestTrialEnsemble:
         a = ens.relay_rates(10.0, 10.0, 9000.0, 9000.0)
         b = ens.relay_rates(10.0, 10.0, 4000.0, 14000.0)
         np.testing.assert_array_equal(a, b)
+
+
+class TestChunking:
+    """Trials are drawn and reduced in chunks; neither results nor memory
+    may depend on how many trials there are per chunk."""
+
+    # Per-link factors and gains with all streams and the baseline; 90 dB on
+    # the second platform's links makes a few trials singular.
+    CFG = dict(TestHarnessTransparency.PER_LINK, all_streams=True,
+               kappa_up_db=[12.0, 90.0], kappa_direct_db=[6.0, 90.0])
+
+    @staticmethod
+    def stored(ens: TrialEnsemble) -> list[bytes]:
+        return [a.tobytes() for a in ens._q + ens._failed]
+
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(chunk=st.integers(1, 64), trials=st.integers(1, 150),
+           seed=st.integers(0, 2**64 - 1))
+    @example(chunk=7, trials=150, seed=3)
+    @example(chunk=64, trials=130, seed=3)
+    def test_forms_do_not_depend_on_chunk_size(self, chunk, trials, seed):
+        cfg = make_cfg(**self.CFG)
+        whole = TrialEnsemble(cfg, trials, seed, include_baseline=True)
+        assert simulator._CHUNK_TRIALS >= trials
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK_TRIALS", chunk)
+            chunked = TrialEnsemble(cfg, trials, seed, include_baseline=True)
+        assert self.stored(chunked) == self.stored(whole)
+
+    def test_example_has_singular_and_regular_trials(self):
+        ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
+                            include_baseline=True)
+        failed = ens._failed[0] | ens._failed[2]
+        assert 0 < failed.sum() < failed.size
+
+    def test_memory_grows_with_stored_forms_only(self, monkeypatch):
+        # Four times the trials may only add about what the stored q and
+        # flags add; the draws of a chunk are freed before the next one.
+        # A smaller chunk keeps the traced runs short.
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 256)
+        cfg = load_scenario("scenarios/snr_sweep.yaml").network
+        n = 2 * simulator._CHUNK_TRIALS
+
+        def traced(trials):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ens = TrialEnsemble(cfg, trials, 7, include_baseline=True)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return peak, sum(a.nbytes for a in ens._q + ens._failed)
+
+        (peak_1, kept_1), (peak_4, kept_4) = traced(n), traced(4 * n)
+        assert peak_4 - peak_1 <= 2 * (kept_4 - kept_1)
 
 
 class TestOptimalAltitude:
