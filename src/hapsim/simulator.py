@@ -130,10 +130,6 @@ class SumRateCurve:
         return np.array([p.mean_rate for p in self.points])
 
     @property
-    def std_errs(self) -> np.ndarray:
-        return np.array([p.std_err for p in self.points])
-
-    @property
     def trials_failed(self) -> np.ndarray:
         return np.array([p.trials_failed for p in self.points])
 
@@ -286,7 +282,11 @@ class TrialEnsemble:
             else:
                 path = (hop.ref_gain / float(distance_m) ** 2) ** 2
             f = float(snr_scale) * path
-            rate = np.log1p(f[None, :, None] * self._q[index]).sum(axis=(1, 2))
+            # One full-size buffer per call: the product and its log1p
+            # share it, so the sum sees the same values in the same order.
+            buf = np.multiply(self._q[index], f[None, :, None])
+            np.log1p(buf, out=buf)
+            rate = buf.sum(axis=(1, 2))
         if not np.isfinite(rate).all():
             raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
                              f"{hop.snr_keys} or the swept SNR")

@@ -1,8 +1,8 @@
 """Independent transliteration of the paper's rate formulas, for tests.
 
 Nothing here imports hapsim.  Each function restates one formula as
-directly as numpy allows, one matrix at a time, with the explicit Gram
-inverse that the package's kernels avoid:
+directly as numpy allows, one matrix at a time, with an explicit Gram
+inverse per matrix:
 
     H      = [sqrt(k/(1+k)) a_rx a_tx^T + sqrt(1/(1+k)) W] * gain / d^2
     snr_k  = scale / [(H^H H)^{-1}]_kk

@@ -1,8 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_complex
+import oracles
+from helpers import kernel_inputs, random_complex
 
+from hapsim import kernels
 from hapsim.kernels import (
     CONDITION_LIMIT,
     all_stream_quadforms,
@@ -53,10 +57,10 @@ def workload(seed=7, trials=40, links=3, rows=4, cols=4):
     return los, nlos, a, b
 
 
-# The "numpy" id keeps these test names stable for runs compared by name.
-@pytest.mark.parametrize("backend", ["numpy"])
 class TestBackendParity:
-    def test_first_stream_matches_reference(self, backend):
+    """The kernels against the least-squares residual reference."""
+
+    def test_first_stream_matches_reference(self):
         los, nlos, a, b = workload()
         q, singular = first_stream_quadforms(los, nlos, a, b)
         ref_q, ref_s = reference_quadforms(los, nlos, a, b, all_streams=False)
@@ -65,7 +69,7 @@ class TestBackendParity:
         np.testing.assert_allclose(q[~singular], ref_q[~singular],
                                    rtol=1e-9, atol=1e-12)
 
-    def test_all_streams_matches_reference(self, backend):
+    def test_all_streams_matches_reference(self):
         los, nlos, a, b = workload(seed=8, trials=25)
         q, singular = all_stream_quadforms(los, nlos, a, b)
         ref_q, ref_s = reference_quadforms(los, nlos, a, b, all_streams=True)
@@ -74,7 +78,7 @@ class TestBackendParity:
         np.testing.assert_allclose(q[~singular], ref_q[~singular],
                                    rtol=1e-9, atol=1e-12)
 
-    def test_single_column_is_plain_norm(self, backend):
+    def test_single_column_is_plain_norm(self):
         los, nlos, a, b = workload(seed=9, trials=10, links=2, cols=1)
         q, singular = first_stream_quadforms(los, nlos, a, b)
         assert not singular.any()
@@ -82,7 +86,7 @@ class TestBackendParity:
         norms = np.einsum("tlrc,tlrc->tl", h.conj(), h).real
         np.testing.assert_allclose(q, norms, rtol=1e-12)
 
-    def test_rank_deficient_link_is_flagged(self, backend):
+    def test_rank_deficient_link_is_flagged(self):
         los, nlos, _, _ = workload(seed=10, trials=15, links=2)
         # Pure line-of-sight on link 0: rank one, always flagged.
         a = np.array([1.0, 0.8])
@@ -92,7 +96,7 @@ class TestBackendParity:
         assert not singular[:, 1].any()
         assert (q[:, 0] == 0.0).all()
 
-    def test_repeat_call_is_bitwise_identical(self, backend):
+    def test_repeat_call_is_bitwise_identical(self):
         los, nlos, a, b = workload(seed=11, trials=30)
         q1, s1 = first_stream_quadforms(los, nlos, a, b)
         q2, s2 = first_stream_quadforms(los, nlos, a, b)
@@ -130,3 +134,120 @@ class TestInputValidation:
         los, nlos, a, b = workload(trials=2)
         with pytest.raises(ValueError, match="mixing weights"):
             all_stream_quadforms(los, nlos, a[:2], b)
+
+
+def rician(rng, rows, cols, kappa_db):
+    """Rank-one line of sight plus CN(0, 1) scattering at Rician factor kappa."""
+    los = np.outer(np.exp(2j * np.pi * rng.uniform(size=rows)),
+                   np.exp(2j * np.pi * rng.uniform(size=cols)))
+    k = 10.0 ** (kappa_db / 10.0)
+    return (np.sqrt(k / (1.0 + k)) * los
+            + np.sqrt(1.0 / (1.0 + k)) * random_complex(rng, rows, cols))
+
+
+def plain_gate(hs):
+    """The unscreened gate: eigenvalues of every Gram matrix."""
+    return is_singular(gram_condition(np.asarray(hs)))
+
+
+@st.composite
+def mixed_chunks(draw):
+    """Same-shape matrices: regular, near-singular and rank-deficient."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hs = []
+    for _ in range(draw(st.integers(1, 8))):
+        h = rician(rng, rows, cols, draw(st.floats(0.0, 400.0)))
+        kind = draw(st.sampled_from(["regular", "near", "duplicate", "zero"]))
+        i, j = rng.choice(cols, size=2, replace=cols == 1)
+        if kind == "near":
+            h[:, j] = h[:, i] * (1.0 + 10.0 ** -draw(st.floats(2.0, 12.0)))
+        elif kind == "duplicate":
+            h[:, j] = h[:, i]
+        elif kind == "zero":
+            h[:, j] = 0.0
+        hs.append(h)
+    return np.stack(hs)
+
+
+class TestScreenedGate:
+    """The kernels skip eigenvalues where the computed inverse clears G."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_chunks())
+    def test_flags_equal_the_plain_gate(self, hs):
+        q, singular = all_stream_quadforms(*kernel_inputs(hs))
+        np.testing.assert_array_equal(singular[:, 0], plain_gate(hs))
+        assert (q[singular] == 0.0).all()
+        assert (np.isfinite(q[~singular]) & (q[~singular] > 0.0)).all()
+        q0, singular0 = first_stream_quadforms(*kernel_inputs(hs))
+        np.testing.assert_array_equal(singular0, singular)
+        np.testing.assert_array_equal(q0, q[..., 0])
+
+    def test_duplicate_column_inside_regular_chunk(self):
+        # Exactly rank-deficient: LU need not raise, and the inverse it
+        # returns instead can have a negative or zero diagonal.
+        rng = np.random.default_rng(33)
+        hs = np.stack([random_complex(rng, 4, 3) for _ in range(6)])
+        hs[2, :, 2] = hs[2, :, 1]
+        q, singular = all_stream_quadforms(*kernel_inputs(hs))
+        np.testing.assert_array_equal(singular[:, 0], plain_gate(hs))
+        assert singular[:, 0].tolist() == [False, False, True, False, False,
+                                           False]
+        assert (q[2] == 0.0).all()
+
+    @pytest.mark.parametrize("garbage_diag", [
+        [0.25, -1.6e-16, 0.0],   # negative trace bound
+        [1.5, 6.8, 8.6],         # positive diagonal, small trace bound
+    ])
+    def test_garbage_inverse_of_singular_gram_is_not_cleared(
+            self, garbage_diag):
+        # Stand-ins for what LU returns on an exactly singular G: a
+        # positivity or trace test alone would clear the second one.
+        h = random_complex(np.random.default_rng(36), 4, 2)
+        h = np.hstack([h, h[:, 1:]])
+        gram = h.conj().T @ h
+        garbage = np.diag(np.asarray(garbage_diag, dtype=complex))
+        singular = kernels._screened_gate(gram[None], garbage[None])
+        assert singular.tolist() == [True]
+
+    def test_zero_column_falls_back_for_the_whole_chunk(self):
+        rng = np.random.default_rng(35)
+        hs = np.stack([random_complex(rng, 5, 3) for _ in range(6)])
+        hs[3, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(hs.conj().swapaxes(-1, -2) @ hs)
+        q, singular = all_stream_quadforms(*kernel_inputs(hs))
+        np.testing.assert_array_equal(singular[:, 0], plain_gate(hs))
+        assert singular[:, 0].tolist() == [False, False, False, True, False,
+                                           False]
+        assert (q[3] == 0.0).all()
+        for t in (0, 1, 2, 4, 5):
+            for k in range(3):
+                assert q[t, 0, k] == pytest.approx(
+                    oracles.zf_snr(hs[t], k, 1.0), rel=1e-9)
+
+
+def mp_quadforms(h):
+    """1 / [(H^H H)^{-1}]_kk of the float64 matrix h at 50 digits."""
+    with mpmath.workdps(50):
+        hm = mpmath.matrix(h.tolist())
+        inv = mpmath.inverse(hm.H * hm)
+        return [1.0 / float(mpmath.re(inv[k, k])) for k in range(h.shape[1])]
+
+
+class TestIllConditionedAccuracy:
+    """Error in q grows no faster than cond(G) * eps on strong line of sight."""
+
+    @pytest.mark.parametrize("kappa_db", [15.0, 30.0, 45.0, 60.0, 75.0])
+    def test_relative_error_within_condition_times_eps(self, kappa_db):
+        rng = np.random.default_rng(int(kappa_db))
+        hs = np.stack([rician(rng, 4, 4, kappa_db) for _ in range(40)])
+        q, singular = all_stream_quadforms(*kernel_inputs(hs))
+        assert not singular.any()
+        s = np.linalg.svd(hs, compute_uv=False)
+        cond = (s[:, 0] / s[:, -1]) ** 2
+        ref = np.array([mp_quadforms(h) for h in hs])
+        err = np.abs(q[:, 0] - ref) / ref
+        assert (err <= cond[:, None] * 2.2e-16).all()

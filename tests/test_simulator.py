@@ -346,6 +346,23 @@ class TestChunking:
         (peak_1, kept_1), (peak_4, kept_4) = traced(n), traced(4 * n)
         assert peak_4 - peak_1 <= 2 * (kept_4 - kept_1)
 
+    def test_rate_evaluation_allocates_one_hop_buffer(self):
+        # A sweep point may hold one temporary as large as a hop's stored
+        # forms (the product and its log1p share it), plus per-trial rates.
+        cfg = load_scenario("scenarios/snr_sweep.yaml").network
+        ens = TrialEnsemble(cfg, 2048, 7, include_baseline=True)
+        largest = max(q.nbytes for q in ens._q)
+        lay = cfg.layout
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens.relay_rates(100.0, 100.0, lay.d_sr_m, lay.d_rd_m)
+            ens.baseline_rates(100.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * largest
+
 
 class TestOptimalAltitude:
     def test_symmetric_network_peaks_at_midpoint(self):
