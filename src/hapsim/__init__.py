@@ -7,7 +7,7 @@ receivers zero-force, and network capacity follows the two-hop min-cut with
 the interference-alignment prefactor M*N/(M+N-1).
 """
 
-from .capacity import NetworkConfig, asymptotic_capacity, dof
+from .capacity import NetworkConfig, dof
 from .channel import db_to_linear, los_channel
 from .geometry import (
     FAR_FIELD_FACTOR,
@@ -33,7 +33,6 @@ from .simulator import (
     SumRateCurve,
     SweepSpec,
     TrialEnsemble,
-    bootstrap_mean_ci,
     find_optimal_altitude,
     run_altitude_sweep,
     run_snr_sweep,
@@ -57,8 +56,6 @@ __all__ = [
     "SumRateCurve",
     "SweepSpec",
     "TrialEnsemble",
-    "asymptotic_capacity",
-    "bootstrap_mean_ci",
     "db_to_linear",
     "dof",
     "dump_scenario",

@@ -9,8 +9,7 @@ the same per ground station on the downlink.  NetworkConfig carries every
 input of that formula; simulator.TrialEnsemble evaluates it per trial over
 the kernels' quadratic forms.  The multiplexing-order helper dof() returns
 the high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna
-count and is deliberately a separate quantity from the capacity prefactor,
-and asymptotic_capacity() its leading beta * log2(snr) term.
+count and is deliberately a separate quantity from the capacity prefactor.
 """
 
 from __future__ import annotations
@@ -164,11 +163,3 @@ def dof(num_tx: int, num_rx: int, antennas: int) -> float:
         raise ValueError(f"counts must be >= 1, got ({m}, {n}, {a})")
     return m * n * a / (m + n - 1)
 
-
-def asymptotic_capacity(dof_beta: float, snr_linear: float) -> float:
-    """Leading high-SNR term beta * log2(snr), in bits/s/Hz."""
-    if not float(dof_beta) > 0.0:
-        raise ValueError(f"dof_beta must be positive, got {dof_beta!r}")
-    if not float(snr_linear) > 1.0:
-        raise ValueError(f"snr_linear must exceed 1, got {snr_linear!r}")
-    return float(dof_beta) * math.log2(float(snr_linear))

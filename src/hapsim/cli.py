@@ -13,6 +13,9 @@ from .simulator import (
     RELAY_ALTITUDE_M,
     SnrSweepResult,
     SumRateCurve,
+    TrialEnsemble,
+    check_altitude_bracket,
+    check_sweep_variable,
     find_optimal_altitude,
     run_altitude_sweep,
     run_snr_sweep,
@@ -59,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--out", required=True, metavar="CSV", help="output file")
     sp.add_argument("--cross-check", action="store_true",
-                    help="also refine the optimum by golden-section search")
+                    help="also refine the optimum by golden-section search "
+                         "on the same trials")
 
     sp = sub.add_parser("optimal-altitude",
                         help="golden-section search for the best relay altitude")
@@ -135,21 +139,32 @@ def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
     return 0
 
 
+def _ensemble(scenario: Scenario) -> TrialEnsemble:
+    """The one trial ensemble an altitude command draws."""
+    sweep = scenario.sweep
+    return TrialEnsemble(scenario.network, sweep.trials, sweep.master_seed)
+
+
 def _cmd_altitude_sweep(scenario: Scenario, out_path: str,
                         cross_check: bool) -> int:
-    curve = run_altitude_sweep(scenario.network, scenario.sweep)
+    sweep = scenario.sweep
+    # Reject bad input before any draw or output: the cross-check searches
+    # [start, stop], which can reach past the last grid point.
+    check_sweep_variable(sweep, RELAY_ALTITUDE_M)
+    check_altitude_bracket(scenario.network, sweep.start,
+                           sweep.stop if cross_check else sweep.grid()[-1],
+                           sweep.step)
+    ens = _ensemble(scenario)
+    curve = run_altitude_sweep(ens, sweep)
     rows = [f"{_fmt(p.x)},{_fmt(p.mean_rate)},{_fmt(p.std_err)},{p.trials_failed}"
             for p in curve.points]
     _write_csv(out_path, "relay_altitude_m,mean_rate_bps_hz,std_err,trials_failed",
                rows)
-    if _all_points_failed(curve, scenario.sweep.trials):
+    if _all_points_failed(curve, sweep.trials):
         return _all_singular()
     print(f"optimal_altitude_m={_fmt(curve.argmax_x)}")
     if cross_check:
-        refined = find_optimal_altitude(
-            scenario.network, scenario.sweep.start, scenario.sweep.stop,
-            scenario.sweep.step, trials=scenario.sweep.trials,
-            master_seed=scenario.sweep.master_seed)
+        refined = find_optimal_altitude(ens, sweep.start, sweep.stop, sweep.step)
         print(f"optimal_altitude_refined_m={_fmt(refined)}")
     return 0
 
@@ -165,9 +180,8 @@ def _cmd_optimal_altitude(scenario: Scenario, args: argparse.Namespace) -> int:
         raise ScenarioError(
             "pass --lo/--hi/--tol or use a relay_altitude_m sweep scenario"
         )
-    best = find_optimal_altitude(scenario.network, lo, hi, tol,
-                                 trials=sweep.trials,
-                                 master_seed=sweep.master_seed)
+    check_altitude_bracket(scenario.network, lo, hi, tol)  # before any draw
+    best = find_optimal_altitude(_ensemble(scenario), lo, hi, tol)
     if math.isnan(best):
         return _all_singular()
     print(f"optimal_altitude_m={_fmt(best)}")

@@ -15,6 +15,11 @@ chunk, so memory grows with the stored forms alone.  The forms are
 invariant under uniform scaling of a channel matrix, so transmit power and
 the 1/d^2 path factors multiply in afterwards and each sweep point costs
 only scalar arithmetic over the stored forms.
+
+The altitude functions take their ensemble as an argument, so one command
+draws its trials once: altitude-sweep --cross-check passes the grid's
+ensemble to the golden-section search, which then refines the grid argmax
+on the same draws.
 """
 
 from __future__ import annotations
@@ -313,12 +318,28 @@ class TrialEnsemble:
         return np.where(self._failed[_DIRECT], np.nan, rate)
 
 
-def _altitude_points(cfg: NetworkConfig, lo: float, hi: float, trials: int,
-                     master_seed: int):
-    """Relay altitude in [lo, hi] -> CurvePoint, on one fixed trial ensemble.
+def check_sweep_variable(spec: SweepSpec, variable: str) -> None:
+    """Raise ValueError unless spec sweeps the given variable."""
+    if spec.variable != variable:
+        raise ValueError(
+            f"spec.variable must be {variable!r}, got {spec.variable!r}")
 
-    Each hop runs at its configured snr scale power/(noise * N_T).
+
+def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
+                           tol: float) -> None:
+    """Raise ValueError unless the relay altitude bracket [lo, hi] is usable.
+
+    It needs lo < hi and a positive resolution tol (the golden-section
+    stopping width or the grid step).  It must lie strictly between the
+    ground stations and the platforms, and at both ends leave each hop
+    longer than the far-field limit.  Callers that build a trial ensemble
+    check first, so that bad input costs no draws.
     """
+    lo, hi, tol = float(lo), float(hi), float(tol)
+    if not lo < hi:
+        raise ValueError(f"lo must be < hi, got ({lo!r}, {hi!r})")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     lay = cfg.layout
     if not lay.gs_altitude_m < lo < hi < lay.hap_altitude_m:
         raise ValueError(
@@ -331,7 +352,15 @@ def _altitude_points(cfg: NetworkConfig, lo: float, hi: float, trials: int,
             f"altitude range [{lo:g}, {hi:g}] leaves a link shorter than "
             f"the far-field limit {margin:g} m"
         )
-    ens = TrialEnsemble(cfg, trials, master_seed)
+
+
+def _altitude_points(ens: TrialEnsemble):
+    """Relay altitude -> CurvePoint, on the ensemble's trials.
+
+    Each hop runs at its configured snr scale power/(noise * N_T).
+    """
+    cfg = ens.cfg
+    lay = cfg.layout
     scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
     scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
 
@@ -351,8 +380,7 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     both hops (and to the baseline when enabled) ahead of path loss, or in
     place of it under snr_reference = "post_path_loss".
     """
-    if spec.variable != SNR_DB:
-        raise ValueError(f"spec.variable must be {SNR_DB!r}, got {spec.variable!r}")
+    check_sweep_variable(spec, SNR_DB)
     ens = TrialEnsemble(cfg, spec.trials, spec.master_seed,
                         include_baseline=include_baseline)
     lay = cfg.layout
@@ -371,35 +399,40 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     return SnrSweepResult(SumRateCurve(tuple(relay_pts)), baseline)
 
 
-def run_altitude_sweep(cfg: NetworkConfig, spec: SweepSpec) -> SumRateCurve:
-    """Mean relay sum-rate versus relay altitude at the configured powers."""
-    if spec.variable != RELAY_ALTITUDE_M:
+def run_altitude_sweep(ens: TrialEnsemble, spec: SweepSpec) -> SumRateCurve:
+    """Mean relay sum-rate versus relay altitude at the configured powers.
+
+    The ensemble fixes the trials, so spec must ask for its trial count and
+    master seed.
+    """
+    check_sweep_variable(spec, RELAY_ALTITUDE_M)
+    if (spec.trials, spec.master_seed) != (ens.trials, ens.master_seed):
         raise ValueError(
-            f"spec.variable must be {RELAY_ALTITUDE_M!r}, got {spec.variable!r}"
+            f"spec asks for {spec.trials} trials at master_seed "
+            f"{spec.master_seed}, but the ensemble holds {ens.trials} "
+            f"trials at master_seed {ens.master_seed}"
         )
     grid = spec.grid()
-    point = _altitude_points(cfg, float(grid[0]), float(grid[-1]),
-                             spec.trials, spec.master_seed)
+    check_altitude_bracket(ens.cfg, grid[0], grid[-1], spec.step)
+    point = _altitude_points(ens)
     return SumRateCurve(tuple(point(alt) for alt in grid))
 
 
-def find_optimal_altitude(cfg: NetworkConfig, lo: float, hi: float, tol: float,
-                          *, trials: int = DEFAULT_TRIALS,
-                          master_seed: int = DEFAULT_MASTER_SEED) -> float:
+def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
+                          tol: float) -> float:
     """Golden-section search for the relay altitude maximizing mean sum-rate.
 
-    The objective reuses one fixed trial ensemble for every evaluation, so
-    it is deterministic in altitude and the search result is reproducible.
-    Returns the interval midpoint once the bracket is narrower than tol,
-    or NaN when no trial of the ensemble is valid (singular trials do not
-    depend on altitude, so the objective is then NaN everywhere).
+    Every evaluation reuses the given trial ensemble, so the objective is
+    deterministic in altitude and the search result is reproducible; given
+    the ensemble of an altitude sweep, the search refines that sweep's
+    argmax on the same draws.  Returns the interval midpoint once the
+    bracket is narrower than tol, or NaN when no trial of the ensemble is
+    valid (singular trials do not depend on altitude, so the objective is
+    then NaN everywhere).
     """
+    check_altitude_bracket(ens.cfg, lo, hi, tol)
     lo, hi, tol = float(lo), float(hi), float(tol)
-    if not lo < hi:
-        raise ValueError(f"lo must be < hi, got ({lo!r}, {hi!r})")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    point = _altitude_points(cfg, lo, hi, trials, master_seed)
+    point = _altitude_points(ens)
 
     def objective(alt: float) -> float:
         return point(alt).mean_rate
@@ -422,19 +455,3 @@ def find_optimal_altitude(cfg: NetworkConfig, lo: float, hi: float, tol: float,
             fd = objective(d)
     return 0.5 * (a + b)
 
-
-def bootstrap_mean_ci(samples: np.ndarray, confidence: float = 0.95,
-                      n_resamples: int = 2000, seed: int = 0
-                      ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of the finite samples."""
-    x = np.asarray(samples, dtype=float)
-    x = x[np.isfinite(x)]
-    if x.size < 2:
-        raise ValueError("need at least 2 finite samples")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(int(n_resamples), x.size))
-    means = x[idx].mean(axis=1)
-    alpha = 0.5 * (1.0 - confidence)
-    return float(np.quantile(means, alpha)), float(np.quantile(means, 1.0 - alpha))

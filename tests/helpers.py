@@ -1,6 +1,13 @@
-"""Shared test utilities: seeded random matrices with conditioning control."""
+"""Shared test utilities.
+
+Seeded random matrices with conditioning control, kernel inputs that carry
+given matrices unchanged, and two small statistics the tests use on the
+simulator's output.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,3 +42,29 @@ def kernel_inputs(hs) -> tuple[np.ndarray, ...]:
     """
     hs = np.asarray(hs, dtype=np.complex128)
     return np.zeros((1, *hs.shape[1:])), hs[:, None], np.zeros(1), np.ones(1)
+
+
+def asymptotic_capacity(dof_beta: float, snr_linear: float) -> float:
+    """Leading high-SNR term beta * log2(snr), in bits/s/Hz."""
+    if not float(dof_beta) > 0.0:
+        raise ValueError(f"dof_beta must be positive, got {dof_beta!r}")
+    if not float(snr_linear) > 1.0:
+        raise ValueError(f"snr_linear must exceed 1, got {snr_linear!r}")
+    return float(dof_beta) * math.log2(float(snr_linear))
+
+
+def bootstrap_mean_ci(samples: np.ndarray, confidence: float = 0.95,
+                      n_resamples: int = 2000, seed: int = 0
+                      ) -> tuple[float, float]:
+    """Percentile bootstrap interval for the mean of the finite samples."""
+    x = np.asarray(samples, dtype=float)
+    x = x[np.isfinite(x)]
+    if x.size < 2:
+        raise ValueError("need at least 2 finite samples")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, x.size, size=(int(n_resamples), x.size))
+    means = x[idx].mean(axis=1)
+    alpha = 0.5 * (1.0 - confidence)
+    return float(np.quantile(means, alpha)), float(np.quantile(means, 1.0 - alpha))

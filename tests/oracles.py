@@ -1,11 +1,13 @@
 """Independent transliteration of the paper's rate formulas, for tests.
 
 Nothing here imports hapsim.  Each function restates one formula as
-directly as numpy allows, one matrix at a time, with an explicit Gram
-inverse per matrix:
+directly as numpy allows, one matrix at a time.  The zero-forcing SNR
+comes from a QR of H, not from the Gram inverse the kernels take, so the
+two agree only if both are right:
 
     H      = [sqrt(k/(1+k)) a_rx a_tx^T + sqrt(1/(1+k)) W] * gain / d^2
-    snr_k  = scale / [(H^H H)^{-1}]_kk
+    snr_k  = scale / [(H^H H)^{-1}]_kk = scale * |R[-1, -1]|^2,
+             R from the QR of H with column k moved last
     C_hop  = sum over links and streams of log2(1 + snr_k)
     C      = M*N / (M+N-1) * min(C_up, C_down)
     C_base = C_direct / (M*N)
@@ -86,8 +88,16 @@ def trial_links(cfg, seed, trial, d_sr_m, d_rd_m, d_sd_m=None):
 
 
 def zf_snr(h, k, scale):
-    """Zero-forcing SNR of stream k: scale / [(H^H H)^{-1}]_kk."""
-    return scale / np.linalg.inv(h.conj().T @ h)[k, k].real
+    """Zero-forcing SNR of stream k: scale * |R[-1, -1]|^2.
+
+    R is the triangular factor of a QR of H with column k moved last, so
+    |R[-1, -1]| is the length of column k's component orthogonal to the
+    other columns.  That length squared equals 1 / [(H^H H)^{-1}]_kk, and
+    the QR never forms the Gram matrix.
+    """
+    order = [j for j in range(h.shape[1]) if j != k] + [k]
+    r = np.linalg.qr(h[:, order], mode="r")
+    return scale * abs(r[-1, -1]) ** 2
 
 
 def hop_rate(channels, scale, all_streams=False):

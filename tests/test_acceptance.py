@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 import oracles
-from helpers import kernel_inputs, well_conditioned
+from helpers import bootstrap_mean_ci, kernel_inputs, well_conditioned
 
 from hapsim import kernels
 from hapsim.capacity import NetworkConfig
@@ -25,7 +25,6 @@ from hapsim.simulator import (
     SNR_DB,
     SweepSpec,
     TrialEnsemble,
-    bootstrap_mean_ci,
     run_altitude_sweep,
     run_snr_sweep,
 )
@@ -87,7 +86,7 @@ def test_zf_snr_matches_inverse_oracle(capsys):
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     with capsys.disabled():
-        _report("zero-forcing SNR matches the full-inverse oracle (1e-9)", ok,
+        _report("zero-forcing SNR matches the QR-of-H oracle (1e-9)", ok,
                 f"worst rel err {worst:.2e} over {streams} streams of "
                 f"{len(mats)} matrices in {elapsed:.2f} s")
 
@@ -132,7 +131,7 @@ def test_symmetric_network_optimum_at_midpoint(capsys):
                    hap_power=4000.0, relay_power=4000.0)
     spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 17500.0, 250.0,
                      trials=1000, master_seed=MASTER_SEED)
-    curve = run_altitude_sweep(cfg, spec)
+    curve = run_altitude_sweep(TrialEnsemble(cfg, 1000, MASTER_SEED), spec)
     ok = abs(curve.argmax_x - 9000.0) <= 250.0
     with capsys.disabled():
         _report("symmetric network: altitude sweep peaks at the 9 km "
@@ -183,12 +182,12 @@ def test_optimum_drifts_to_midpoint_and_power_invariant(capsys):
     power_low = 4.0 * 10**1.45
     argmax = {}
     for power in (power_low, 10.0 * power_low):
-        argmax[power] = [
-            run_altitude_sweep(
-                _network(9000.0, kappa_up_db=30.0, kappa_down_db=kappa,
-                         hap_power=power, relay_power=power),
-                spec).argmax_x
-            for kappa in (15.0, 20.0, 25.0, 30.0)]
+        argmax[power] = []
+        for kappa in (15.0, 20.0, 25.0, 30.0):
+            cfg = _network(9000.0, kappa_up_db=30.0, kappa_down_db=kappa,
+                           hap_power=power, relay_power=power)
+            ens = TrialEnsemble(cfg, 1000, MASTER_SEED)
+            argmax[power].append(run_altitude_sweep(ens, spec).argmax_x)
     low, high = argmax[power_low], argmax[10.0 * power_low]
     drifts = all(b <= a for a, b in zip(low, low[1:]))
     reaches = abs(low[-1] - 9000.0) <= 250.0

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import random_complex
+from helpers import asymptotic_capacity, random_complex
 
-from hapsim.capacity import NetworkConfig, asymptotic_capacity, dof
+from hapsim.capacity import NetworkConfig, dof
 from hapsim.geometry import ScenarioLayout
 from hapsim.kernels import gram_condition
 from hapsim.simulator import TrialEnsemble

@@ -8,8 +8,12 @@ import pytest
 import yaml
 
 import hapsim
+from hapsim import simulator
 from hapsim.cli import build_parser, main
 from hapsim.scenario import scenario_from_mapping
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ALTITUDE_SCENARIOS = ["altitude_sweep.yaml", "altitude_sweep_symmetric.yaml"]
 
 
 def write_scenario(tmp_path, name="scenario.yaml", **keys):
@@ -173,6 +177,82 @@ class TestAltitudeSweepCommand:
         grid_best = float(got["optimal_altitude_m"])
         refined = float(got["optimal_altitude_refined_m"])
         assert abs(refined - grid_best) <= 1000.0
+
+    @pytest.mark.parametrize("name", ALTITUDE_SCENARIOS)
+    def test_refined_optimum_within_one_step_of_grid(self, tmp_path, capsys,
+                                                      name):
+        # Both optima come from the same draws, so on a unimodal curve the
+        # refinement lands within one grid step of the grid argmax.
+        cfg = str(SCENARIOS / name)
+        out = tmp_path / "curve.csv"
+        assert main(["altitude-sweep", "--config", cfg, "--out", str(out),
+                     "--cross-check", "--seed", "12345",
+                     "--trials", "400"]) == 0
+        got = parsed_lines(capsys.readouterr().out)
+        keys = yaml.safe_load(Path(cfg).read_text(encoding="utf-8"))
+        step = keys["sweep_step"]
+        assert (abs(float(got["optimal_altitude_refined_m"])
+                    - float(got["optimal_altitude_m"])) <= step)
+
+    def test_bad_cross_check_bracket_exits_2_before_any_output(
+            self, tmp_path, capsys):
+        # The grid stops at 17750 m, which is valid; the search bracket
+        # reaches 17999.9 m, inside the far-field limit of the platforms.
+        cfg = write_scenario(tmp_path, **altitude_keys(
+            sweep_start=1000.0, sweep_stop=17999.9, sweep_step=250.0))
+        out = tmp_path / "curve.csv"
+        assert main(["altitude-sweep", "--config", cfg, "--out", str(out),
+                     "--cross-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "far-field" in captured.err
+        assert not out.exists()
+        assert main(["altitude-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.exists()
+
+
+class TestOneEnsemblePerCommand:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        init = simulator.TrialEnsemble.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(simulator.TrialEnsemble, "__init__", counted)
+        return calls
+
+    def test_cross_check_reuses_the_grid_ensemble(self, tmp_path, capsys,
+                                                  builds):
+        cfg = write_scenario(tmp_path, **altitude_keys())
+        out = tmp_path / "curve.csv"
+        assert main(["altitude-sweep", "--config", cfg, "--out", str(out),
+                     "--cross-check"]) == 0
+        assert "optimal_altitude_refined_m=" in capsys.readouterr().out
+        assert len(builds) == 1
+
+    def test_optimal_altitude_builds_one_ensemble(self, tmp_path, capsys,
+                                                  builds):
+        cfg = write_scenario(tmp_path, **altitude_keys())
+        assert main(["optimal-altitude", "--config", cfg]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("command,keys,flags", [
+        ("altitude-sweep", snr_keys(), []),
+        ("altitude-sweep", altitude_keys(sweep_stop=17999.9),
+         ["--cross-check"]),
+        ("optimal-altitude", altitude_keys(), ["--tol", "0"]),
+        ("optimal-altitude", altitude_keys(), ["--lo", "0", "--hi", "9000"]),
+    ], ids=["wrong-variable", "bracket", "tol", "band"])
+    def test_bad_input_draws_nothing(self, tmp_path, capsys, builds, command,
+                                     keys, flags):
+        argv = [command, "--config", write_scenario(tmp_path, **keys), *flags]
+        if command == "altitude-sweep":
+            argv += ["--out", str(tmp_path / "curve.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert builds == []
 
 
 class TestOptimalAltitudeCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from helpers import bootstrap_mean_ci
 
 from hapsim.capacity import NetworkConfig
 from hapsim.channel import db_to_linear
@@ -19,12 +20,16 @@ from hapsim.simulator import (
     SumRateCurve,
     SweepSpec,
     TrialEnsemble,
-    bootstrap_mean_ci,
     find_optimal_altitude,
     run_altitude_sweep,
     run_snr_sweep,
     trial_rng,
 )
+
+
+def ensemble_for(cfg: NetworkConfig, spec: SweepSpec) -> TrialEnsemble:
+    """The trial ensemble that spec's trials and master seed ask for."""
+    return TrialEnsemble(cfg, spec.trials, spec.master_seed)
 
 
 def make_cfg(**kwargs) -> NetworkConfig:
@@ -129,7 +134,7 @@ class TestHarnessTransparency:
         cfg = make_cfg(hap_power=50.0, relay_power=80.0, noise_power=2.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0,
                          trials=self.TRIALS, master_seed=778)
-        curve = run_altitude_sweep(cfg, spec)
+        curve = run_altitude_sweep(ensemble_for(cfg, spec), spec)
         scale_up = 50.0 / (2.0 * cfg.uplink_streams())
         scale_dn = 80.0 / (2.0 * cfg.downlink_streams())
         for point in curve.points:
@@ -218,7 +223,7 @@ class TestAltitudeSweep:
                        hap_power=4000.0, relay_power=4000.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 4000.0, 14000.0, 500.0,
                          trials=300, master_seed=12345)
-        curve = run_altitude_sweep(cfg, spec)
+        curve = run_altitude_sweep(ensemble_for(cfg, spec), spec)
         np.testing.assert_array_equal(curve.xs, spec.grid())
         assert abs(curve.argmax_x - 9000.0) <= 500.0
 
@@ -226,24 +231,31 @@ class TestAltitudeSweep:
         cfg = make_cfg()
         spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 18000.0, 1000.0, trials=2)
         with pytest.raises(ValueError, match="strictly inside"):
-            run_altitude_sweep(cfg, spec)
+            run_altitude_sweep(ensemble_for(cfg, spec), spec)
 
     def test_band_violating_far_field_rejected(self):
         cfg = make_cfg()
         spec = SweepSpec(RELAY_ALTITUDE_M, 0.1, 0.2, 0.1, trials=2)
         with pytest.raises(ValueError, match="far-field"):
-            run_altitude_sweep(cfg, spec)
+            run_altitude_sweep(ensemble_for(cfg, spec), spec)
 
     def test_wrong_variable_rejected(self):
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=2)
         with pytest.raises(ValueError, match="relay_altitude_m"):
-            run_altitude_sweep(make_cfg(), spec)
+            run_altitude_sweep(ensemble_for(make_cfg(), spec), spec)
 
     def test_overflowing_power_is_an_input_error(self):
         cfg = make_cfg(hap_power=1e308, relay_power=1e308, noise_power=1e-300)
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0, trials=3)
         with pytest.raises(ValueError, match="overflows.*hap_power"):
-            run_altitude_sweep(cfg, spec)
+            run_altitude_sweep(ensemble_for(cfg, spec), spec)
+
+    @pytest.mark.parametrize("trials,seed", [(4, 12345), (3, 12346)])
+    def test_spec_must_match_the_ensemble(self, trials, seed):
+        spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0, trials=3)
+        ens = TrialEnsemble(make_cfg(), trials, seed)
+        with pytest.raises(ValueError, match="ensemble holds"):
+            run_altitude_sweep(ens, spec)
 
 
 class TestSumRateCurve:
@@ -368,8 +380,8 @@ class TestOptimalAltitude:
     def test_symmetric_network_peaks_at_midpoint(self):
         cfg = make_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
                        hap_power=4000.0, relay_power=4000.0)
-        alt = find_optimal_altitude(cfg, 4000.0, 14000.0, 50.0,
-                                    trials=300, master_seed=12345)
+        alt = find_optimal_altitude(TrialEnsemble(cfg, 300, 12345),
+                                    4000.0, 14000.0, 50.0)
         assert abs(alt - 9000.0) <= 150.0
 
     def test_matches_exhaustive_grid(self):
@@ -378,19 +390,20 @@ class TestOptimalAltitude:
                        hap_power=4000.0, relay_power=4000.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 4000.0, 14000.0, 250.0,
                          trials=300, master_seed=99)
-        grid_best = run_altitude_sweep(cfg, spec).argmax_x
-        searched = find_optimal_altitude(cfg, 4000.0, 14000.0, 100.0,
-                                         trials=300, master_seed=99)
+        ens = TrialEnsemble(cfg, 300, 99)
+        grid_best = run_altitude_sweep(ens, spec).argmax_x
+        searched = find_optimal_altitude(ens, 4000.0, 14000.0, 100.0)
         assert abs(searched - grid_best) <= 375.0
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError, match="lo must be"):
-            find_optimal_altitude(make_cfg(), 9000.0, 9000.0, 10.0, trials=2)
+            find_optimal_altitude(TrialEnsemble(make_cfg(), 2, 12345),
+                                  9000.0, 9000.0, 10.0)
 
     def test_all_singular_returns_nan(self):
         cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
-        alt = find_optimal_altitude(cfg, 4000.0, 14000.0, 250.0,
-                                    trials=20, master_seed=4)
+        alt = find_optimal_altitude(TrialEnsemble(cfg, 20, 4),
+                                    4000.0, 14000.0, 250.0)
         assert math.isnan(alt)
 
 
