@@ -9,13 +9,7 @@ the interference-alignment prefactor M*N/(M+N-1).
 
 from .capacity import NetworkConfig, dof
 from .channel import db_to_linear, los_channel
-from .geometry import (
-    FAR_FIELD_FACTOR,
-    LinkGeometry,
-    ScenarioLayout,
-    link_distances,
-    min_hap_separation,
-)
+from .geometry import FAR_FIELD_FACTOR, ScenarioLayout, min_hap_separation
 from .kernels import CONDITION_LIMIT
 from .scenario import (
     DEFAULTS,
@@ -45,7 +39,6 @@ __all__ = [
     "CONDITION_LIMIT",
     "DEFAULTS",
     "FAR_FIELD_FACTOR",
-    "LinkGeometry",
     "NetworkConfig",
     "RELAY_ALTITUDE_M",
     "SNR_DB",
@@ -61,7 +54,6 @@ __all__ = [
     "dump_scenario",
     "effective_mapping",
     "find_optimal_altitude",
-    "link_distances",
     "load_scenario",
     "los_channel",
     "min_hap_separation",

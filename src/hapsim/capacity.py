@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FAR_FIELD_FACTOR, ScenarioLayout
+from .geometry import FAR_FIELD_FACTOR, ScenarioLayout, _require_positive
 
 # Whether the configured SNR scale applies before or after the 1/d^2 path factor.
 SNR_REFERENCE_CHOICES = ("pre_path_loss", "post_path_loss")
@@ -114,17 +114,16 @@ class NetworkConfig:
         for key in ("ref_gain_up", "ref_gain_down", "ref_gain_direct"):
             if any(not v > 0.0 for v in getattr(self, key)):
                 raise ValueError(f"{key} entries must be positive")
-        wl = float(self.wavelength_m)
-        if not wl > 0.0:
-            raise ValueError(f"wavelength_m must be positive, got {wl!r}")
+        wl = _require_positive("wavelength_m", self.wavelength_m)
         set_("wavelength_m", wl)
-        half = wl / 2.0
-        set_("rx_spacing_m",
-             half if self.rx_spacing_m is None else float(self.rx_spacing_m))
-        set_("tx_spacing_m",
-             half if self.tx_spacing_m is None else float(self.tx_spacing_m))
-        if not self.rx_spacing_m > 0.0 or not self.tx_spacing_m > 0.0:
-            raise ValueError("antenna spacings must be positive")
+        for key in ("rx_spacing_m", "tx_spacing_m"):
+            v = getattr(self, key)
+            set_(key, _require_positive(key, wl / 2.0 if v is None else v))
+        for key in ("aoa_deg", "aod_deg"):
+            v = float(getattr(self, key))
+            if not math.isfinite(v):
+                raise ValueError(f"{key} must be finite, got {v!r}")
+            set_(key, v)
         if self.snr_reference not in SNR_REFERENCE_CHOICES:
             raise ValueError(
                 f"snr_reference must be one of {SNR_REFERENCE_CHOICES}, "

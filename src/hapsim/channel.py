@@ -10,14 +10,17 @@ the dB conversion and the line-of-sight part.  The trial ensemble draws
 the scattering part from each trial's stream, the kernels mix the two and
 the ensemble applies the path gain.  The line-of-sight part is the outer
 product of receive and transmit steering vectors, so its rank is one
-regardless of the array sizes.
+regardless of the array sizes, and it depends on the configured
+wavelength, spacings and angles only, never on the link distance.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .geometry import LinkGeometry
+from .capacity import NetworkConfig
 
 
 def db_to_linear(value_db: float) -> float:
@@ -38,20 +41,19 @@ def _steering(num_elements: int, spacing_m: float, wavelength_m: float,
     return np.exp(1j * phase)
 
 
-def los_channel(geometry: LinkGeometry, rows: int, cols: int) -> np.ndarray:
+def los_channel(cfg: NetworkConfig, rows: int, cols: int) -> np.ndarray:
     """Unit-modulus rank-one line-of-sight matrix a_rx(theta_A) a_tx(theta_D)^T.
 
     Args:
-        geometry: link geometry supplying spacings, wavelength, and angles.
+        cfg: network whose wavelength, spacings, aoa_deg and aod_deg apply.
         rows: number of receive elements.
         cols: number of transmit elements.
 
     Returns:
         Complex (rows, cols) matrix with |entry| = 1 everywhere.
     """
-    a_rx = _steering(rows, geometry.rx_spacing_m, geometry.wavelength_m,
-                     geometry.aoa_rad)
-    a_tx = _steering(cols, geometry.tx_spacing_m, geometry.wavelength_m,
-                     geometry.aod_rad)
+    a_rx = _steering(rows, cfg.rx_spacing_m, cfg.wavelength_m,
+                     math.radians(cfg.aoa_deg))
+    a_tx = _steering(cols, cfg.tx_spacing_m, cfg.wavelength_m,
+                     math.radians(cfg.aod_deg))
     return np.outer(a_rx, a_tx)
-

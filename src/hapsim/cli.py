@@ -7,7 +7,7 @@ import math
 import sys
 
 from .capacity import dof
-from .geometry import link_distances, min_hap_separation
+from .geometry import min_hap_separation
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     RELAY_ALTITUDE_M,
@@ -78,14 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_geometry(scenario: Scenario) -> int:
     net = scenario.network
     lay = net.layout
-    d_sd, d_sr, d_rd = link_distances(lay.hap_altitude_m, lay.relay_altitude_m,
-                                      lay.gs_altitude_m)
-    spacing = min_hap_separation(d_sd, net.wavelength_m,
+    spacing = min_hap_separation(lay.d_sd_m, net.wavelength_m,
                                  scenario.spacing_dof_beta, lay.gs_spacing_m)
     lines = [
-        f"d_sd_m={_fmt(d_sd)}",
-        f"d_sr_m={_fmt(d_sr)}",
-        f"d_rd_m={_fmt(d_rd)}",
+        f"d_sd_m={_fmt(lay.d_sd_m)}",
+        f"d_sr_m={_fmt(lay.d_sr_m)}",
+        f"d_rd_m={_fmt(lay.d_rd_m)}",
         f"min_hap_spacing_m={_fmt(spacing)}",
         f"hap_spacing_m={_fmt(lay.hap_spacing_m)}",
         f"hap_spacing_ok={_verdict(lay.hap_spacing_m >= spacing)}",
@@ -94,7 +92,7 @@ def _cmd_geometry(scenario: Scenario) -> int:
         f"relay_antennas_ok={_verdict(net.relay_antennas >= net.required_relay_antennas)}",
         f"dof_total={_fmt(dof(net.num_haps, net.num_gs, net.antennas_per_node))}",
         f"zero_forcing_feasible={_verdict(net.antennas_per_node == net.relay_antennas)}",
-        f"far_field_ok={_verdict(min(d_sr, d_rd) > net.far_field_m)}",
+        f"far_field_ok={_verdict(min(lay.d_sr_m, lay.d_rd_m) > net.far_field_m)}",
     ]
     print("\n".join(lines))
     return 0

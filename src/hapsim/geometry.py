@@ -1,9 +1,10 @@
 """Placement geometry for the relayed network.
 
 Ground stations sit below a tethered relay balloon, which sits below the
-aerial platforms.  All links in the vertical plane are summarized by three
-slant distances (source-destination, source-relay, relay-destination) and by
-the antenna spacings that control the line-of-sight channel phases.
+aerial platforms.  ScenarioLayout holds the altitudes and derives the three
+link distances every sweep uses (source-destination, source-relay,
+relay-destination); min_hap_separation() is the platform spacing rule.  The
+wavelength, antenna spacings and angles belong to capacity.NetworkConfig.
 """
 
 from __future__ import annotations
@@ -22,38 +23,6 @@ def _require_positive(name: str, value: float) -> float:
     if not value > 0.0 or not math.isfinite(value):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of a single transmitter-receiver link.
-
-    Angles are the arrival/departure angles measured at the receive and
-    transmit arrays, in radians.  Spacings are element separations in meters.
-    """
-
-    link_distance_m: float
-    wavelength_m: float
-    aoa_rad: float
-    aod_rad: float
-    rx_spacing_m: float
-    tx_spacing_m: float
-
-    def __post_init__(self) -> None:
-        for key in ("link_distance_m", "wavelength_m", "aoa_rad", "aod_rad",
-                    "rx_spacing_m", "tx_spacing_m"):
-            object.__setattr__(self, key, float(getattr(self, key)))
-        _require_positive("link_distance_m", self.link_distance_m)
-        _require_positive("wavelength_m", self.wavelength_m)
-        _require_positive("rx_spacing_m", self.rx_spacing_m)
-        _require_positive("tx_spacing_m", self.tx_spacing_m)
-        widest = max(self.rx_spacing_m, self.tx_spacing_m)
-        if not self.link_distance_m > FAR_FIELD_FACTOR * widest:
-            raise ValueError(
-                "link_distance_m must exceed "
-                f"{FAR_FIELD_FACTOR:g} x max antenna spacing "
-                f"({FAR_FIELD_FACTOR * widest:g} m), got {self.link_distance_m:g} m"
-            )
 
 
 @dataclass(frozen=True)
@@ -125,23 +94,3 @@ def min_hap_separation(
     gs_spacing_m = _require_positive("gs_spacing_m", gs_spacing_m)
     return link_distance_m * wavelength_m / (dof_beta * gs_spacing_m)
 
-
-def link_distances(
-    hap_altitude_m: float,
-    relay_altitude_m: float,
-    gs_altitude_m: float = 0.0,
-) -> tuple[float, float, float]:
-    """Slant distances (d_SD, d_SR, d_RD) for a vertically stacked layout.
-
-    The returned triple satisfies d_SD == d_SR + d_RD exactly: d_SR is formed
-    as the floating-point difference (d_SD - d_RD) and d_SD is re-assembled
-    from the two parts.
-    """
-    layout = ScenarioLayout(
-        hap_altitude_m=hap_altitude_m,
-        relay_altitude_m=relay_altitude_m,
-        gs_altitude_m=gs_altitude_m,
-    )
-    d_rd = layout.d_rd_m
-    d_sr = layout.d_sd_m - d_rd
-    return d_sr + d_rd, d_sr, d_rd

@@ -14,7 +14,9 @@ forms and singular flags; the draws alive at any time are bounded by the
 chunk, so memory grows with the stored forms alone.  The forms are
 invariant under uniform scaling of a channel matrix, so transmit power and
 the 1/d^2 path factors multiply in afterwards and each sweep point costs
-only scalar arithmetic over the stored forms.
+only scalar arithmetic over the stored forms.  Neither the draws nor the
+line-of-sight part depend on a link distance, so the ensemble never sees
+one; the far-field limit is checked where a distance enters a rate.
 
 The altitude functions take their ensemble as an argument, so one command
 draws its trials once: altitude-sweep --cross-check passes the grid's
@@ -33,7 +35,6 @@ import numpy as np
 from . import kernels
 from .capacity import NetworkConfig
 from .channel import db_to_linear, los_channel
-from .geometry import LinkGeometry
 
 _LN2 = math.log(2.0)
 
@@ -208,6 +209,16 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     return tuple(hops)
 
 
+def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
+    """Raise ValueError unless link name, distance_m long, is past the far field."""
+    if not float(distance_m) > 0.0:
+        raise ValueError(f"{name} must be positive, got {distance_m!r}")
+    margin = cfg.far_field_m
+    if not float(distance_m) > margin:
+        raise ValueError(f"{name} = {distance_m!r} m is inside "
+                         f"the far-field limit {margin:g} m")
+
+
 class TrialEnsemble:
     """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
@@ -232,15 +243,11 @@ class TrialEnsemble:
         self.has_baseline = bool(include_baseline)
         self._hops = _hops(cfg, include_baseline)
 
-        aoa, aod = math.radians(cfg.aoa_deg), math.radians(cfg.aod_deg)
         stages, self._q, self._failed = [], [], []
         width = 0
         for hop in self._hops:
             rows, cols = hop.shape
-            geom = LinkGeometry(getattr(cfg.layout, hop.distance),
-                                cfg.wavelength_m, aoa, aod,
-                                cfg.rx_spacing_m, cfg.tx_spacing_m)
-            los = np.broadcast_to(los_channel(geom, rows, cols),
+            los = np.broadcast_to(los_channel(cfg, rows, cols),
                                   (hop.links, rows, cols))
             k = np.array([db_to_linear(v) for v in hop.kappa_db])
             kernel = (kernels.all_stream_quadforms if hop.all_streams
@@ -274,13 +281,7 @@ class TrialEnsemble:
         too large to represent is not mistaken for a singular trial.
         """
         hop = self._hops[index]
-        if not float(distance_m) > 0.0:
-            raise ValueError(
-                f"{hop.distance} must be positive, got {distance_m!r}")
-        margin = self.cfg.far_field_m
-        if not float(distance_m) > margin:
-            raise ValueError(f"{hop.distance} = {distance_m!r} m is inside "
-                             f"the far-field limit {margin:g} m")
+        check_far_field(self.cfg, hop.distance, distance_m)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.cfg.snr_reference == "post_path_loss":
                 path = np.ones_like(hop.ref_gain)
@@ -381,6 +382,8 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     place of it under snr_reference = "post_path_loss".
     """
     check_sweep_variable(spec, SNR_DB)
+    for hop in _hops(cfg, include_baseline):  # before any draw
+        check_far_field(cfg, hop.distance, getattr(cfg.layout, hop.distance))
     ens = TrialEnsemble(cfg, spec.trials, spec.master_seed,
                         include_baseline=include_baseline)
     lay = cfg.layout

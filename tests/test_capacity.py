@@ -304,6 +304,20 @@ class TestNetworkConfig:
         cfg = make_cfg(2, 2, rx_spacing_m=0.01, tx_spacing_m=0.02)
         assert cfg.far_field_m == pytest.approx(2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("key", ["wavelength_m", "rx_spacing_m",
+                                     "tx_spacing_m"])
+    def test_non_positive_fields_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            make_cfg(2, 2, **{key: 0.0})
+
+    @pytest.mark.parametrize("key", ["aoa_deg", "aod_deg", "wavelength_m",
+                                     "rx_spacing_m", "tx_spacing_m"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, key, value):
+        # A non-finite angle would make the line-of-sight matrix NaN.
+        with pytest.raises(ValueError, match=key):
+            make_cfg(2, 2, **{key: value})
+
     def test_bad_snr_reference_rejected(self):
         with pytest.raises(ValueError, match="snr_reference"):
             make_cfg(2, 2, snr_reference="mid")

@@ -17,20 +17,10 @@ import oracles
 
 from hapsim.capacity import NetworkConfig
 from hapsim.channel import db_to_linear, los_channel
-from hapsim.geometry import LinkGeometry, ScenarioLayout
+from hapsim.geometry import ScenarioLayout
 from hapsim.simulator import TrialEnsemble
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
-
-
-def geom(distance_m: float = 1000.0, wavelength_m: float = 0.00625,
-         aoa_rad: float = 0.0, aod_rad: float = 0.0,
-         rx_spacing_m: float | None = None,
-         tx_spacing_m: float | None = None) -> LinkGeometry:
-    half = wavelength_m / 2.0
-    return LinkGeometry(distance_m, wavelength_m, aoa_rad, aod_rad,
-                        rx_spacing_m if rx_spacing_m is not None else half,
-                        tx_spacing_m if tx_spacing_m is not None else half)
 
 
 class TestDbToLinear:
@@ -46,29 +36,28 @@ class TestDbToLinear:
 
 class TestLosChannel:
     def test_single_element(self):
-        out = los_channel(geom(), 1, 1)
+        out = los_channel(network(), 1, 1)
         assert out.shape == (1, 1)
         assert out[0, 0] == 1.0 + 0.0j
 
     def test_boresight_is_all_ones(self):
-        out = los_channel(geom(aoa_rad=0.0, aod_rad=0.0), 3, 2)
+        out = los_channel(network(aoa_deg=0.0, aod_deg=0.0), 3, 2)
         np.testing.assert_allclose(out, np.ones((3, 2)), atol=1e-15)
 
     def test_half_wavelength_endfire_phase(self):
         # rx spacing of lambda/2 at 90 degrees arrival: phase step of pi.
-        g = geom(wavelength_m=1.0, aoa_rad=math.pi / 2.0, rx_spacing_m=0.5,
-                 tx_spacing_m=0.5)
-        out = los_channel(g, 2, 1)
+        cfg = network(wavelength_m=1.0, aoa_deg=90.0, rx_spacing_m=0.5,
+                      tx_spacing_m=0.5)
+        out = los_channel(cfg, 2, 1)
         np.testing.assert_allclose(out, [[1.0], [-1.0]], atol=1e-12)
 
     def test_unit_modulus_and_rank_one(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            g = geom(distance_m=rng.uniform(500, 5e4),
-                     aoa_rad=rng.uniform(-1.5, 1.5),
-                     aod_rad=rng.uniform(-1.5, 1.5))
+            cfg = network(aoa_deg=math.degrees(rng.uniform(-1.5, 1.5)),
+                          aod_deg=math.degrees(rng.uniform(-1.5, 1.5)))
             rows, cols = rng.integers(1, 7, size=2)
-            out = los_channel(g, rows, cols)
+            out = los_channel(cfg, rows, cols)
             np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-12)
             s = np.linalg.svd(out, compute_uv=False)
             if min(rows, cols) > 1:
@@ -76,7 +65,7 @@ class TestLosChannel:
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError, match="array size"):
-            los_channel(geom(), 0, 2)
+            los_channel(network(), 0, 2)
 
 
 class TestRayleighChannel:

@@ -81,6 +81,18 @@ class TestGeometryCommand:
         # Four relay antennas against three per node: shapes cannot match.
         assert got["zero_forcing_feasible"] == "no"
 
+    def test_distances_are_the_layouts(self, tmp_path, capsys):
+        keys = dict(hap_altitude_m=18000.1, relay_altitude_m=9000.7,
+                    gs_altitude_m=12.3)
+        assert main(["geometry", "--config",
+                     write_scenario(tmp_path, **keys)]) == 0
+        got = parsed_lines(capsys.readouterr().out)
+        lay = scenario_from_mapping(keys).network.layout
+        assert (got["d_sd_m"], got["d_sr_m"], got["d_rd_m"]) == (
+            "17987.8", "8999.4", "8988.4")
+        for key in ("d_sd_m", "d_sr_m", "d_rd_m"):
+            assert got[key] == format(getattr(lay, key), ".12g")
+
 
 class TestSnrSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
@@ -244,15 +256,43 @@ class TestOneEnsemblePerCommand:
          ["--cross-check"]),
         ("optimal-altitude", altitude_keys(), ["--tol", "0"]),
         ("optimal-altitude", altitude_keys(), ["--lo", "0", "--hi", "9000"]),
-    ], ids=["wrong-variable", "bracket", "tol", "band"])
+        ("snr-sweep", snr_keys(relay_altitude_m=17999.9), []),
+    ], ids=["wrong-variable", "bracket", "tol", "band", "snr-far-field"])
     def test_bad_input_draws_nothing(self, tmp_path, capsys, builds, command,
                                      keys, flags):
         argv = [command, "--config", write_scenario(tmp_path, **keys), *flags]
-        if command == "altitude-sweep":
-            argv += ["--out", str(tmp_path / "curve.csv")]
+        out = tmp_path / "curve.csv"
+        if command != "optimal-altitude":
+            argv += ["--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert builds == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("altitude-sweep", ["--cross-check"]),
+        ("optimal-altitude", []),
+    ])
+    def test_altitude_commands_ignore_the_layout_relay(self, tmp_path, capsys,
+                                                       command, flags):
+        # An altitude command sets the relay altitude itself, so a layout
+        # relay inside the platforms' far field must not matter.
+        keys = yaml.safe_load((SCENARIOS / "altitude_sweep.yaml").read_text(
+            encoding="utf-8"))
+        runs = []
+        for relay in (keys["relay_altitude_m"], 17999.9):
+            name = f"relay_{relay}"
+            argv = [command, "--config", write_scenario(
+                tmp_path, f"{name}.yaml", **dict(keys, relay_altitude_m=relay)),
+                "--trials", "50", "--seed", "3", *flags]
+            out = tmp_path / f"{name}.csv"
+            if command == "altitude-sweep":
+                argv += ["--out", str(out)]
+            assert main(argv) == 0
+            csv = out.read_bytes() if out.exists() else None
+            runs.append((capsys.readouterr(), csv))
+        assert runs[0] == runs[1]
+        assert runs[0][0].out.startswith("optimal_altitude_m=")
 
 
 class TestOptimalAltitudeCommand:

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from hapsim.geometry import (
-    FAR_FIELD_FACTOR,
-    LinkGeometry,
-    ScenarioLayout,
-    link_distances,
-    min_hap_separation,
-)
+from hapsim.geometry import ScenarioLayout, min_hap_separation
 
 
 class TestMinHapSeparation:
@@ -52,54 +46,6 @@ class TestMinHapSeparation:
                 base / c, rel=1e-12)
             assert min_hap_separation(dist, wl, beta, c * gs) == pytest.approx(
                 base / c, rel=1e-12)
-
-
-class TestLinkDistances:
-    @pytest.mark.parametrize("hap,relay,gs,expected", [
-        (18000.0, 15500.0, 0.0, (18000.0, 2500.0, 15500.0)),
-        (2.0, 1.0, 0.0, (2.0, 1.0, 1.0)),
-        (18000.0, 14000.0, 0.0, (18000.0, 4000.0, 14000.0)),
-    ])
-    def test_reference_triples(self, hap, relay, gs, expected):
-        assert link_distances(hap, relay, gs) == expected
-
-    def test_sum_identity_is_exact(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            gs = rng.uniform(0.0, 50.0)
-            relay = gs + rng.uniform(1e-3, 2e4)
-            hap = relay + rng.uniform(1e-3, 2e4)
-            d_sd, d_sr, d_rd = link_distances(hap, relay, gs)
-            assert d_sd == d_sr + d_rd
-            assert d_sr > 0.0 and d_rd > 0.0
-
-    def test_ordering_violations_rejected(self):
-        with pytest.raises(ValueError, match="altitude"):
-            link_distances(15000.0, 17000.0, 0.0)
-        with pytest.raises(ValueError, match="altitude"):
-            link_distances(18000.0, 5.0, 10.0)
-
-
-class TestLinkGeometry:
-    def test_far_field_enforced(self):
-        with pytest.raises(ValueError, match="far-field|exceed"):
-            LinkGeometry(40.0, 0.00625, 0.0, 0.0, 0.5, 0.5)
-
-    def test_far_field_boundary(self):
-        # Exactly at 100x spacing is still too close.
-        with pytest.raises(ValueError):
-            LinkGeometry(FAR_FIELD_FACTOR * 0.5, 0.00625, 0.0, 0.0, 0.5, 0.1)
-        LinkGeometry(FAR_FIELD_FACTOR * 0.5 + 1.0, 0.00625, 0.0, 0.0, 0.5, 0.1)
-
-    @pytest.mark.parametrize("key", ["link_distance_m", "wavelength_m",
-                                     "rx_spacing_m", "tx_spacing_m"])
-    def test_non_positive_fields_rejected(self, key):
-        kwargs = dict(link_distance_m=1000.0, wavelength_m=0.00625,
-                      aoa_rad=0.3, aod_rad=0.2, rx_spacing_m=0.003,
-                      tx_spacing_m=0.003)
-        kwargs[key] = 0.0
-        with pytest.raises(ValueError, match=key):
-            LinkGeometry(**kwargs)
 
 
 class TestScenarioLayout:

@@ -11,7 +11,7 @@ from helpers import bootstrap_mean_ci
 from hapsim.capacity import NetworkConfig
 from hapsim.channel import db_to_linear
 from hapsim import simulator
-from hapsim.geometry import ScenarioLayout
+from hapsim.geometry import FAR_FIELD_FACTOR, ScenarioLayout
 from hapsim.scenario import load_scenario
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
@@ -295,6 +295,26 @@ class TestTrialEnsemble:
         ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
         with pytest.raises(ValueError, match="far-field"):
             ens.relay_rates(1.0, 1.0, 0.05, 9000.0)
+
+    def test_far_field_enforced(self):
+        # A 40 m hop is well inside the far field of a 0.5 m array.
+        cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
+        ens = TrialEnsemble(cfg, trials=3, master_seed=1)
+        with pytest.raises(ValueError, match="d_sr_m .* far-field"):
+            ens.relay_rates(1.0, 1.0, 40.0, 9000.0)
+        with pytest.raises(ValueError, match="d_rd_m .* far-field"):
+            ens.relay_rates(1.0, 1.0, 9000.0, 40.0)
+
+    def test_far_field_boundary(self):
+        # Exactly at 100x the widest spacing is still too close, on either hop.
+        cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.1)
+        ens = TrialEnsemble(cfg, trials=3, master_seed=1)
+        edge = FAR_FIELD_FACTOR * 0.5
+        with pytest.raises(ValueError, match="d_sr_m .* far-field"):
+            ens.relay_rates(1.0, 1.0, edge, 9000.0)
+        with pytest.raises(ValueError, match="d_rd_m .* far-field"):
+            ens.relay_rates(1.0, 1.0, 9000.0, edge)
+        ens.relay_rates(1.0, 1.0, edge + 1.0, edge + 1.0)
 
     def test_post_path_loss_ignores_distance(self):
         cfg = make_cfg(snr_reference="post_path_loss")
