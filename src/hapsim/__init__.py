@@ -7,10 +7,16 @@ receivers zero-force, and network capacity follows the two-hop min-cut with
 the interference-alignment prefactor M*N/(M+N-1).
 """
 
-from .capacity import NetworkConfig, dof
-from .channel import db_to_linear, los_channel
-from .geometry import FAR_FIELD_FACTOR, ScenarioLayout, min_hap_separation
 from .kernels import CONDITION_LIMIT
+from .network import (
+    FAR_FIELD_FACTOR,
+    NetworkConfig,
+    ScenarioLayout,
+    db_to_linear,
+    dof,
+    los_channel,
+    min_hap_separation,
+)
 from .scenario import (
     DEFAULTS,
     Scenario,

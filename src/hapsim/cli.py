@@ -6,8 +6,7 @@ import argparse
 import math
 import sys
 
-from .capacity import dof
-from .geometry import min_hap_separation
+from .network import dof, min_hap_separation
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     RELAY_ALTITUDE_M,

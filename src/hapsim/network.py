@@ -1,15 +1,35 @@
-"""Network configuration and closed-form capacity helpers.
+"""The relayed M x N MIMO X network: placement, configuration and links.
 
-The decode-and-forward capacity of the two-hop network is
+Ground stations sit below a tethered relay balloon, which sits below the
+aerial platforms.  ScenarioLayout holds the altitudes and derives the three
+link distances every sweep uses (source-destination, source-relay,
+relay-destination); min_hap_separation() is the platform spacing rule.
+
+NetworkConfig carries every input of the decode-and-forward capacity of
+the two-hop network,
 
     C = [M*N / (M + N - 1)] * min(C1, C2),
 
 where C1 sums one zero-forced stream per platform on the uplink and C2 does
-the same per ground station on the downlink.  NetworkConfig carries every
-input of that formula; simulator.TrialEnsemble evaluates it per trial over
-the kernels' quadratic forms.  The multiplexing-order helper dof() returns
+the same per ground station on the downlink; simulator.TrialEnsemble
+evaluates it per trial over the kernels' quadratic forms.  The config also
+owns the far-field rule: far_field_m is the shortest admissible link and
+check_far_field() is the one test of a distance against it.  dof() returns
 the high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna
 count and is deliberately a separate quantity from the capacity prefactor.
+
+Every link mixes a deterministic line-of-sight matrix with an i.i.d.
+Rayleigh scattering matrix,
+
+    H = sqrt(kappa / (1 + kappa)) * H_los + sqrt(1 / (1 + kappa)) * H_nlos,
+
+then applies a scalar path gain ref_gain / distance^2.  This module holds
+the dB conversion and the line-of-sight part.  The trial ensemble draws
+the scattering part from each trial's stream, the kernels mix the two and
+the ensemble applies the path gain.  The line-of-sight part is the outer
+product of receive and transmit steering vectors, so its rank is one
+regardless of the array sizes, and it depends on the configured
+wavelength, spacings and angles only, never on the link distance.
 """
 
 from __future__ import annotations
@@ -19,10 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FAR_FIELD_FACTOR, ScenarioLayout, _require_positive
+# Plane-wave steering vectors are only meaningful well beyond the array
+# aperture; links shorter than this multiple of the largest spacing are
+# rejected.
+FAR_FIELD_FACTOR = 100.0
 
 # Whether the configured SNR scale applies before or after the 1/d^2 path factor.
 SNR_REFERENCE_CHOICES = ("pre_path_loss", "post_path_loss")
+
+
+def _require_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not value > 0.0 or not math.isfinite(value):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 def _as_float_tuple(value, count: int, key: str) -> tuple[float, ...]:
@@ -38,6 +68,85 @@ def _as_float_tuple(value, count: int, key: str) -> tuple[float, ...]:
         if not math.isfinite(v):
             raise ValueError(f"{key} entries must be finite, got {v!r}")
     return tuple(items)
+
+
+def db_to_linear(value_db: float) -> float:
+    """Convert a decibel quantity to linear scale."""
+    try:
+        return float(10.0 ** (float(value_db) / 10.0))
+    except OverflowError:
+        raise ValueError(
+            f"{float(value_db)!r} dB is too large for a linear value") from None
+
+
+@dataclass(frozen=True)
+class ScenarioLayout:
+    """Vertical placement of the ground stations, relay, and platforms."""
+
+    hap_altitude_m: float
+    relay_altitude_m: float
+    hap_spacing_m: float = 1125.0
+    gs_spacing_m: float = 0.1
+    gs_altitude_m: float = 0.0
+
+    def __post_init__(self) -> None:
+        for key in ("hap_altitude_m", "relay_altitude_m", "hap_spacing_m",
+                    "gs_spacing_m", "gs_altitude_m"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+        _require_positive("hap_altitude_m", self.hap_altitude_m)
+        _require_positive("relay_altitude_m", self.relay_altitude_m)
+        _require_positive("hap_spacing_m", self.hap_spacing_m)
+        _require_positive("gs_spacing_m", self.gs_spacing_m)
+        if self.gs_altitude_m < 0.0 or not math.isfinite(self.gs_altitude_m):
+            raise ValueError(
+                f"gs_altitude_m must be non-negative, got {self.gs_altitude_m!r}"
+            )
+        if not self.gs_altitude_m < self.relay_altitude_m < self.hap_altitude_m:
+            raise ValueError(
+                "altitudes must satisfy gs_altitude_m < relay_altitude_m < "
+                f"hap_altitude_m, got ({self.gs_altitude_m:g}, "
+                f"{self.relay_altitude_m:g}, {self.hap_altitude_m:g})"
+            )
+
+    @property
+    def d_sd_m(self) -> float:
+        return self.hap_altitude_m - self.gs_altitude_m
+
+    @property
+    def d_sr_m(self) -> float:
+        return self.hap_altitude_m - self.relay_altitude_m
+
+    @property
+    def d_rd_m(self) -> float:
+        return self.relay_altitude_m - self.gs_altitude_m
+
+
+def min_hap_separation(
+    link_distance_m: float,
+    wavelength_m: float,
+    dof_beta: float,
+    gs_spacing_m: float,
+) -> float:
+    """Smallest platform separation that keeps line-of-sight streams resolvable.
+
+    For a link of length L the spacing solves d_HAP = L * wavelength /
+    (beta * d_GS), the standard full-rank condition for line-of-sight MIMO
+    over a uniform linear array pair.
+
+    Args:
+        link_distance_m: platform to ground-station distance L in meters.
+        wavelength_m: carrier wavelength in meters.
+        dof_beta: multiplexing-order parameter beta (1 keeps every stream).
+        gs_spacing_m: ground-station antenna spacing in meters.
+
+    Returns:
+        Required platform antenna spacing in meters.
+    """
+    link_distance_m = _require_positive("link_distance_m", link_distance_m)
+    wavelength_m = _require_positive("wavelength_m", wavelength_m)
+    dof_beta = _require_positive("dof_beta", dof_beta)
+    gs_spacing_m = _require_positive("gs_spacing_m", gs_spacing_m)
+    return link_distance_m * wavelength_m / (dof_beta * gs_spacing_m)
 
 
 @dataclass(frozen=True)
@@ -94,10 +203,7 @@ class NetworkConfig:
             )
         set_("relay_antennas", relay)
         for key in ("hap_power", "relay_power", "noise_power"):
-            v = float(getattr(self, key))
-            if not v > 0.0 or not math.isfinite(v):
-                raise ValueError(f"{key} must be positive, got {v!r}")
-            set_(key, v)
+            set_(key, _require_positive(key, getattr(self, key)))
         if self.streams_per_tx is not None:
             s = int(self.streams_per_tx)
             if s < 1:
@@ -155,6 +261,16 @@ class NetworkConfig:
         return self.streams_per_tx or self.relay_antennas
 
 
+def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
+    """Raise ValueError unless link name, distance_m long, is past the far field."""
+    distance_m = float(distance_m)
+    if not distance_m > 0.0:
+        raise ValueError(f"{name} must be positive, got {distance_m:g}")
+    if not distance_m > cfg.far_field_m:
+        raise ValueError(f"{name} = {distance_m:g} m is inside "
+                         f"the far-field limit {cfg.far_field_m:g} m")
+
+
 def dof(num_tx: int, num_rx: int, antennas: int) -> float:
     """Degrees of freedom M*N*A / (M + N - 1) of the M x N network."""
     m, n, a = int(num_tx), int(num_rx), int(antennas)
@@ -162,3 +278,29 @@ def dof(num_tx: int, num_rx: int, antennas: int) -> float:
         raise ValueError(f"counts must be >= 1, got ({m}, {n}, {a})")
     return m * n * a / (m + n - 1)
 
+
+def _steering(num_elements: int, spacing_m: float, wavelength_m: float,
+              angle_rad: float) -> np.ndarray:
+    if int(num_elements) < 1:
+        raise ValueError(f"array size must be >= 1, got {num_elements!r}")
+    idx = np.arange(int(num_elements))
+    phase = 2.0 * np.pi * (spacing_m / wavelength_m) * idx * np.sin(angle_rad)
+    return np.exp(1j * phase)
+
+
+def los_channel(cfg: NetworkConfig, rows: int, cols: int) -> np.ndarray:
+    """Unit-modulus rank-one line-of-sight matrix a_rx(theta_A) a_tx(theta_D)^T.
+
+    Args:
+        cfg: network whose wavelength, spacings, aoa_deg and aod_deg apply.
+        rows: number of receive elements.
+        cols: number of transmit elements.
+
+    Returns:
+        Complex (rows, cols) matrix with |entry| = 1 everywhere.
+    """
+    a_rx = _steering(rows, cfg.rx_spacing_m, cfg.wavelength_m,
+                     math.radians(cfg.aoa_deg))
+    a_tx = _steering(cols, cfg.tx_spacing_m, cfg.wavelength_m,
+                     math.radians(cfg.aod_deg))
+    return np.outer(a_rx, a_tx)

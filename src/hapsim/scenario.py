@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from .capacity import NetworkConfig
-from .geometry import ScenarioLayout
+from .network import NetworkConfig, ScenarioLayout
 from .simulator import SweepSpec
 
 

@@ -15,8 +15,10 @@ chunk, so memory grows with the stored forms alone.  The forms are
 invariant under uniform scaling of a channel matrix, so transmit power and
 the 1/d^2 path factors multiply in afterwards and each sweep point costs
 only scalar arithmetic over the stored forms.  Neither the draws nor the
-line-of-sight part depend on a link distance, so the ensemble never sees
-one; the far-field limit is checked where a distance enters a rate.
+line-of-sight part (network.los_channel, built from the config's
+wavelength, spacings and angles) depend on a link distance, so the
+ensemble never sees one; network.check_far_field tests a distance where it
+enters a rate.
 
 The altitude functions take their ensemble as an argument, so one command
 draws its trials once: altitude-sweep --cross-check passes the grid's
@@ -33,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .capacity import NetworkConfig
-from .channel import db_to_linear, los_channel
+from .network import NetworkConfig, check_far_field, db_to_linear, los_channel
 
 _LN2 = math.log(2.0)
 
@@ -209,16 +210,6 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     return tuple(hops)
 
 
-def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
-    """Raise ValueError unless link name, distance_m long, is past the far field."""
-    if not float(distance_m) > 0.0:
-        raise ValueError(f"{name} must be positive, got {distance_m!r}")
-    margin = cfg.far_field_m
-    if not float(distance_m) > margin:
-        raise ValueError(f"{name} = {distance_m!r} m is inside "
-                         f"the far-field limit {margin:g} m")
-
-
 class TrialEnsemble:
     """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
@@ -347,12 +338,8 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
             f"altitude range [{lo:g}, {hi:g}] must lie strictly inside "
             f"({lay.gs_altitude_m:g}, {lay.hap_altitude_m:g})"
         )
-    margin = cfg.far_field_m
-    if lo - lay.gs_altitude_m <= margin or lay.hap_altitude_m - hi <= margin:
-        raise ValueError(
-            f"altitude range [{lo:g}, {hi:g}] leaves a link shorter than "
-            f"the far-field limit {margin:g} m"
-        )
+    check_far_field(cfg, "d_rd_m", lo - lay.gs_altitude_m)
+    check_far_field(cfg, "d_sr_m", lay.hap_altitude_m - hi)
 
 
 def _altitude_points(ens: TrialEnsemble):
@@ -382,18 +369,21 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     place of it under snr_reference = "post_path_loss".
     """
     check_sweep_variable(spec, SNR_DB)
-    for hop in _hops(cfg, include_baseline):  # before any draw
+    # Reject bad input before any draw.
+    for hop in _hops(cfg, include_baseline):
         check_far_field(cfg, hop.distance, getattr(cfg.layout, hop.distance))
+    grid = spec.grid()
+    gammas = [db_to_linear(x) for x in grid]
+    for x, gamma in zip(grid, gammas):
+        if gamma == 0.0:
+            raise ValueError(
+                f"snr_db sweep point {float(x)!r} dB is too small for a linear value")
     ens = TrialEnsemble(cfg, spec.trials, spec.master_seed,
                         include_baseline=include_baseline)
     lay = cfg.layout
     relay_pts = []
     base_pts = []
-    for x in spec.grid():
-        gamma = db_to_linear(x)
-        if gamma == 0.0:
-            raise ValueError(
-                f"snr_db sweep point {float(x)!r} dB is too small for a linear value")
+    for x, gamma in zip(grid, gammas):
         relay_pts.append(
             _aggregate(x, ens.relay_rates(gamma, gamma, lay.d_sr_m, lay.d_rd_m)))
         if include_baseline:

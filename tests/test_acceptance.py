@@ -16,10 +16,8 @@ import oracles
 from helpers import bootstrap_mean_ci, kernel_inputs, well_conditioned
 
 from hapsim import kernels
-from hapsim.capacity import NetworkConfig
-from hapsim.channel import db_to_linear
 from hapsim.cli import main
-from hapsim.geometry import ScenarioLayout
+from hapsim.network import NetworkConfig, ScenarioLayout, db_to_linear
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
     SNR_DB,

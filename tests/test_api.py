@@ -1,6 +1,13 @@
+import ast
+import importlib
 import types
+from pathlib import Path
+
+import pytest
 
 import hapsim
+
+SRC = Path(hapsim.__file__).resolve().parent
 
 
 def test_all_lists_exactly_the_public_names():
@@ -11,3 +18,36 @@ def test_all_lists_exactly_the_public_names():
               and not isinstance(value, types.ModuleType)}
     assert public == set(hapsim.__all__)
     assert len(hapsim.__all__) == len(set(hapsim.__all__))
+
+
+def _hapsim_imports(path: Path) -> set[str]:
+    """Names of the hapsim modules that one source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("hapsim." * bool(node.level) + (node.module or "")).rstrip(".")
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names
+                     if name.startswith("hapsim."))
+    return found
+
+
+@pytest.mark.parametrize("module,allowed", [
+    ("network", set()),
+    ("kernels", set()),
+    ("simulator", {"network", "kernels"}),
+    ("scenario", {"network", "simulator"}),
+], ids=["network", "kernels", "simulator", "scenario"])
+def test_module_imports_only_its_lower_layers(module, allowed):
+    assert _hapsim_imports(SRC / f"{module}.py") == allowed
+
+
+@pytest.mark.parametrize("module", ["geometry", "capacity", "channel"])
+def test_folded_modules_are_gone(module):
+    assert not (SRC / f"{module}.py").exists()
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"hapsim.{module}")

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from helpers import asymptotic_capacity, random_complex
 
-from hapsim.capacity import NetworkConfig, dof
-from hapsim.geometry import ScenarioLayout
 from hapsim.kernels import gram_condition
+from hapsim.network import NetworkConfig, ScenarioLayout, dof
 from hapsim.simulator import TrialEnsemble
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)

@@ -15,9 +15,7 @@ import pytest
 
 import oracles
 
-from hapsim.capacity import NetworkConfig
-from hapsim.channel import db_to_linear, los_channel
-from hapsim.geometry import ScenarioLayout
+from hapsim.network import NetworkConfig, ScenarioLayout, db_to_linear, los_channel
 from hapsim.simulator import TrialEnsemble
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)

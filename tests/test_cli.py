@@ -257,7 +257,10 @@ class TestOneEnsemblePerCommand:
         ("optimal-altitude", altitude_keys(), ["--tol", "0"]),
         ("optimal-altitude", altitude_keys(), ["--lo", "0", "--hi", "9000"]),
         ("snr-sweep", snr_keys(relay_altitude_m=17999.9), []),
-    ], ids=["wrong-variable", "bracket", "tol", "band", "snr-far-field"])
+        ("snr-sweep", snr_keys(sweep_start=-4000.0, sweep_stop=10.0,
+                               sweep_step=2005.0, trials=2000), []),
+    ], ids=["wrong-variable", "bracket", "tol", "band", "snr-far-field",
+            "snr-underflow"])
     def test_bad_input_draws_nothing(self, tmp_path, capsys, builds, command,
                                      keys, flags):
         argv = [command, "--config", write_scenario(tmp_path, **keys), *flags]
@@ -374,6 +377,14 @@ class TestExitCodes:
         assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "4000.0 dB" in err
+
+    def test_far_field_message_formats_the_distance(self, tmp_path, capsys):
+        # 18000 - 17999.9 is 0.09999999999854481 in float64.
+        cfg = write_scenario(tmp_path, **snr_keys(relay_altitude_m=17999.9))
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: d_sr_m = 0.1 m is inside the far-field limit 0.3125 m\n")
 
     @pytest.mark.parametrize("command,keys,names", [
         ("altitude-sweep", altitude_keys(hap_power=1e308, relay_power=1e308,

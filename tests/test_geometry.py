@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hapsim.geometry import ScenarioLayout, min_hap_separation
+from hapsim.network import ScenarioLayout, min_hap_separation
 
 
 class TestMinHapSeparation:

@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hapsim.capacity import NetworkConfig
-from hapsim.geometry import ScenarioLayout
+from hapsim.network import NetworkConfig, ScenarioLayout
 from hapsim.scenario import (
     DEFAULTS,
     Scenario,

@@ -8,10 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from helpers import bootstrap_mean_ci
 
-from hapsim.capacity import NetworkConfig
-from hapsim.channel import db_to_linear
 from hapsim import simulator
-from hapsim.geometry import FAR_FIELD_FACTOR, ScenarioLayout
+from hapsim.network import (
+    FAR_FIELD_FACTOR,
+    NetworkConfig,
+    ScenarioLayout,
+    db_to_linear,
+)
 from hapsim.scenario import load_scenario
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
