@@ -6,7 +6,11 @@ reused at every sweep point (common random numbers).  Comparisons along a
 sweep are therefore pathwise: per-trial rates are monotone in power, curve
 argmaxes are stable, and results are independent of evaluation order or
 parallel scheduling.  Each trial takes one standard-normal fill from its
-stream, laid out in _hops() order.
+stream, laid out in _hops() order.  trial_rng defines a trial's stream;
+an ensemble seeds a whole chunk's streams at once (_fill_trials): it
+runs numpy's SeedSequence and PCG64 seeding arithmetic over the chunk's
+trial indices as uint32 arrays, then sets each trial's PCG64 state on
+one reused generator, so every row equals trial_rng's draws bit for bit.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of _CHUNK_TRIALS trials, and keeps only the resulting quadratic
@@ -29,6 +33,7 @@ on the same draws.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,6 +53,30 @@ DEFAULT_MASTER_SEED = 12345
 
 # Trials drawn and reduced together; results do not depend on this size.
 _CHUNK_TRIALS = 1024
+
+# A trial's spawn key is one 32-bit word, and the master seed at most two.
+_MAX_TRIALS = 2**32
+
+# numpy's SeedSequence constants (pool of 4 uint32 words, hashmix and mix)
+# and PCG64's 128-bit LCG multiplier; _trial_states repeats their seeding.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 2**32 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+def _trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
+    """(trials, master_seed) as ints; ValueError outside the seeded range."""
+    trials, seed = int(trials), int(master_seed)
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, 2**32], got {trials!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"master_seed must fit in 64 bits, got {seed!r}")
+    return trials, seed
 
 
 @dataclass(frozen=True)
@@ -82,12 +111,8 @@ class SweepSpec:
                 f"step {self.step!r} yields fewer than 2 points over "
                 f"[{self.start!r}, {self.stop!r}]"
             )
-        if int(self.trials) < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        seed = int(self.master_seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"master_seed must fit in 64 bits, got {seed!r}")
+        trials, seed = _trial_budget(self.trials, self.master_seed)
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", seed)
 
     @property
@@ -153,6 +178,78 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Random stream of one trial, identical at every sweep point."""
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(trial),))
     return np.random.default_rng(seq)
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's uint32 hash; each call moves its constant on by mult."""
+    const = init
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _trial_states(master_seed: int, lo: int,
+                  hi: int) -> Iterator[tuple[int, int]]:
+    """Yield PCG64 (state, inc) of trials lo..hi-1, as trial_rng seeds them.
+
+    SeedSequence(master_seed, spawn_key=(t,)) hashes the entropy words
+    [seed words zero-padded to the pool size, t] into a 4-word pool, and
+    generate_state(4, uint64) hashes the pool into the words
+    (initstate, initseq) of PCG64's seeding.  The hash constants follow a
+    fixed sequence, so every step runs once over the whole chunk as uint32
+    arrays (their products wrap mod 2**32, as in numpy's C code); only the
+    final 128-bit LCG step is Python integer arithmetic, per trial.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(np.array([master_seed >> 32 * i & _MASK32], np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    spawn = np.arange(lo, hi, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
+        pool[dst] = _mix(pool[dst], hashmix(spawn))
+
+    generate = _hasher(_INIT_B, _MULT_B)
+    half = [generate(pool[i % _POOL_SIZE]).astype(np.uint64)
+            for i in range(2 * _POOL_SIZE)]
+    # Little-endian pairs of uint32 make the four uint64 seed words; PCG64
+    # reads words 0-1 as initstate and 2-3 as initseq, high word first.
+    # A memoryview yields each word as a Python int only when it is read.
+    words = [memoryview(half[2 * k + 1] << 32 | half[2 * k])
+             for k in range(_POOL_SIZE)]
+    for s_hi, s_lo, q_hi, q_lo in zip(*words):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        yield ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
+
+
+def _fill_trials(master_seed: int, lo: int, out: np.ndarray) -> None:
+    """Fill row i of out with trial lo + i's standard normals.
+
+    Each row equals trial_rng(master_seed, lo + i).standard_normal(out=row)
+    bit for bit; the chunk is seeded by _trial_states and drawn through one
+    generator of trial_rng's kind, whose PCG64 state is set per row.
+    """
+    rng = trial_rng(master_seed, lo)
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    for row, (value, inc) in zip(out, _trial_states(master_seed, lo,
+                                                    lo + len(out))):
+        state["state"] = {"state": value, "inc": inc}
+        bit_gen.state = state
+        rng.standard_normal(out=row)
 
 
 def _aggregate(x: float, rates: np.ndarray) -> CurvePoint:
@@ -226,11 +323,8 @@ class TrialEnsemble:
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
                  include_baseline: bool = False):
-        if int(trials) < 1:
-            raise ValueError(f"trials must be >= 1, got {trials!r}")
         self.cfg = cfg
-        self.trials = int(trials)
-        self.master_seed = int(master_seed)
+        self.trials, self.master_seed = _trial_budget(trials, master_seed)
         self.has_baseline = bool(include_baseline)
         self._hops = _hops(cfg, include_baseline)
 
@@ -254,8 +348,7 @@ class TrialEnsemble:
         for lo in range(0, self.trials, _CHUNK_TRIALS):
             hi = min(lo + _CHUNK_TRIALS, self.trials)
             x = np.empty((hi - lo, width))
-            for t, row in enumerate(x, lo):
-                trial_rng(self.master_seed, t).standard_normal(out=row)
+            _fill_trials(self.master_seed, lo, x)
             for hop, (span, los, a, b, kernel), q_out, failed_out in zip(
                     self._hops, stages, self._q, self._failed):
                 z = x[:, span].reshape(hi - lo, hop.links, 2, *hop.shape)

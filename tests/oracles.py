@@ -20,6 +20,7 @@ type.
 import math
 
 import numpy as np
+from scipy.special import expn
 
 
 def trial_stream(seed, trial):
@@ -117,3 +118,13 @@ def relay_rate(m, n, c_up, c_down):
 def baseline_rate(m, n, direct, scale):
     """Every stream of the M*N direct links, each active 1/(M*N) of the time."""
     return hop_rate(direct, scale, all_streams=True) / (m * n)
+
+
+def zf_mean_log_rate(L, rho):
+    """E[ln(1 + rho q)] for q ~ Gamma(L, 1): e^{1/rho} sum_{k=1..L} E_k(1/rho).
+
+    q is a zero-forcing stream's form on an r x c i.i.d. CN(0, 1) channel,
+    L = r - c + 1 (Winters, Salz and Gitlin, IEEE Trans. Commun., 1994).
+    """
+    x = 1.0 / rho
+    return math.exp(x) * sum(expn(k, x) for k in range(1, L + 1))

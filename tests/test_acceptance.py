@@ -7,15 +7,17 @@ Monte Carlo configurations and tolerances are frozen; do not loosen them
 to make a failing run green.
 """
 
+import math
 import time
 
 import numpy as np
 import yaml
+from scipy import integrate, stats
 
 import oracles
 from helpers import bootstrap_mean_ci, kernel_inputs, well_conditioned
 
-from hapsim import kernels
+from hapsim import kernels, simulator
 from hapsim.cli import main
 from hapsim.network import NetworkConfig, ScenarioLayout, db_to_linear
 from hapsim.simulator import (
@@ -121,6 +123,86 @@ def test_network_capacity_matches_transliteration_oracle(capsys):
         _report("trial ensemble matches a one-shot transliteration oracle "
                 f"(1e-9, 100 instances x {trials} trials)", ok,
                 f"worst rel err {worst:.2e}")
+
+
+def _rayleigh_ensemble(m: int, n: int, a: int, relay: int,
+                       all_streams: bool) -> TrialEnsemble:
+    """Pure-Rayleigh links (kappa -400 dB) with the SNR set after path loss."""
+    cfg = NetworkConfig(
+        num_haps=m, num_gs=n, antennas_per_node=a, relay_antennas=relay,
+        layout=ScenarioLayout(18000.0, 9000.0), kappa_up_db=-400.0,
+        kappa_down_db=-400.0, snr_reference="post_path_loss",
+        all_streams=all_streams)
+    return TrialEnsemble(cfg, 20000, 7)
+
+
+def _z_score(bits: np.ndarray, nats: float) -> float:
+    """Monte Carlo mean of per-trial bits against a closed form in nats."""
+    se = bits.std(ddof=1) / math.sqrt(bits.size)
+    return float((bits.mean() - nats / math.log(2.0)) / se)
+
+
+def test_rayleigh_zf_rates_match_closed_form(capsys):
+    # Each stream's zero-forcing form on an r x c Rayleigh uplink is
+    # Gamma(r - c + 1, 1), so its mean rate has a closed form.  Bounds fixed
+    # before the first run: |z| <= 4 at every SNR, seed 7, 20000 trials.
+    t0 = time.perf_counter()
+    rhos = [db_to_linear(x) for x in (0.0, 10.0, 20.0, 30.0)]
+    quad_err = 0.0
+    for big_l in (1, 3):
+        for rho in rhos:
+            def density(q):
+                return (math.log1p(rho * q) * q ** (big_l - 1) * math.exp(-q)
+                        / math.gamma(big_l))
+            ref = integrate.quad(density, 0.0, math.inf, epsabs=0.0,
+                                 epsrel=1e-12, limit=200)[0]
+            got = oracles.zf_mean_log_rate(big_l, rho)
+            quad_err = max(quad_err, abs(got - ref) / ref)
+    zs = {}
+
+    # Square 4 x 4 uplinks (L = 1) through the min-cut: the downlink is
+    # 1e12 stronger, so the min picks the uplink, and the rate is the
+    # prefactor times the sum over M single-stream links.
+    ens = _rayleigh_ensemble(3, 3, 4, 4, all_streams=False)
+    cfg = ens.cfg
+    lay = cfg.layout
+    for rho in rhos:
+        rates = ens.relay_rates(rho, 1e12 * rho, lay.d_sr_m, lay.d_rd_m)
+        zs.setdefault("L=1", []).append(
+            _z_score(rates / (cfg.dof_prefactor * cfg.num_haps),
+                     oracles.zf_mean_log_rate(1, rho)))
+
+    # Tall 4 x 2 uplinks, every stream (L = 3).  Their 2 x 4 downlinks are
+    # wide and always singular, so the uplink hop's rate is read directly.
+    ens = _rayleigh_ensemble(2, 2, 2, 4, all_streams=True)
+    cfg = ens.cfg
+    assert not ens._failed[simulator._UP].any()
+    streams = cfg.num_haps * cfg.antennas_per_node
+    for rho in rhos:
+        rates = ens._hop_rate(simulator._UP, rho, cfg.layout.d_sr_m)
+        zs.setdefault("L=3", []).append(
+            _z_score(rates / streams, oracles.zf_mean_log_rate(3, rho)))
+
+    ok = quad_err < 1e-9 and all(abs(z) <= 4.0 for z in sum(zs.values(), []))
+    with capsys.disabled():
+        _report("Rayleigh zero-forcing hop rates match e^(1/rho) sum E_k(1/rho) "
+                "at 0-30 dB (|z| <= 4, 20000 trials)", ok,
+                f"closed form vs quadrature {quad_err:.1e}; "
+                + "; ".join(f"{k} z " + ", ".join(f"{z:+.2f}" for z in v)
+                          for k, v in zs.items())
+                + f", {time.perf_counter() - t0:.1f} s")
+
+
+def test_square_rayleigh_forms_are_exponential(capsys):
+    # Fixed before the first run: seed 7, 20000 trials, KS p >= 1e-3.
+    ens = _rayleigh_ensemble(3, 3, 4, 4, all_streams=False)
+    q = ens._q[simulator._UP].ravel()
+    p = stats.kstest(q, "expon").pvalue
+    ok = p >= 1e-3
+    with capsys.disabled():
+        _report("square Rayleigh links' zero-forcing forms are Exp(1) "
+                "(KS p >= 1e-3)", ok,
+                f"p = {p:.3f} over {q.size} forms")
 
 
 def test_symmetric_network_optimum_at_midpoint(capsys):

@@ -366,6 +366,14 @@ class TestExitCodes:
         assert main(["snr-sweep", "--config", cfg, "--out", str(out),
                      "--trials", "0"]) == 2
 
+    def test_trials_beyond_one_spawn_word_exit_2(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, **snr_keys())
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", cfg, "--out", str(out),
+                     "--trials", str(2**32 + 1)]) == 2
+        assert not out.exists()
+        assert "trials must be in [1, 2**32]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("keys", [
         dict(kappa_up_db=4000.0),
         dict(sweep_stop=4000.0, sweep_step=1000.0),

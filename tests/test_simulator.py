@@ -64,6 +64,7 @@ class TestSweepSpec:
         (dict(step=100.0), "fewer than 2 points"),
         (dict(trials=0), "trials"),
         (dict(master_seed=-1), "master_seed"),
+        (dict(trials=2**32 + 1), "trials"),
     ])
     def test_validation(self, kwargs, msg):
         base = dict(variable=SNR_DB, start=0.0, stop=30.0, step=2.5)
@@ -87,6 +88,63 @@ class TestTrialRng:
         a = trial_rng(123, 0).standard_normal(5)
         b = trial_rng(124, 0).standard_normal(5)
         assert not np.array_equal(a, b)
+
+
+class TestChunkSeeding:
+    """An ensemble seeds each chunk's streams in one pass; every row must
+    equal trial_rng's fill bit for bit."""
+
+    ROWS = 64
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**32 - ROWS))
+    @example(seed=0, lo=0)
+    @example(seed=2**32 - 1, lo=992)         # trials 1023 and 1024
+    @example(seed=2**32, lo=2**32 - ROWS)    # the last trial, 2**32 - 1
+    @example(seed=2**64 - 1, lo=992)
+    @example(seed=2**64 - 1, lo=2**32 - ROWS)
+    def test_rows_equal_trial_rng(self, seed, lo):
+        got = np.empty((self.ROWS, 13))
+        simulator._fill_trials(seed, lo, got)
+        want = np.empty_like(got)
+        for t, row in enumerate(want, lo):
+            trial_rng(seed, t).standard_normal(out=row)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    def test_at_most_one_seed_sequence_per_chunk(self, monkeypatch):
+        made = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        trial_rng(5, 0)
+        assert len(made) == 1
+        made.clear()
+        trials = 2048
+        TrialEnsemble(make_cfg(), trials, 5)
+        assert len(made) <= -(-trials // simulator._CHUNK_TRIALS)
+
+    @pytest.mark.parametrize("trials,seed,msg", [
+        (0, 5, "trials"),
+        (2**32 + 1, 5, "trials"),
+        (1, -1, "master_seed"),
+        (1, 2**64, "master_seed"),
+    ])
+    def test_budget_rejected_before_any_draw(self, monkeypatch, trials,
+                                             seed, msg):
+        def draw(*args):
+            raise AssertionError("drew trials")
+
+        monkeypatch.setattr(simulator, "_fill_trials", draw)
+        with pytest.raises(ValueError, match=msg):
+            TrialEnsemble(make_cfg(), trials, seed)
+
+    def test_largest_trial_count_accepted(self):
+        assert SweepSpec(SNR_DB, 0.0, 30.0, 2.5, trials=2**32).trials == 2**32
 
 
 class TestHarnessTransparency:
