@@ -6,7 +6,7 @@ import argparse
 import math
 import sys
 
-from .network import dof, min_hap_separation
+from .network import dof, min_hap_separation, wide_hop
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     RELAY_ALTITUDE_M,
@@ -90,7 +90,7 @@ def _cmd_geometry(scenario: Scenario) -> int:
         f"relay_antennas={net.relay_antennas}",
         f"relay_antennas_ok={_verdict(net.relay_antennas >= net.required_relay_antennas)}",
         f"dof_total={_fmt(dof(net.num_haps, net.num_gs, net.antennas_per_node))}",
-        f"zero_forcing_feasible={_verdict(net.antennas_per_node == net.relay_antennas)}",
+        f"zero_forcing_feasible={_verdict(wide_hop(net) is None)}",
         f"far_field_ok={_verdict(min(lay.d_sr_m, lay.d_rd_m) > net.far_field_m)}",
     ]
     print("\n".join(lines))
@@ -203,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "geometry":
             return _cmd_geometry(scenario)
+        if hop := wide_hop(scenario.network):  # before any draw
+            raise ValueError(f"zero forcing is infeasible: every {hop} matrix is "
+                             "wider than tall; set relay_antennas = antennas_per_node")
         if args.command == "snr-sweep":
             return _cmd_snr_sweep(scenario, args.out)
         if args.command == "altitude-sweep":

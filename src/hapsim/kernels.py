@@ -3,35 +3,33 @@
 Both sweep kernels take a stack of line-of-sight matrices ``los`` with shape
 (L, r, c), per-trial scattering draws ``nlos`` with shape (T, L, r, c), and
 per-link Rician mixing weights ``a``, ``b`` of shape (L,).  For each trial t
-and link l they form H = a[l]*los[l] + b[l]*nlos[t, l], the Gram matrix
-G = H^H H and one batched inverse of it, and read every stream's form off
-the diagonal:
+and link l they form H = a[l]*los[l] + b[l]*nlos[t, l] and G = H^H H, and
+read every stream's form q_k = 1 / [G^{-1}]_kk = h_k^H (I - P_k) h_k, where
+P_k projects onto the other columns: column 0 (first_stream_quadforms) or
+every column (all_stream_quadforms).  scale * q_k is stream k's zero-forcing
+SNR, so path gains and power scale q from the outside and one kernel pass
+serves a whole sweep.  simulator.TrialEnsemble is the only caller.
 
-    q_k = 1 / [G^{-1}]_kk = h_k^H (I - P_k) h_k,
-
-where P_k projects onto the other columns.  first_stream_quadforms returns
-column 0 of that computation and all_stream_quadforms every column.  With
-stream k's SNR equal to scale * q_k this is the zero-forcing SNR
-scale / [(H^H H)^{-1}]_kk.  Path gains and transmit power scale q from the
-outside, so one kernel pass serves every point of a sweep.  Nothing else in
-hapsim computes a ZF SNR: simulator.TrialEnsemble is the only caller, and
-the tests check both against independent oracles.
+Each G is factored G = L L^H (Cholesky) and L inverted by forward
+substitution as whole-array numpy operations over blocks of _BLOCK_ENTRIES
+complex entries copied batch-last, (c, c, n): no LAPACK call per matrix.
+[G^{-1}]_kk is the k-th column sum of |L^{-1}|^2.  A pivot that is not
+positive is replaced by one, so the factorization never raises.  Each step
+runs along the batch axis or sums a matrix axis in index order, so a
+matrix's bits do not depend on the rest of its block; a one-matrix block,
+which would drop that axis and switch numpy to loops that round otherwise
+(a scalar complex multiply, a pairwise sum), is factored as two copies.
 
 A matrix is singular when cond(G), taken from the eigenvalues of G, reaches
-CONDITION_LIMIT; is_singular is the only place that decision is made, and a
-sweep counts such a trial as failed.  The eigenvalues are needed only for
-matrices the inverse cannot clear.  With X the computed inverse and
-R = I - X G, ||R||_F <= 1/2 makes G invertible with ||G^{-1}|| <= 2 ||X||_F,
-so cond(G) <= 2 tr(G) ||X||_F.  A matrix is cleared, not singular, when
-that bound is below _SCREEN_LIMIT, the residual is that small and every
-diagonal entry of X is positive.  The residual test is what makes the bound
-hold: on an exactly rank-deficient G the LU inverse returns no error but a
-garbage X, whose diagonal can be negative (making tr(G) tr(X) negative) or
-positive with a small trace bound, and only X G far from I exposes it.
-The other matrices go through gram_condition's eigenvalue test.  When the
-batched inverse raises LinAlgError (an exactly zero pivot), every matrix of
-the call goes through that test, and the flagged ones are replaced by the
-identity before inverting again.  Flagged matrices get q = 0.
+CONDITION_LIMIT; is_singular alone makes that decision, and a sweep counts
+such a trial as failed.  Eigenvalues are computed only where the factor
+does not clear G: cond(G) <= tr(G) ||L^{-1}||_F^2, and a completed Cholesky
+is backward stable, L L^H = G + E with ||E||_2 <= gamma_{c+1} tr(G + E)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3),
+so G is regular when every pivot is positive and that bound is below
+_SCREEN_LIMIT.  Conversely every G the eigenvalue test passes meets
+Demmel's condition for Cholesky to complete, c(c+1) u cond(G) < 1 (Higham,
+section 10.1), for c up to about 90.  Flagged matrices get q = 0.
 """
 
 from __future__ import annotations
@@ -40,10 +38,11 @@ import numpy as np
 
 # Gram-matrix condition number at or above this is treated as singular.
 CONDITION_LIMIT = 1e12
-# A condition bound below this clears a matrix without its eigenvalues.  The
-# factor of ten to CONDITION_LIMIT absorbs the rounding of the bound and of
-# the eigenvalue test, both relative errors of about cond(G) * eps.
+# A condition bound below this clears a matrix without its eigenvalues; the
+# factor of ten absorbs the bound's and the test's errors, about cond(G) eps.
 _SCREEN_LIMIT = 1e11
+# Complex entries (1 MiB) per factoring block, whose temporaries stay in cache.
+_BLOCK_ENTRIES = 2**16
 
 
 def _check_inputs(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
@@ -85,19 +84,25 @@ def is_singular(cond: np.ndarray) -> np.ndarray:
     return ~(np.asarray(cond) < CONDITION_LIMIT)
 
 
-def _screened_gate(gram: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """is_singular(cond(gram)), with eigenvalues only where inv cannot clear."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        resid = np.matmul(inv, gram)
-        resid -= np.eye(gram.shape[-1])
-        bound = (2.0 * np.trace(gram, axis1=-2, axis2=-1).real
-                 * np.linalg.norm(inv, axis=(-2, -1)))
-        cleared = (np.linalg.norm(resid, axis=(-2, -1)) <= 0.5) & (
-            bound < _SCREEN_LIMIT)
-    cleared &= (np.diagonal(inv, axis1=-2, axis2=-1).real > 0.0).all(axis=-1)
-    singular = np.zeros(cleared.shape, dtype=bool)
-    singular[~cleared] = is_singular(_condition(gram[~cleared]))
-    return singular
+def _block_inverse_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[G^{-1}]_kk (n, c) of a (n, c, c) block and where the screen clears G."""
+    n, c = gram.shape[:2]
+    g = (gram if n > 1 else gram[[0, 0]]).transpose(1, 2, 0).copy()
+    trace = sum(g[j, j].real for j in range(c))
+    cleared = np.ones(g.shape[-1], dtype=bool)
+    for j in range(c):  # column j of L overwrites column j of G
+        g[j:, j] -= (g[j:, :j] * g[j, :j].conj()).sum(axis=1)
+        pivot = g[j, j].real
+        cleared &= pivot > 0.0
+        g[j, j] = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
+        g[j + 1:, j] /= g[j, j].real
+    inv = np.zeros_like(g)
+    for i in range(c):
+        inv[i, i] = 1.0 / g[i, i].real
+        inv[i, :i] = (g[i, :i, None] * inv[:i, :i]).sum(axis=0) * -inv[i, i].real
+    inv_diag = (inv.real ** 2 + inv.imag ** 2).sum(axis=0)
+    cleared &= trace * inv_diag.sum(axis=0) < _SCREEN_LIMIT
+    return inv_diag.T[:n], cleared[:n]
 
 
 def _quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
@@ -105,18 +110,17 @@ def _quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
     """q (T, L, c), zero where singular, and the singular flags (T, L)."""
     los, nlos, a, b = _check_inputs(los, nlos, a, b)
     gram = _gram(a[:, None, None] * los + b[:, None, None] * nlos)
-    try:
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        singular = is_singular(_condition(gram))
-        gram[singular] = np.eye(gram.shape[-1])
-        inv = np.linalg.inv(gram)
-    else:
-        singular = _screened_gate(gram, inv)
-    inv_diag = np.diagonal(inv, axis1=-2, axis2=-1).real
-    q = np.divide(1.0, inv_diag, out=np.zeros(inv_diag.shape),
-                  where=~singular[..., None])
-    return q, singular
+    flat = gram.reshape(-1, *gram.shape[-2:])
+    inv_diag, cleared = np.empty(flat.shape[:2]), np.empty(len(flat), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // flat.shape[-1] ** 2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, len(flat), step):
+            inv_diag[lo:lo + step], cleared[lo:lo + step] = (
+                _block_inverse_diagonal(flat[lo:lo + step]))
+        singular = ~cleared
+        singular[singular] = is_singular(_condition(flat[singular]))
+        q = np.where(singular[:, None], 0.0, 1.0 / inv_diag)
+    return q.reshape(gram.shape[:-1]), singular.reshape(gram.shape[:-2])
 
 
 def first_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,

@@ -13,10 +13,11 @@ the two-hop network,
 where C1 sums one zero-forced stream per platform on the uplink and C2 does
 the same per ground station on the downlink; simulator.TrialEnsemble
 evaluates it per trial over the kernels' quadratic forms.  The config also
-owns the far-field rule: far_field_m is the shortest admissible link and
-check_far_field() is the one test of a distance against it.  dof() returns
-the high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna
-count and is deliberately a separate quantity from the capacity prefactor.
+owns the far-field rule (far_field_m, the shortest admissible link, and
+check_far_field(), the one test of a distance against it) and wide_hop(),
+the one test that zero forcing can serve both hops.  dof() returns the
+high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna count
+and is deliberately a separate quantity from the capacity prefactor.
 
 Every link mixes a deterministic line-of-sight matrix with an i.i.d.
 Rayleigh scattering matrix,
@@ -269,6 +270,13 @@ def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
     if not distance_m > cfg.far_field_m:
         raise ValueError(f"{name} = {distance_m:g} m is inside "
                          f"the far-field limit {cfg.far_field_m:g} m")
+
+
+def wide_hop(cfg: NetworkConfig) -> str | None:
+    """'uplink (r x c)' or 'downlink (r x c)' when that hop's matrices have
+    fewer rows than columns, so zero forcing fails on every trial; else None."""
+    a, r = cfg.antennas_per_node, cfg.relay_antennas
+    return None if r == a else f"uplink ({r} x {a})" if r < a else f"downlink ({a} x {r})"
 
 
 def dof(num_tx: int, num_rx: int, antennas: int) -> float:

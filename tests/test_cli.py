@@ -272,6 +272,30 @@ class TestOneEnsemblePerCommand:
         assert builds == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,keys,hop", [
+        ("snr-sweep", snr_keys(num_haps=2, num_gs=2), "uplink (1 x 4)"),
+        ("altitude-sweep", altitude_keys(antennas_per_node=3),
+         "downlink (3 x 4)"),
+        ("optimal-altitude", altitude_keys(antennas_per_node=3),
+         "downlink (3 x 4)"),
+    ])
+    def test_infeasible_zero_forcing_draws_nothing(self, tmp_path, capsys,
+                                                   builds, command, keys, hop):
+        # relay_antennas != antennas_per_node makes one hop wide, so every
+        # trial would be singular: an input error, not exit 3.
+        cfg = write_scenario(tmp_path, **keys)
+        assert main(["geometry", "--config", cfg]) == 0
+        assert "zero_forcing_feasible=no" in capsys.readouterr().out
+        argv = [command, "--config", cfg]
+        out = tmp_path / "curve.csv"
+        if command != "optimal-altitude":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero forcing is infeasible") and hop in err
+        assert builds == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flags", [
         ("altitude-sweep", ["--cross-check"]),
         ("optimal-altitude", []),

@@ -1,10 +1,12 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import kernel_inputs, random_complex
+from helpers import kernel_inputs, random_complex, random_unitary, well_conditioned
 
 from hapsim import kernels
 from hapsim.kernels import (
@@ -172,7 +174,7 @@ def mixed_chunks(draw):
 
 
 class TestScreenedGate:
-    """The kernels skip eigenvalues where the computed inverse clears G."""
+    """The kernels skip eigenvalues where the Cholesky factor clears G."""
 
     @settings(max_examples=300, deadline=None)
     @given(mixed_chunks())
@@ -186,8 +188,8 @@ class TestScreenedGate:
         np.testing.assert_array_equal(q0, q[..., 0])
 
     def test_duplicate_column_inside_regular_chunk(self):
-        # Exactly rank-deficient: LU need not raise, and the inverse it
-        # returns instead can have a negative or zero diagonal.
+        # Exactly rank-deficient: a pivot rounds to a tiny value of either
+        # sign, and the matrix goes to the eigenvalue test.
         rng = np.random.default_rng(33)
         hs = np.stack([random_complex(rng, 4, 3) for _ in range(6)])
         hs[2, :, 2] = hs[2, :, 1]
@@ -197,22 +199,34 @@ class TestScreenedGate:
                                            False]
         assert (q[2] == 0.0).all()
 
-    @pytest.mark.parametrize("garbage_diag", [
-        [0.25, -1.6e-16, 0.0],   # negative trace bound
-        [1.5, 6.8, 8.6],         # positive diagonal, small trace bound
-    ])
+    @pytest.mark.parametrize("garbage_diag", [[1.0, 1.0], [3.0, 3.0]])
     def test_garbage_inverse_of_singular_gram_is_not_cleared(
             self, garbage_diag):
-        # Stand-ins for what LU returns on an exactly singular G: a
-        # positivity or trace test alone would clear the second one.
-        h = random_complex(np.random.default_rng(36), 4, 2)
-        h = np.hstack([h, h[:, 1:]])
-        gram = h.conj().T @ h
-        garbage = np.diag(np.asarray(garbage_diag, dtype=complex))
-        singular = kernels._screened_gate(gram[None], garbage[None])
-        assert singular.tolist() == [True]
+        # Two equal columns of squared norm g give the exactly singular
+        # G = g [[1, 1], [1, 1]] with diagonal garbage_diag.  Its second
+        # Cholesky pivot in float64, g - (g / sqrt(g))**2, is exactly zero
+        # at g = 1 and -4.4e-16 at g = 3.  With that pivot replaced by one,
+        # the garbage inverse factor is [[1/sqrt(g), 0], [-1, 1]], and its
+        # trace bound 2 + 4g would clear G: only the pivot test catches it,
+        # alone or beside a regular G.
+        g = garbage_diag[0]
+        assert g - (g / math.sqrt(g)) ** 2 <= 0.0
+        assert 2.0 + 4.0 * g < kernels._SCREEN_LIMIT
+        col = (np.arange(3) < g).astype(complex)
+        h = np.stack([col, col], axis=1)
+        assert np.diagonal(h.conj().T @ h).real.tolist() == garbage_diag
+        regular = well_conditioned(np.random.default_rng(36), 3, 2)
+        for hs, flags in (([h], [True]), ([regular, h], [False, True])):
+            q, singular = all_stream_quadforms(*kernel_inputs(hs))
+            assert singular[:, 0].tolist() == flags
+            assert (q[-1] == 0.0).all()
+            q0, singular0 = first_stream_quadforms(*kernel_inputs(hs))
+            assert singular0[:, 0].tolist() == flags
+            assert q0[-1, 0] == 0.0
 
     def test_zero_column_falls_back_for_the_whole_chunk(self):
+        # An exactly zero pivot, on which LAPACK's LU inverse raises; the
+        # Cholesky factor passes the matrix to the eigenvalue test alone.
         rng = np.random.default_rng(35)
         hs = np.stack([random_complex(rng, 5, 3) for _ in range(6)])
         hs[3, :, 1] = 0.0
@@ -227,6 +241,34 @@ class TestScreenedGate:
             for k in range(3):
                 assert q[t, 0, k] == pytest.approx(
                     oracles.zf_snr(hs[t], k, 1.0), rel=1e-9)
+
+
+class TestBatchSplits:
+    """A matrix's q and flag are the same bits in any batch, alone included."""
+
+    @pytest.mark.parametrize("extra_rows", [0, 2], ids=["square", "tall"])
+    @pytest.mark.parametrize("cols", range(1, 10))
+    def test_slices_equal_the_whole_batch(self, cols, extra_rows):
+        # Five matrices past one factoring block, so the whole call takes two
+        # blocks; slices are taken from the start and across that boundary.
+        # Every fifth matrix repeats a column and is singular.
+        per_block = max(1, kernels._BLOCK_ENTRIES // cols**2)
+        n = per_block + 5
+        rng = np.random.default_rng(10 * cols + extra_rows)
+        hs = random_complex(rng, n * (cols + extra_rows), cols).reshape(
+            n, cols + extra_rows, cols)
+        if cols > 1:
+            hs[::5, :, -1] = hs[::5, :, 0]
+        q, singular = all_stream_quadforms(*kernel_inputs(hs))
+        assert singular[::5].all() == (cols > 1) and not singular[1::5].any()
+        for size in (1, 2, 3, 7, 64):
+            for start, stop in ((0, 70), (per_block - 35, n)):
+                for lo in range(start, stop, size):
+                    hi = min(lo + size, stop)
+                    q_s, singular_s = all_stream_quadforms(
+                        *kernel_inputs(hs[lo:hi]))
+                    assert q_s.tobytes() == q[lo:hi].tobytes(), (size, lo)
+                    assert singular_s.tobytes() == singular[lo:hi].tobytes()
 
 
 def mp_quadforms(h):
@@ -251,3 +293,129 @@ class TestIllConditionedAccuracy:
         ref = np.array([mp_quadforms(h) for h in hs])
         err = np.abs(q[:, 0] - ref) / ref
         assert (err <= cond[:, None] * 2.2e-16).all()
+
+
+def quadforms(hs) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's q and the singular flag of each matrix in hs."""
+    q, singular = all_stream_quadforms(*kernel_inputs(hs))
+    return q[:, 0], singular[:, 0]
+
+
+class TestFormIsProjectionResidual:
+    """q_0 = ||(I - P) h_0||^2, with P the projection onto the other columns.
+
+    Each matrix goes in as a trial of its own (helpers.kernel_inputs), so
+    the kernel's H is exactly that matrix.
+    """
+
+    def test_basis_column(self):
+        # The other column is e_1: zero forcing removes the first entry only.
+        h = np.array([[2.0, 1.0], [3.0, 0.0], [4.0j, 0.0]], dtype=complex)
+        q, singular = quadforms([h])
+        assert not singular.any()
+        assert q[0, 0] == pytest.approx(9.0 + 16.0, rel=1e-15)
+
+    def test_matches_pseudo_inverse_oracle(self):
+        rng = np.random.default_rng(31)
+        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(50)])
+        q, _ = quadforms(hs)
+        for h, got in zip(hs, q[:, 0]):
+            rest = h[:, 1:]
+            resid = h[:, 0] - rest @ (np.linalg.pinv(rest) @ h[:, 0])
+            assert math.isclose(got, np.vdot(resid, resid).real, rel_tol=1e-9)
+
+    def test_rank_deficient_raises_with_condition(self):
+        col = random_complex(np.random.default_rng(33), 4, 1)
+        h_tilde = np.hstack([col, col])
+        cond = gram_condition(h_tilde)
+        assert cond >= CONDITION_LIMIT
+        assert is_singular(cond)
+        other = random_complex(np.random.default_rng(34), 4, 1)
+        _, singular = first_stream_quadforms(
+            *kernel_inputs([np.hstack([other, h_tilde])]))
+        assert singular.all()
+
+
+class TestScaledFormIsZfSnr:
+    """scale * q_k equals the zero-forcing SNR scale / [(H^H H)^{-1}]_kk."""
+
+    def test_identity_channel(self):
+        q, singular = first_stream_quadforms(*kernel_inputs([np.eye(2)]))
+        assert not singular.any()
+        assert q[0, 0] == 1.0
+
+    def test_orthogonal_columns(self):
+        c = 3.5
+        h = np.zeros((4, 2), dtype=complex)
+        h[0, 0] = c
+        h[1, 1] = c
+        q, singular = quadforms([h])
+        assert not singular.any()
+        for k in range(2):
+            assert 2.0 * q[0, k] == pytest.approx(2.0 * c * c, rel=1e-12)
+
+    def test_matches_full_inverse_oracle(self):
+        rng = np.random.default_rng(34)
+        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(200)])
+        q, singular = quadforms(hs)
+        assert not singular.any()
+        for h, row in zip(hs, q):
+            for k in range(3):
+                assert math.isclose(1.7 * row[k], oracles.zf_snr(h, k, 1.7),
+                                    rel_tol=1e-9)
+
+    def test_linear_in_scale(self):
+        # The ensemble applies power as an amplitude factor on H: scaling H
+        # by sqrt(2) must double every stream's SNR.
+        rng = np.random.default_rng(35)
+        h = well_conditioned(rng, 5, 3)
+        q, _ = quadforms([h, math.sqrt(2.0) * h])
+        np.testing.assert_allclose(q[1], 2.0 * q[0], rtol=1e-12)
+
+    def test_unitary_invariance(self):
+        rng = np.random.default_rng(36)
+        hs, rotated = [], []
+        for _ in range(25):
+            h = well_conditioned(rng, 5, 3)
+            hs.append(h)
+            rotated.append(random_unitary(rng, 5) @ h)
+        q, _ = quadforms(hs)
+        q_rot, _ = quadforms(rotated)
+        np.testing.assert_allclose(q_rot, q, rtol=1e-9)
+
+    def test_nearly_collinear_raises(self):
+        col = random_complex(np.random.default_rng(37), 6, 1)
+        h = np.hstack([col, col * (1.0 + 1e-9)])
+        q, singular = first_stream_quadforms(*kernel_inputs([h]))
+        assert singular.all()
+        assert q[0, 0] == 0.0
+
+
+class TestEveryColumnForm:
+    """all_stream_quadforms gives each column its own form."""
+
+    def test_identity_channel(self):
+        q, singular = quadforms([np.eye(3)])
+        assert not singular.any()
+        assert (2.0 * q[0]).tolist() == [2.0, 2.0, 2.0]
+
+    def test_rank_one_raises(self):
+        a = np.exp(1j * np.linspace(0.0, 2.0, 4))
+        b = np.exp(1j * np.linspace(0.0, 1.0, 3))
+        _, singular = quadforms([np.outer(a, b)])
+        assert singular.all()
+
+    def test_matches_inverse_diagonal(self):
+        rng = np.random.default_rng(38)
+        hs = np.stack([well_conditioned(rng, 5, 3) for _ in range(50)])
+        q, _ = quadforms(hs)
+        for h, row in zip(hs, q):
+            for k in range(3):
+                assert math.isclose(0.8 * row[k], oracles.zf_snr(h, k, 0.8),
+                                    rel_tol=1e-9)
+
+    def test_single_column(self):
+        h = np.array([[3.0], [4.0]], dtype=complex)
+        q, _ = quadforms([h])
+        assert q.shape == (1, 1)
+        assert q[0, 0] == pytest.approx(25.0, rel=1e-12)

@@ -412,6 +412,15 @@ class TestChunking:
             chunked = TrialEnsemble(cfg, trials, seed, include_baseline=True)
         assert self.stored(chunked) == self.stored(whole)
 
+    def test_one_matrix_chunk_matches_the_whole(self, monkeypatch):
+        # One 9 x 9 link per hop and trials = 2 * chunk + 1, so the last
+        # chunk hands each kernel call a single matrix.
+        cfg = make_cfg(num_haps=1, num_gs=1, antennas_per_node=9,
+                       relay_antennas=9, all_streams=True)
+        whole = TrialEnsemble(cfg, 129, 3)
+        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 64)
+        assert self.stored(TrialEnsemble(cfg, 129, 3)) == self.stored(whole)
+
     def test_example_has_singular_and_regular_trials(self):
         ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
                             include_baseline=True)
