@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import kernel_inputs, random_complex, random_unitary, well_conditioned
+from helpers import kernel_inputs, random_complex, well_conditioned
 
 from hapsim import kernels
 from hapsim.kernels import (
@@ -293,129 +293,3 @@ class TestIllConditionedAccuracy:
         ref = np.array([mp_quadforms(h) for h in hs])
         err = np.abs(q[:, 0] - ref) / ref
         assert (err <= cond[:, None] * 2.2e-16).all()
-
-
-def quadforms(hs) -> tuple[np.ndarray, np.ndarray]:
-    """Every column's q and the singular flag of each matrix in hs."""
-    q, singular = all_stream_quadforms(*kernel_inputs(hs))
-    return q[:, 0], singular[:, 0]
-
-
-class TestFormIsProjectionResidual:
-    """q_0 = ||(I - P) h_0||^2, with P the projection onto the other columns.
-
-    Each matrix goes in as a trial of its own (helpers.kernel_inputs), so
-    the kernel's H is exactly that matrix.
-    """
-
-    def test_basis_column(self):
-        # The other column is e_1: zero forcing removes the first entry only.
-        h = np.array([[2.0, 1.0], [3.0, 0.0], [4.0j, 0.0]], dtype=complex)
-        q, singular = quadforms([h])
-        assert not singular.any()
-        assert q[0, 0] == pytest.approx(9.0 + 16.0, rel=1e-15)
-
-    def test_matches_pseudo_inverse_oracle(self):
-        rng = np.random.default_rng(31)
-        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(50)])
-        q, _ = quadforms(hs)
-        for h, got in zip(hs, q[:, 0]):
-            rest = h[:, 1:]
-            resid = h[:, 0] - rest @ (np.linalg.pinv(rest) @ h[:, 0])
-            assert math.isclose(got, np.vdot(resid, resid).real, rel_tol=1e-9)
-
-    def test_rank_deficient_raises_with_condition(self):
-        col = random_complex(np.random.default_rng(33), 4, 1)
-        h_tilde = np.hstack([col, col])
-        cond = gram_condition(h_tilde)
-        assert cond >= CONDITION_LIMIT
-        assert is_singular(cond)
-        other = random_complex(np.random.default_rng(34), 4, 1)
-        _, singular = first_stream_quadforms(
-            *kernel_inputs([np.hstack([other, h_tilde])]))
-        assert singular.all()
-
-
-class TestScaledFormIsZfSnr:
-    """scale * q_k equals the zero-forcing SNR scale / [(H^H H)^{-1}]_kk."""
-
-    def test_identity_channel(self):
-        q, singular = first_stream_quadforms(*kernel_inputs([np.eye(2)]))
-        assert not singular.any()
-        assert q[0, 0] == 1.0
-
-    def test_orthogonal_columns(self):
-        c = 3.5
-        h = np.zeros((4, 2), dtype=complex)
-        h[0, 0] = c
-        h[1, 1] = c
-        q, singular = quadforms([h])
-        assert not singular.any()
-        for k in range(2):
-            assert 2.0 * q[0, k] == pytest.approx(2.0 * c * c, rel=1e-12)
-
-    def test_matches_full_inverse_oracle(self):
-        rng = np.random.default_rng(34)
-        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(200)])
-        q, singular = quadforms(hs)
-        assert not singular.any()
-        for h, row in zip(hs, q):
-            for k in range(3):
-                assert math.isclose(1.7 * row[k], oracles.zf_snr(h, k, 1.7),
-                                    rel_tol=1e-9)
-
-    def test_linear_in_scale(self):
-        # The ensemble applies power as an amplitude factor on H: scaling H
-        # by sqrt(2) must double every stream's SNR.
-        rng = np.random.default_rng(35)
-        h = well_conditioned(rng, 5, 3)
-        q, _ = quadforms([h, math.sqrt(2.0) * h])
-        np.testing.assert_allclose(q[1], 2.0 * q[0], rtol=1e-12)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(36)
-        hs, rotated = [], []
-        for _ in range(25):
-            h = well_conditioned(rng, 5, 3)
-            hs.append(h)
-            rotated.append(random_unitary(rng, 5) @ h)
-        q, _ = quadforms(hs)
-        q_rot, _ = quadforms(rotated)
-        np.testing.assert_allclose(q_rot, q, rtol=1e-9)
-
-    def test_nearly_collinear_raises(self):
-        col = random_complex(np.random.default_rng(37), 6, 1)
-        h = np.hstack([col, col * (1.0 + 1e-9)])
-        q, singular = first_stream_quadforms(*kernel_inputs([h]))
-        assert singular.all()
-        assert q[0, 0] == 0.0
-
-
-class TestEveryColumnForm:
-    """all_stream_quadforms gives each column its own form."""
-
-    def test_identity_channel(self):
-        q, singular = quadforms([np.eye(3)])
-        assert not singular.any()
-        assert (2.0 * q[0]).tolist() == [2.0, 2.0, 2.0]
-
-    def test_rank_one_raises(self):
-        a = np.exp(1j * np.linspace(0.0, 2.0, 4))
-        b = np.exp(1j * np.linspace(0.0, 1.0, 3))
-        _, singular = quadforms([np.outer(a, b)])
-        assert singular.all()
-
-    def test_matches_inverse_diagonal(self):
-        rng = np.random.default_rng(38)
-        hs = np.stack([well_conditioned(rng, 5, 3) for _ in range(50)])
-        q, _ = quadforms(hs)
-        for h, row in zip(hs, q):
-            for k in range(3):
-                assert math.isclose(0.8 * row[k], oracles.zf_snr(h, k, 0.8),
-                                    rel_tol=1e-9)
-
-    def test_single_column(self):
-        h = np.array([[3.0], [4.0]], dtype=complex)
-        q, _ = quadforms([h])
-        assert q.shape == (1, 1)
-        assert q[0, 0] == pytest.approx(25.0, rel=1e-12)
