@@ -11,14 +11,14 @@ SNR, so path gains and power scale q from the outside and one kernel pass
 serves a whole sweep.  simulator.TrialEnsemble is the only caller.
 
 Each G is factored G = L L^H (Cholesky) and L inverted by forward
-substitution as whole-array numpy operations over blocks of _BLOCK_ENTRIES
-complex entries copied batch-last, (c, c, n): no LAPACK call per matrix.
+substitution as whole-array numpy operations over the whole call, copied
+batch-last (c, c, n): no LAPACK call per matrix.
 [G^{-1}]_kk is the k-th column sum of |L^{-1}|^2.  A pivot that is not
 positive is replaced by one, so the factorization never raises.  Each step
 runs along the batch axis or sums a matrix axis in index order, so a
-matrix's bits do not depend on the rest of its block; a one-matrix block,
-which would drop that axis and switch numpy to loops that round otherwise
-(a scalar complex multiply, a pairwise sum), is factored as two copies.
+matrix's bits do not depend on the rest of its call; a lone matrix, which
+would drop that axis and switch numpy to loops that round otherwise (a
+scalar complex multiply, a pairwise sum), is factored as two copies.
 
 A matrix is singular when cond(G), taken from the eigenvalues of G, reaches
 CONDITION_LIMIT; is_singular alone makes that decision, and a sweep counts
@@ -41,8 +41,6 @@ CONDITION_LIMIT = 1e12
 # A condition bound below this clears a matrix without its eigenvalues; the
 # factor of ten absorbs the bound's and the test's errors, about cond(G) eps.
 _SCREEN_LIMIT = 1e11
-# Complex entries (1 MiB) per factoring block, whose temporaries stay in cache.
-_BLOCK_ENTRIES = 2**16
 
 
 def _check_inputs(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
@@ -84,8 +82,8 @@ def is_singular(cond: np.ndarray) -> np.ndarray:
     return ~(np.asarray(cond) < CONDITION_LIMIT)
 
 
-def _block_inverse_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[G^{-1}]_kk (n, c) of a (n, c, c) block and where the screen clears G."""
+def _inverse_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[G^{-1}]_kk (n, c) of a (n, c, c) stack and where the screen clears G."""
     n, c = gram.shape[:2]
     g = (gram if n > 1 else gram[[0, 0]]).transpose(1, 2, 0).copy()
     trace = sum(g[j, j].real for j in range(c))
@@ -111,12 +109,8 @@ def _quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
     los, nlos, a, b = _check_inputs(los, nlos, a, b)
     gram = _gram(a[:, None, None] * los + b[:, None, None] * nlos)
     flat = gram.reshape(-1, *gram.shape[-2:])
-    inv_diag, cleared = np.empty(flat.shape[:2]), np.empty(len(flat), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // flat.shape[-1] ** 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, len(flat), step):
-            inv_diag[lo:lo + step], cleared[lo:lo + step] = (
-                _block_inverse_diagonal(flat[lo:lo + step]))
+        inv_diag, cleared = _inverse_diagonal(flat)
         singular = ~cleared
         singular[singular] = is_singular(_condition(flat[singular]))
         q = np.where(singular[:, None], 0.0, 1.0 / inv_diag)

@@ -13,9 +13,9 @@ trial indices as uint32 arrays, then sets each trial's PCG64 state on
 one reused generator, so every row equals trial_rng's draws bit for bit.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
-chunks of _CHUNK_TRIALS trials, and keeps only the resulting quadratic
-forms and singular flags; the draws alive at any time are bounded by the
-chunk, so memory grows with the stored forms alone.  The forms are
+chunks of as many trials as fit _CHUNK_DRAWS draws, and keeps only the
+quadratic forms and singular flags; rates read the forms in blocks of
+_CHUNK_DRAWS, so memory grows with the stored forms alone.  The forms are
 invariant under uniform scaling of a channel matrix, so transmit power and
 the 1/d^2 path factors multiply in afterwards and each sweep point costs
 only scalar arithmetic over the stored forms.  Neither the draws nor the
@@ -51,8 +51,9 @@ SWEEP_VARIABLES = (SNR_DB, RELAY_ALTITUDE_M)
 DEFAULT_TRIALS = 1000
 DEFAULT_MASTER_SEED = 12345
 
-# Trials drawn and reduced together; results do not depend on this size.
-_CHUNK_TRIALS = 1024
+# Draws per chunk and forms per rate block (1 MiB of float64); any size gives
+# the same results, and this one keeps the kernels' temporaries in cache.
+_CHUNK_DRAWS = 2**17
 
 # A trial's spawn key is one 32-bit word, and the master seed at most two.
 _MAX_TRIALS = 2**32
@@ -310,15 +311,15 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
 class TrialEnsemble:
     """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
-    Construction draws and reduces the trials chunk by chunk: one
-    standard-normal fill per trial, in hop order, becomes the CN(0, 1)
-    scattering matrices of every link, and the kernels turn each chunk into
-    quadratic forms q and singular flags.  Only q (float64, one per link
-    and stream) and the per-trial flags are kept, so results are the same
-    at any chunk size.  relay_rates and baseline_rates then evaluate any
-    (power, distance) operating point as scalar arithmetic over the stored
-    forms.  Failed (singular) trials surface as NaN rates so callers can
-    count and exclude them.
+    Construction draws and reduces the trials in chunks of as many trials
+    as fit _CHUNK_DRAWS standard normals: one fill per trial, in hop order,
+    becomes the CN(0, 1) scattering matrices of every link, and the kernels
+    turn each chunk into quadratic forms q and singular flags.  Only q
+    (float64, one per link and stream) and the per-trial flags are kept, so
+    results are the same at any chunk size.  relay_rates and baseline_rates
+    then evaluate any (power, distance) operating point as scalar
+    arithmetic over the stored forms.  Failed (singular) trials surface as
+    NaN rates so callers can count and exclude them.
     """
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
@@ -345,8 +346,9 @@ class TrialEnsemble:
                                      cols if hop.all_streams else 1)))
             self._failed.append(np.empty(self.trials, dtype=bool))
 
-        for lo in range(0, self.trials, _CHUNK_TRIALS):
-            hi = min(lo + _CHUNK_TRIALS, self.trials)
+        chunk = max(1, _CHUNK_DRAWS // width)
+        for lo in range(0, self.trials, chunk):
+            hi = min(lo + chunk, self.trials)
             x = np.empty((hi - lo, width))
             _fill_trials(self.master_seed, lo, x)
             for hop, (span, los, a, b, kernel), q_out, failed_out in zip(
@@ -371,12 +373,16 @@ class TrialEnsemble:
                 path = np.ones_like(hop.ref_gain)
             else:
                 path = (hop.ref_gain / float(distance_m) ** 2) ** 2
-            f = float(snr_scale) * path
-            # One full-size buffer per call: the product and its log1p
-            # share it, so the sum sees the same values in the same order.
-            buf = np.multiply(self._q[index], f[None, :, None])
-            np.log1p(buf, out=buf)
-            rate = buf.sum(axis=(1, 2))
+            f = float(snr_scale) * path[:, None]
+            # Blocks of at most _CHUNK_DRAWS forms share one buffer, and a
+            # trial's sum runs in the same order in any block.
+            q = self._q[index]
+            step = max(1, _CHUNK_DRAWS // q[0].size)
+            buf, rate = np.empty_like(q[:step]), np.empty(len(q))
+            for lo in range(0, len(q), step):
+                part = np.multiply(q[lo:lo + step], f, out=buf[:len(q) - lo])
+                np.log1p(part, out=part)
+                rate[lo:lo + step] = part.sum(axis=(1, 2))
         if not np.isfinite(rate).all():
             raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
                              f"{hop.snr_keys} or the swept SNR")
@@ -417,8 +423,9 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
     It needs lo < hi and a positive resolution tol (the golden-section
     stopping width or the grid step).  It must lie strictly between the
     ground stations and the platforms, and at both ends leave each hop
-    longer than the far-field limit.  Callers that build a trial ensemble
-    check first, so that bad input costs no draws.
+    longer than the far-field limit, and each hop's snr scale must be
+    positive and finite.  Callers that build a trial ensemble check first,
+    so that bad input costs no draws.
     """
     lo, hi, tol = float(lo), float(hi), float(tol)
     if not lo < hi:
@@ -433,17 +440,26 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
         )
     check_far_field(cfg, "d_rd_m", lo - lay.gs_altitude_m)
     check_far_field(cfg, "d_sr_m", lay.hap_altitude_m - hi)
+    _altitude_scales(cfg)
+
+
+def _altitude_scales(cfg: NetworkConfig) -> tuple[float, float]:
+    """Each relay hop's snr scale power/(noise * N_T); ValueError at 0 or inf."""
+    up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
+    dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+    for scale, hop, keys in ((up, "d_sr_m", "hap_power/noise_power"),
+                             (dn, "d_rd_m", "relay_power/noise_power")):
+        if scale == 0.0:
+            raise ValueError(f"SNR scale on {hop} underflows to 0: raise {keys}")
+        if math.isinf(scale):
+            raise ValueError(f"SNR scale on {hop} overflows float64: lower {keys}")
+    return up, dn
 
 
 def _altitude_points(ens: TrialEnsemble):
-    """Relay altitude -> CurvePoint, on the ensemble's trials.
-
-    Each hop runs at its configured snr scale power/(noise * N_T).
-    """
-    cfg = ens.cfg
-    lay = cfg.layout
-    scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
-    scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+    """Relay altitude -> CurvePoint, on the ensemble's trials and scales."""
+    lay = ens.cfg.layout
+    scale_up, scale_dn = _altitude_scales(ens.cfg)
 
     def point(alt: float) -> CurvePoint:
         alt = float(alt)

@@ -310,12 +310,21 @@ class TestNetworkConfig:
             make_cfg(2, 2, **{key: 0.0})
 
     @pytest.mark.parametrize("key", ["aoa_deg", "aod_deg", "wavelength_m",
-                                     "rx_spacing_m", "tx_spacing_m"])
+                                     "rx_spacing_m", "tx_spacing_m",
+                                     "kappa_up_db"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_fields_rejected(self, key, value):
         # A non-finite angle would make the line-of-sight matrix NaN.
         with pytest.raises(ValueError, match=key):
             make_cfg(2, 2, **{key: value})
+
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(m=0), "num_haps, num_gs, antennas_per_node must be >= 1"),
+        (dict(streams_per_tx=0), "streams_per_tx must be >= 1"),
+    ], ids=["num_haps", "streams_per_tx"])
+    def test_counts_below_one_rejected(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            make_cfg(**kwargs)
 
     def test_bad_snr_reference_rejected(self):
         with pytest.raises(ValueError, match="snr_reference"):

@@ -180,6 +180,19 @@ class TestAltitudeSweepCommand:
         # distance, up to one grid step of Monte Carlo jitter.
         assert abs(float(got["optimal_altitude_m"]) - 9000.0) <= 500.0
 
+    def test_all_singular_exits_3_but_writes_csv(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, **altitude_keys(kappa_up_db=200.0,
+                                                       kappa_down_db=200.0))
+        out = tmp_path / "curve.csv"
+        assert main(["altitude-sweep", "--config", cfg, "--out", str(out),
+                     "--cross-check", "--trials", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "every trial was singular" in captured.err
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 5
+        assert all(row.split(",")[1:] == ["nan", "0", "7"] for row in rows)
+
     def test_cross_check_agrees_with_grid(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **altitude_keys())
         out = tmp_path / "curve.csv"
@@ -269,6 +282,34 @@ class TestOneEnsemblePerCommand:
             argv += ["--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert builds == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["altitude-sweep", "optimal-altitude"])
+    @pytest.mark.parametrize("powers,message", [
+        (dict(hap_power=1e-300, noise_power=1e300),
+         "d_sr_m underflows to 0: raise hap_power/noise_power"),
+        (dict(hap_power=1e308, noise_power=1e-300),
+         "d_sr_m overflows float64: lower hap_power/noise_power"),
+        (dict(relay_power=1e-300, noise_power=1e300),
+         "d_rd_m underflows to 0: raise relay_power/noise_power"),
+        (dict(relay_power=1e308, noise_power=1e-300),
+         "d_rd_m overflows float64: lower relay_power/noise_power"),
+    ], ids=["hap-underflow", "hap-overflow", "relay-underflow",
+            "relay-overflow"])
+    def test_altitude_snr_scale_draws_nothing(self, tmp_path, capsys, builds,
+                                              command, powers, message):
+        # power/(noise * N_T) of 0 or inf is an input error before any draw,
+        # not a sweep of every trial that ends in a rate error.
+        argv = [command, "--config",
+                write_scenario(tmp_path, **altitude_keys(**powers))]
+        out = tmp_path / "curve.csv"
+        if command == "altitude-sweep":
+            argv += ["--out", str(out), "--cross-check"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: SNR scale on {message}\n"
         assert builds == []
         assert not out.exists()
 

@@ -249,11 +249,11 @@ class TestBatchSplits:
     @pytest.mark.parametrize("extra_rows", [0, 2], ids=["square", "tall"])
     @pytest.mark.parametrize("cols", range(1, 10))
     def test_slices_equal_the_whole_batch(self, cols, extra_rows):
-        # Five matrices past one factoring block, so the whole call takes two
-        # blocks; slices are taken from the start and across that boundary.
-        # Every fifth matrix repeats a column and is singular.
-        per_block = max(1, kernels._BLOCK_ENTRIES // cols**2)
-        n = per_block + 5
+        # Five matrices past the most an ensemble chunk hands one call
+        # (2**16 complex entries); slices are taken from the start and the
+        # end.  Every fifth matrix repeats a column and is singular.
+        per_call = max(1, 2**16 // cols**2)
+        n = per_call + 5
         rng = np.random.default_rng(10 * cols + extra_rows)
         hs = random_complex(rng, n * (cols + extra_rows), cols).reshape(
             n, cols + extra_rows, cols)
@@ -262,7 +262,7 @@ class TestBatchSplits:
         q, singular = all_stream_quadforms(*kernel_inputs(hs))
         assert singular[::5].all() == (cols > 1) and not singular[1::5].any()
         for size in (1, 2, 3, 7, 64):
-            for start, stop in ((0, 70), (per_block - 35, n)):
+            for start, stop in ((0, 70), (per_call - 35, n)):
                 for lo in range(start, stop, size):
                     hi = min(lo + size, stop)
                     q_s, singular_s = all_stream_quadforms(

@@ -78,6 +78,7 @@ class TestValidation:
         ("all_streams", "yes", "all_streams must be true or false"),
         ("snr_reference", 3, "snr_reference must be a string"),
         ("kappa_up_db", [10.0, "x"], "kappa_up_db entries must be numbers"),
+        ("kappa_down_db", None, "kappa_down_db must be a number or a per-link"),
     ])
     def test_bad_types_name_the_key(self, key, value, msg):
         with pytest.raises(ScenarioError, match=msg):

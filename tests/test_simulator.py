@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from helpers import bootstrap_mean_ci
 
-from hapsim import simulator
+from hapsim import kernels, simulator
 from hapsim.network import (
     FAR_FIELD_FACTOR,
     NetworkConfig,
@@ -33,6 +33,12 @@ from hapsim.simulator import (
 def ensemble_for(cfg: NetworkConfig, spec: SweepSpec) -> TrialEnsemble:
     """The trial ensemble that spec's trials and master seed ask for."""
     return TrialEnsemble(cfg, spec.trials, spec.master_seed)
+
+
+def draw_width(cfg: NetworkConfig, include_baseline: bool = False) -> int:
+    """Standard normals one trial draws: 2 r c for each link of each hop."""
+    return sum(2 * hop.links * math.prod(hop.shape)
+               for hop in simulator._hops(cfg, include_baseline))
 
 
 def make_cfg(**kwargs) -> NetworkConfig:
@@ -65,6 +71,7 @@ class TestSweepSpec:
         (dict(trials=0), "trials"),
         (dict(master_seed=-1), "master_seed"),
         (dict(trials=2**32 + 1), "trials"),
+        (dict(start=math.nan), "start must be finite"),
     ])
     def test_validation(self, kwargs, msg):
         base = dict(variable=SNR_DB, start=0.0, stop=30.0, step=2.5)
@@ -124,9 +131,11 @@ class TestChunkSeeding:
         trial_rng(5, 0)
         assert len(made) == 1
         made.clear()
-        trials = 2048
+        trials, chunk = 2048, 1024
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
+                            chunk * draw_width(make_cfg()))
         TrialEnsemble(make_cfg(), trials, 5)
-        assert len(made) <= -(-trials // simulator._CHUNK_TRIALS)
+        assert len(made) <= -(-trials // chunk)
 
     @pytest.mark.parametrize("trials,seed,msg", [
         (0, 5, "trials"),
@@ -255,6 +264,16 @@ class TestSnrSweep:
                                       paired.relay.mean_rates)
         assert alone.baseline is None
 
+    def test_one_finite_trial_has_zero_std_err(self):
+        cfg = make_cfg()
+        spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=1, master_seed=2)
+        ens = TrialEnsemble(cfg, 1, 2)
+        for point in run_snr_sweep(cfg, spec).relay.points:
+            rate = ens.relay_rates(db_to_linear(point.x), db_to_linear(point.x),
+                                   cfg.layout.d_sr_m, cfg.layout.d_rd_m)
+            assert (point.mean_rate, point.std_err) == (rate[0], 0.0)
+            assert point.trials_failed == 0
+
     def test_all_singular_point_reports_nan(self):
         cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=5, master_seed=2)
@@ -352,6 +371,12 @@ class TestTrialEnsemble:
         with pytest.raises(ValueError, match="positive"):
             ens.relay_rates(0.0, 1.0, 9000.0, 9000.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_non_positive_baseline_scale_rejected(self, scale):
+        ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
+        with pytest.raises(ValueError, match="snr scale must be positive"):
+            ens.baseline_rates(scale)
+
     def test_short_distance_rejected(self):
         ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
         with pytest.raises(ValueError, match="far-field"):
@@ -406,9 +431,10 @@ class TestChunking:
     def test_forms_do_not_depend_on_chunk_size(self, chunk, trials, seed):
         cfg = make_cfg(**self.CFG)
         whole = TrialEnsemble(cfg, trials, seed, include_baseline=True)
-        assert simulator._CHUNK_TRIALS >= trials
+        width = draw_width(cfg, include_baseline=True)
+        assert simulator._CHUNK_DRAWS // width >= trials
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_CHUNK_TRIALS", chunk)
+            mp.setattr(simulator, "_CHUNK_DRAWS", chunk * width)
             chunked = TrialEnsemble(cfg, trials, seed, include_baseline=True)
         assert self.stored(chunked) == self.stored(whole)
 
@@ -418,8 +444,46 @@ class TestChunking:
         cfg = make_cfg(num_haps=1, num_gs=1, antennas_per_node=9,
                        relay_antennas=9, all_streams=True)
         whole = TrialEnsemble(cfg, 129, 3)
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 64)
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 64 * draw_width(cfg))
         assert self.stored(TrialEnsemble(cfg, 129, 3)) == self.stored(whole)
+
+    @pytest.mark.parametrize("cfg,baseline", [
+        (load_scenario("scenarios/snr_sweep.yaml").network, True),
+        (make_cfg(num_haps=4, num_gs=4, antennas_per_node=9,
+                  relay_antennas=9, all_streams=True), False),
+    ], ids=["snr-scenario", "9x9-all-streams"])
+    def test_kernel_calls_stay_within_the_budget(self, monkeypatch, cfg,
+                                                 baseline):
+        # Two full chunks and a one-trial tail.
+        trials = 2 * (simulator._CHUNK_DRAWS // draw_width(cfg, baseline)) + 1
+        calls = []
+        for name in ("first_stream_quadforms", "all_stream_quadforms"):
+            def spy(los, nlos, a, b, kernel=getattr(kernels, name)):
+                calls.append(nlos.shape)
+                return kernel(los, nlos, a, b)
+            monkeypatch.setattr(kernels, name, spy)
+        hops = simulator._hops(cfg, baseline)
+        TrialEnsemble(cfg, trials, 5, include_baseline=baseline)
+        assert len(calls) == 3 * len(hops)
+        for i, hop in enumerate(hops):
+            shapes = calls[i::len(hops)]
+            assert {shape[1:] for shape in shapes} == {(hop.links, *hop.shape)}
+            assert sum(shape[0] for shape in shapes) == trials
+        assert max(math.prod(shape) for shape in calls) <= (
+            simulator._CHUNK_DRAWS // 2)
+
+    @pytest.mark.parametrize("hop", [0, 1, 2], ids=["up", "down", "direct"])
+    def test_rate_blocks_match_the_whole(self, monkeypatch, hop):
+        # 150 trials in blocks of 149 leave a one-trial tail.
+        ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
+                            include_baseline=True)
+        whole = ens._hop_rate(hop, 100.0, 9000.0)
+        assert simulator._CHUNK_DRAWS // ens._q[hop][0].size >= 150
+        for step in (1, 2, 3, 7, 64, 149):
+            monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
+                                step * ens._q[hop][0].size)
+            assert ens._hop_rate(hop, 100.0, 9000.0).tobytes() == (
+                whole.tobytes()), step
 
     def test_example_has_singular_and_regular_trials(self):
         ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
@@ -431,9 +495,11 @@ class TestChunking:
         # Four times the trials may only add about what the stored q and
         # flags add; the draws of a chunk are freed before the next one.
         # A smaller chunk keeps the traced runs short.
-        monkeypatch.setattr(simulator, "_CHUNK_TRIALS", 256)
         cfg = load_scenario("scenarios/snr_sweep.yaml").network
-        n = 2 * simulator._CHUNK_TRIALS
+        chunk = 256
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
+                            chunk * draw_width(cfg, include_baseline=True))
+        n = 2 * chunk
 
         def traced(trials):
             tracemalloc.start()
