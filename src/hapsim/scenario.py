@@ -166,7 +166,10 @@ def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario YAML file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            document = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML has it; the Python resolver and
+            # constructors still type every value.
+            document = yaml.load(
+                fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioError(f"invalid YAML in {path}: {exc}") from exc
     return scenario_from_mapping(document)

@@ -14,15 +14,18 @@ one reused generator, so every row equals trial_rng's draws bit for bit.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of as many trials as fit _CHUNK_DRAWS draws, and keeps only the
-quadratic forms and singular flags; rates read the forms in blocks of
-_CHUNK_DRAWS, so memory grows with the stored forms alone.  The forms are
-invariant under uniform scaling of a channel matrix, so transmit power and
-the 1/d^2 path factors multiply in afterwards and each sweep point costs
-only scalar arithmetic over the stored forms.  Neither the draws nor the
+singular flags and the quadratic forms, trial-last: one row of T forms per
+link and stream.  The forms are invariant under uniform scaling of a
+channel matrix, so transmit power and the 1/d^2 path factors multiply in
+afterwards.  A sweep therefore evaluates its grid in passes of as many
+points as fit _CHUNK_DRAWS rates: one rate call per pass scales each
+stored row by every point's factor at once and sums the rows into one row
+of per-trial rates per point, and the pass is aggregated row by row.
+Memory grows with the stored forms alone.  Neither the draws nor the
 line-of-sight part (network.los_channel, built from the config's
 wavelength, spacings and angles) depend on a link distance, so the
-ensemble never sees one; network.check_far_field tests a distance where it
-enters a rate.
+ensemble never sees one; network.check_far_field tests each distance where
+it enters a rate.
 
 The altitude functions take their ensemble as an argument, so one command
 draws its trials once: altitude-sweep --cross-check passes the grid's
@@ -51,7 +54,7 @@ SWEEP_VARIABLES = (SNR_DB, RELAY_ALTITUDE_M)
 DEFAULT_TRIALS = 1000
 DEFAULT_MASTER_SEED = 12345
 
-# Draws per chunk and forms per rate block (1 MiB of float64); any size gives
+# Draws per chunk and rates per sweep pass (1 MiB of float64); any size gives
 # the same results, and this one keeps the kernels' temporaries in cache.
 _CHUNK_DRAWS = 2**17
 
@@ -253,15 +256,39 @@ def _fill_trials(master_seed: int, lo: int, out: np.ndarray) -> None:
         rng.standard_normal(out=row)
 
 
-def _aggregate(x: float, rates: np.ndarray) -> CurvePoint:
-    finite = rates[np.isfinite(rates)]
-    failed = int(rates.size - finite.size)
-    if finite.size == 0:
-        return CurvePoint(float(x), math.nan, 0.0, failed)
-    if finite.size == 1:
-        return CurvePoint(float(x), float(finite[0]), 0.0, failed)
-    std_err = float(finite.std(ddof=1) / math.sqrt(finite.size))
-    return CurvePoint(float(x), float(finite.mean()), std_err, failed)
+def _passes(points: int, trials: int) -> Iterator[slice]:
+    """Slices of a grid of points, each holding at most _CHUNK_DRAWS rates."""
+    step = max(1, _CHUNK_DRAWS // trials)
+    return (slice(lo, lo + step) for lo in range(0, points, step))
+
+
+def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
+    """values broadcast to 1-D float64 arrays, and whether all were scalars."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    if arrays[0].ndim > 1:
+        raise ValueError("operating points must be scalars or 1-D arrays")
+    return arrays[0].ndim == 0, [a.reshape(-1) for a in arrays]
+
+
+def _aggregate(xs: np.ndarray, rates: np.ndarray) -> list[CurvePoint]:
+    """One CurvePoint per row of rates (points, trials).
+
+    Every row is NaN on the same (failed) trials.  The row-wise mean and std
+    run over a C-contiguous copy of the other trials, which numpy sums per
+    row as it would sum that row alone.
+    """
+    finite = np.isfinite(rates[0])
+    n = int(np.count_nonzero(finite))
+    failed = finite.size - n
+    if n == 0:
+        return [CurvePoint(float(x), math.nan, 0.0, failed) for x in xs]
+    if failed:
+        rates = np.compress(finite, rates, axis=1)
+    mean = rates.mean(axis=1)
+    std_err = (rates.std(axis=1, ddof=1) / math.sqrt(n) if n > 1
+               else np.zeros(len(xs)))
+    return [CurvePoint(float(x), float(m), float(s), failed)
+            for x, m, s in zip(xs, mean, std_err)]
 
 
 class _Hop(NamedTuple):
@@ -315,11 +342,12 @@ class TrialEnsemble:
     as fit _CHUNK_DRAWS standard normals: one fill per trial, in hop order,
     becomes the CN(0, 1) scattering matrices of every link, and the kernels
     turn each chunk into quadratic forms q and singular flags.  Only q
-    (float64, one per link and stream) and the per-trial flags are kept, so
-    results are the same at any chunk size.  relay_rates and baseline_rates
-    then evaluate any (power, distance) operating point as scalar
-    arithmetic over the stored forms.  Failed (singular) trials surface as
-    NaN rates so callers can count and exclude them.
+    (float64, one row of T per link and stream, link-major) and the
+    per-trial flags are kept, so results are the same at any chunk size.
+    relay_rates and baseline_rates then evaluate one or many (power,
+    distance) operating points as whole-row arithmetic over the stored
+    forms.  Failed (singular) trials surface as NaN rates so callers can
+    count and exclude them.
     """
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
@@ -342,8 +370,8 @@ class TrialEnsemble:
             width = span.stop
             stages.append((span, los, np.sqrt(k / (1.0 + k)),
                            np.sqrt(1.0 / (1.0 + k)), kernel))
-            self._q.append(np.empty((self.trials, hop.links,
-                                     cols if hop.all_streams else 1)))
+            streams = cols if hop.all_streams else 1
+            self._q.append(np.empty((hop.links * streams, self.trials)))
             self._failed.append(np.empty(self.trials, dtype=bool))
 
         chunk = max(1, _CHUNK_DRAWS // width)
@@ -356,57 +384,97 @@ class TrialEnsemble:
                 z = x[:, span].reshape(hi - lo, hop.links, 2, *hop.shape)
                 nlos = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
                 q, singular = kernel(los, nlos, a, b)
-                q_out[lo:hi] = q.reshape(q_out[lo:hi].shape)
+                q_out[:, lo:hi] = q.reshape(hi - lo, -1).T
                 failed_out[lo:hi] = singular.any(axis=1)
 
-    def _hop_rate(self, index: int, snr_scale: float,
-                  distance_m: float) -> np.ndarray:
+    def _hop_rate(self, index: int, snr_scale: np.ndarray,
+                  distance_m: np.ndarray) -> np.ndarray:
         """Per-trial sum of log2(1 + snr) over every stream of one hop.
 
-        Raises ValueError when the hop's SNR overflows float64, so an input
-        too large to represent is not mistaken for a singular trial.
+        snr_scale and distance_m hold one value per operating point, and the
+        result one row of per-trial sums per point, (P, T).  Each stored row
+        adds its log1p to every point's row, so a trial's sum runs over its
+        forms in index order at any number of points.
         """
         hop = self._hops[index]
-        check_far_field(self.cfg, hop.distance, distance_m)
+        q = self._q[index]
+        streams = len(q) // hop.links
         with np.errstate(over="ignore", invalid="ignore"):
             if self.cfg.snr_reference == "post_path_loss":
-                path = np.ones_like(hop.ref_gain)
+                path = np.ones((len(distance_m), hop.links))
             else:
-                path = (hop.ref_gain / float(distance_m) ** 2) ** 2
-            f = float(snr_scale) * path[:, None]
-            # Blocks of at most _CHUNK_DRAWS forms share one buffer, and a
-            # trial's sum runs in the same order in any block.
-            q = self._q[index]
-            step = max(1, _CHUNK_DRAWS // q[0].size)
-            buf, rate = np.empty_like(q[:step]), np.empty(len(q))
-            for lo in range(0, len(q), step):
-                part = np.multiply(q[lo:lo + step], f, out=buf[:len(q) - lo])
-                np.log1p(part, out=part)
-                rate[lo:lo + step] = part.sum(axis=(1, 2))
-        if not np.isfinite(rate).all():
-            raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
-                             f"{hop.snr_keys} or the swept SNR")
-        return rate / _LN2
+                # Python's float power: it rounds some squares otherwise than
+                # d * d, and the curves' bits depend on which one is used.
+                square = np.array([float(d) ** 2 for d in distance_m])
+                path = (hop.ref_gain / square[:, None]) ** 2
+            f = snr_scale[:, None] * path
+            rate = np.empty((len(f), self.trials))
+            part = np.empty_like(rate) if len(q) > 1 else None
+            for k, row in enumerate(q):
+                out = part if k else rate
+                np.multiply(f[:, k // streams, None], row, out=out)
+                np.log1p(out, out=out)
+                if k:
+                    rate += part
+            rate /= _LN2
+        return rate
 
-    def relay_rates(self, snr_scale_up: float, snr_scale_dn: float,
-                    d_sr_m: float, d_rd_m: float) -> np.ndarray:
-        """Per-trial relay sum-rates; NaN where a trial was singular."""
-        if not float(snr_scale_up) > 0.0 or not float(snr_scale_dn) > 0.0:
+    def _check_finite(self, rates: dict[int, np.ndarray]) -> None:
+        """Raise ValueError when a hop's SNR overflows float64.
+
+        rates maps hop index to that hop's (P, T) sums.  The message names
+        the first hop, in the given order, that overflows at the first such
+        point, so an input too large to represent is not mistaken for a
+        singular trial.
+        """
+        if all(np.isfinite(r).all() for r in rates.values()):
+            return
+        bad = np.array([~np.isfinite(r).all(axis=1) for r in rates.values()])
+        hop = self._hops[list(rates)[bad[:, bad.any(axis=0).argmax()].argmax()]]
+        raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
+                         f"{hop.snr_keys} or the swept SNR")
+
+    def relay_rates(self, snr_scale_up, snr_scale_dn, d_sr_m,
+                    d_rd_m) -> np.ndarray:
+        """Per-trial relay sum-rates; NaN where a trial was singular.
+
+        The arguments are scalars or 1-D arrays of operating points and
+        broadcast together: scalars give (T,) rates, arrays one row of
+        per-trial rates per point, (P, T).
+        """
+        scalar, (up, dn, d_sr, d_rd) = _operating_points(
+            snr_scale_up, snr_scale_dn, d_sr_m, d_rd_m)
+        if not ((up > 0.0).all() and (dn > 0.0).all()):
             raise ValueError("snr scales must be positive")
-        c1 = self._hop_rate(_UP, snr_scale_up, d_sr_m)
-        c2 = self._hop_rate(_DOWN, snr_scale_dn, d_rd_m)
-        rates = self.cfg.dof_prefactor * np.minimum(c1, c2)
-        return np.where(self._failed[_UP] | self._failed[_DOWN], np.nan, rates)
+        for a, b in zip(d_sr, d_rd):
+            check_far_field(self.cfg, self._hops[_UP].distance, a)
+            check_far_field(self.cfg, self._hops[_DOWN].distance, b)
+        c1 = self._hop_rate(_UP, up, d_sr)
+        c2 = self._hop_rate(_DOWN, dn, d_rd)
+        self._check_finite({_UP: c1, _DOWN: c2})
+        rates = np.minimum(c1, c2, out=c1)
+        rates *= self.cfg.dof_prefactor
+        rates[:, self._failed[_UP] | self._failed[_DOWN]] = np.nan
+        return rates[0] if scalar else rates
 
-    def baseline_rates(self, snr_scale: float) -> np.ndarray:
-        """Per-trial time-sharing baseline rates over the direct links."""
+    def baseline_rates(self, snr_scale) -> np.ndarray:
+        """Per-trial time-sharing baseline rates over the direct links.
+
+        snr_scale is a scalar, giving (T,) rates, or a 1-D array of
+        operating points, giving one row of per-trial rates per point.
+        """
         if not self.has_baseline:
             raise RuntimeError("ensemble was built without baseline draws")
-        if not float(snr_scale) > 0.0:
+        scalar, (scale,) = _operating_points(snr_scale)
+        if not (scale > 0.0).all():
             raise ValueError("snr scale must be positive")
-        rate = self._hop_rate(_DIRECT, snr_scale, self.cfg.layout.d_sd_m)
+        d_sd = self.cfg.layout.d_sd_m
+        check_far_field(self.cfg, self._hops[_DIRECT].distance, d_sd)
+        rate = self._hop_rate(_DIRECT, scale, np.full(len(scale), d_sd))
+        self._check_finite({_DIRECT: rate})
         rate /= self.cfg.num_haps * self.cfg.num_gs
-        return np.where(self._failed[_DIRECT], np.nan, rate)
+        rate[:, self._failed[_DIRECT]] = np.nan
+        return rate[0] if scalar else rate
 
 
 def check_sweep_variable(spec: SweepSpec, variable: str) -> None:
@@ -456,17 +524,18 @@ def _altitude_scales(cfg: NetworkConfig) -> tuple[float, float]:
     return up, dn
 
 
-def _altitude_points(ens: TrialEnsemble):
-    """Relay altitude -> CurvePoint, on the ensemble's trials and scales."""
+def _altitude_points(ens: TrialEnsemble,
+                     alts: np.ndarray) -> list[CurvePoint]:
+    """CurvePoints of relay altitudes alts, on the ensemble's trials and
+    scales; one relay_rates call per pass of the grid."""
     lay = ens.cfg.layout
     scale_up, scale_dn = _altitude_scales(ens.cfg)
-
-    def point(alt: float) -> CurvePoint:
-        alt = float(alt)
-        return _aggregate(alt, ens.relay_rates(scale_up, scale_dn,
-                                               lay.hap_altitude_m - alt,
-                                               alt - lay.gs_altitude_m))
-    return point
+    points = []
+    for part in _passes(len(alts), ens.trials):
+        x = alts[part]
+        points += _aggregate(x, ens.relay_rates(
+            scale_up, scale_dn, lay.hap_altitude_m - x, x - lay.gs_altitude_m))
+    return points
 
 
 def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
@@ -482,7 +551,7 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     for hop in _hops(cfg, include_baseline):
         check_far_field(cfg, hop.distance, getattr(cfg.layout, hop.distance))
     grid = spec.grid()
-    gammas = [db_to_linear(x) for x in grid]
+    gammas = np.array([db_to_linear(x) for x in grid])
     for x, gamma in zip(grid, gammas):
         if gamma == 0.0:
             raise ValueError(
@@ -492,11 +561,12 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     lay = cfg.layout
     relay_pts = []
     base_pts = []
-    for x, gamma in zip(grid, gammas):
-        relay_pts.append(
-            _aggregate(x, ens.relay_rates(gamma, gamma, lay.d_sr_m, lay.d_rd_m)))
+    for part in _passes(len(grid), spec.trials):
+        x, gamma = grid[part], gammas[part]
+        relay_pts += _aggregate(
+            x, ens.relay_rates(gamma, gamma, lay.d_sr_m, lay.d_rd_m))
         if include_baseline:
-            base_pts.append(_aggregate(x, ens.baseline_rates(gamma)))
+            base_pts += _aggregate(x, ens.baseline_rates(gamma))
     baseline = SumRateCurve(tuple(base_pts)) if include_baseline else None
     return SnrSweepResult(SumRateCurve(tuple(relay_pts)), baseline)
 
@@ -516,8 +586,7 @@ def run_altitude_sweep(ens: TrialEnsemble, spec: SweepSpec) -> SumRateCurve:
         )
     grid = spec.grid()
     check_altitude_bracket(ens.cfg, grid[0], grid[-1], spec.step)
-    point = _altitude_points(ens)
-    return SumRateCurve(tuple(point(alt) for alt in grid))
+    return SumRateCurve(tuple(_altitude_points(ens, grid)))
 
 
 def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
@@ -534,10 +603,9 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
     """
     check_altitude_bracket(ens.cfg, lo, hi, tol)
     lo, hi, tol = float(lo), float(hi), float(tol)
-    point = _altitude_points(ens)
 
     def objective(alt: float) -> float:
-        return point(alt).mean_rate
+        return _altitude_points(ens, np.array([alt]))[0].mean_rate
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -480,6 +480,47 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and names in captured.err
 
+    @pytest.mark.parametrize("gains,hop,keys", [
+        (dict(ref_gain_up=8.1e8, ref_gain_down=8.1e5), "d_sr_m",
+         "hap_power/noise_power, ref_gain_up"),
+        (dict(ref_gain_up=8.1e5, ref_gain_down=8.1e8), "d_rd_m",
+         "relay_power/noise_power, ref_gain_down"),
+    ], ids=["uplink", "downlink"])
+    def test_overflow_at_the_last_snr_point_exits_2(self, tmp_path, capsys,
+                                                     gains, hop, keys):
+        # At 3000, 3040 and 3080 dB one hop's path factor is 100 and the
+        # other's 1e-4; the forms lie below 0.35, so only the last point's
+        # SNR on the first hop, near 1e310 q, overflows.
+        cfg = write_scenario(tmp_path, **snr_keys(
+            sweep_start=3000.0, sweep_stop=3080.0, sweep_step=40.0, **gains))
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: SNR on {hop} overflows float64: "
+                                f"lower {keys} or the swept SNR\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start,stop,message", [
+        (17999.5, 17999.9, "d_sr_m = 0.1 m"),
+        (0.1, 500.1, "d_rd_m = 0.1 m"),
+    ], ids=["last-point", "first-point"])
+    def test_grid_distance_inside_the_far_field_exits_2(self, tmp_path,
+                                                        capsys, start, stop,
+                                                        message):
+        # The grid's end points are its shortest hops; 0.3125 m is the
+        # far-field limit of the default arrays.
+        cfg = write_scenario(tmp_path, **altitude_keys(
+            sweep_start=start, sweep_stop=stop, sweep_step=stop - start))
+        out = tmp_path / "curve.csv"
+        assert main(["altitude-sweep", "--config", cfg, "--out",
+                     str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {message} is inside the far-field limit 0.3125 m\n")
+        assert not out.exists()
+
     def test_missing_config_exits_4(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")
         assert main(["geometry", "--config", missing]) == 4

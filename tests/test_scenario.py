@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from hapsim.network import NetworkConfig, ScenarioLayout
 from hapsim.scenario import (
@@ -167,6 +168,14 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="invalid YAML"):
             load_scenario(str(path))
 
+    def test_invalid_yaml_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("num_haps: 2\nnum_gs: [unclosed\n", encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert str(err.value).startswith(f"invalid YAML in {path}: ")
+        assert f'in "{path}", line 2' in str(err.value)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(str(tmp_path / "nope.yaml"))
@@ -185,6 +194,23 @@ class TestShippedScenarios:
         for path in paths:
             scenario = load_scenario(str(path))
             assert scenario.sweep.trials >= 1
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    def test_libyaml_reads_the_python_parsers_mapping(self):
+        # load_scenario parses with libyaml where PyYAML has it; every
+        # shipped file must give the pure-Python parser's keys, values and
+        # value types.
+        paths = sorted(self.SCENARIO_DIR.glob("*.yaml"))
+        assert len(paths) >= 3
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            pure = yaml.load(text, Loader=yaml.SafeLoader)
+            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert fast == pure, path.name
+            assert {k: type(v) for k, v in fast.items()} == (
+                {k: type(v) for k, v in pure.items()}), path.name
+            assert load_scenario(str(path)) == scenario_from_mapping(pure)
 
 
 class TestScenarioEquality:

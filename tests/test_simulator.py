@@ -473,17 +473,52 @@ class TestChunking:
             simulator._CHUNK_DRAWS // 2)
 
     @pytest.mark.parametrize("hop", [0, 1, 2], ids=["up", "down", "direct"])
-    def test_rate_blocks_match_the_whole(self, monkeypatch, hop):
-        # 150 trials in blocks of 149 leave a one-trial tail.
-        ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
-                            include_baseline=True)
-        whole = ens._hop_rate(hop, 100.0, 9000.0)
-        assert simulator._CHUNK_DRAWS // ens._q[hop][0].size >= 150
-        for step in (1, 2, 3, 7, 64, 149):
-            monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
-                                step * ens._q[hop][0].size)
-            assert ens._hop_rate(hop, 100.0, 9000.0).tobytes() == (
-                whole.tobytes()), step
+    def test_rate_blocks_match_the_whole(self, hop):
+        # Forms are stored trial-last, one row per link and stream.  Any
+        # block of points, and any leading block of trials, must give the
+        # whole's bits: 150 trials against 149 and a one-trial ensemble.
+        cfg = make_cfg(**self.CFG)
+        ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
+        # Every hop of CFG counts all streams.
+        kind = ens._hops[hop]
+        assert ens._q[hop].shape == (kind.links * kind.shape[1], 150)
+        scales = np.geomspace(1.0, 1e4, 7)
+        dists = np.linspace(2000.0, 16000.0, 7)
+        whole = ens._hop_rate(hop, scales, dists)
+        assert whole.shape == (7, 150)
+        for size in (1, 2, 3, 7):
+            parts = [ens._hop_rate(hop, scales[lo:lo + size],
+                                   dists[lo:lo + size])
+                     for lo in range(0, 7, size)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+        for trials in (149, 1):
+            head = TrialEnsemble(cfg, trials, 3, include_baseline=True)
+            assert head._hop_rate(hop, scales, dists).tobytes() == (
+                whole[:, :trials].copy().tobytes()), trials
+
+    @pytest.mark.parametrize("scenario", ["altitude_sweep.yaml",
+                                          "snr_sweep.yaml"])
+    def test_hop_rate_is_the_per_trial_sum_of_its_forms(self, scenario):
+        # A trial's hop rate sums log2(1 + f q) over its forms.  With fewer
+        # than eight forms a trial numpy's sum over a (T, K) array runs in
+        # index order, as the row-by-row sum does, so the bits agree; with
+        # more it sums pairwise and may differ in the last place.
+        # Python's float power squares the distance: for 8005.705 m it
+        # rounds otherwise than d * d.
+        d = 8005.705
+        assert d ** 2 != d * d
+        cfg = load_scenario(f"scenarios/{scenario}").network
+        ens = TrialEnsemble(cfg, 300, 11, include_baseline=True)
+        for index, hop in enumerate(ens._hops):
+            q = ens._q[index]
+            path = (hop.ref_gain / d ** 2) ** 2
+            f = 30.0 * np.repeat(path, len(q) // hop.links)
+            want = np.log1p(q.T * f).sum(axis=1) / math.log(2.0)
+            got = ens._hop_rate(index, np.array([30.0]), np.array([d]))
+            if len(q) < 8:
+                assert got[0].tobytes() == want.tobytes(), hop.distance
+            else:
+                np.testing.assert_allclose(got[0], want, rtol=1e-14, atol=0)
 
     def test_example_has_singular_and_regular_trials(self):
         ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
@@ -515,10 +550,13 @@ class TestChunking:
         assert peak_4 - peak_1 <= 2 * (kept_4 - kept_1)
 
     def test_rate_evaluation_allocates_one_hop_buffer(self):
-        # A sweep point may hold one temporary as large as a hop's stored
-        # forms (the product and its log1p share it), plus per-trial rates.
+        # One operating point may hold about one temporary as large as a
+        # hop's stored (K, T) forms; its (1, T) buffers are far smaller.
         cfg = load_scenario("scenarios/snr_sweep.yaml").network
         ens = TrialEnsemble(cfg, 2048, 7, include_baseline=True)
+        for hop, q in zip(ens._hops, ens._q):
+            streams = hop.shape[1] if hop.all_streams else 1
+            assert q.shape == (hop.links * streams, 2048)
         largest = max(q.nbytes for q in ens._q)
         lay = cfg.layout
         tracemalloc.start()
@@ -530,6 +568,138 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * largest
+
+    def test_grid_pass_memory_is_bounded_by_the_pass(self):
+        # A 67-point altitude grid at 10^4 trials runs in passes of
+        # _CHUNK_DRAWS // 10^4 = 13 points.  A relay pass holds three
+        # (13, T) buffers at most: the uplink sums, the downlink sums and
+        # one form's scratch; the whole grid at once would need five times
+        # as much.
+        cfg = load_scenario("scenarios/altitude_sweep.yaml").network
+        trials = 10**4
+        spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 17500.0, 250.0,
+                         trials=trials, master_seed=7)
+        ens = ensemble_for(cfg, spec)
+        points = simulator._CHUNK_DRAWS // trials
+        assert spec.num_points == 67 and points == 13
+        one_pass = points * trials * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_altitude_sweep(ens, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * one_pass
+
+
+class TestGridPasses:
+    """A sweep evaluates its grid in passes of many points; every pass must
+    give the bits of one call per point, at any number of points a pass."""
+
+    @pytest.mark.parametrize("reference", ["pre_path_loss", "post_path_loss"])
+    def test_grid_equals_single_points(self, reference):
+        cfg = make_cfg(**TestChunking.CFG, snr_reference=reference)
+        ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
+        failed = ens._failed[0] | ens._failed[1]
+        assert 0 < failed.sum() < failed.size
+        up = np.geomspace(0.5, 5e3, 9)
+        dn = up[::-1].copy()
+        d_sr = np.linspace(2000.0, 16000.0, 9)
+        d_rd = 18000.0 - d_sr
+        for index, (scale, dist) in enumerate([(up, d_sr), (dn, d_rd),
+                                               (up, np.full(9, 1.8e4))]):
+            grid = ens._hop_rate(index, scale, dist)
+            single = [ens._hop_rate(index, scale[i:i + 1], dist[i:i + 1])
+                      for i in range(9)]
+            assert grid.tobytes() == np.concatenate(single).tobytes(), index
+        relay = ens.relay_rates(up, dn, d_sr, d_rd)
+        base = ens.baseline_rates(up)
+        assert relay.shape == base.shape == (9, 150)
+        assert relay.tobytes() == np.array(
+            [ens.relay_rates(*p) for p in zip(up, dn, d_sr, d_rd)]).tobytes()
+        assert base.tobytes() == np.array(
+            [ens.baseline_rates(g) for g in up]).tobytes()
+        assert ens.relay_rates(up[:0], dn[:0], d_sr[:0], d_rd[:0]).shape == (
+            0, 150)
+        # Scalars broadcast against arrays of points.
+        assert ens.relay_rates(up, 7.0, 9000.0, d_rd).tobytes() == np.array(
+            [ens.relay_rates(g, 7.0, 9000.0, d) for g, d in zip(up, d_rd)]
+        ).tobytes()
+
+    @staticmethod
+    def curves(cfg: NetworkConfig) -> list[bytes]:
+        snr = SweepSpec(SNR_DB, 0.0, 30.0, 2.5, trials=150, master_seed=3)
+        alt = SweepSpec(RELAY_ALTITUDE_M, 4000.0, 14000.0, 500.0,
+                        trials=150, master_seed=3)
+        result = run_snr_sweep(cfg, snr, include_baseline=True)
+        ens = ensemble_for(cfg, alt)
+        curves = [result.relay, result.baseline, run_altitude_sweep(ens, alt)]
+        got = [np.array([(p.x, p.mean_rate, p.std_err, p.trials_failed)
+                         for p in c.points]).tobytes() for c in curves]
+        return got + [np.float64(
+            find_optimal_altitude(ens, 4000.0, 14000.0, 100.0)).tobytes()]
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 7])
+    def test_sweeps_do_not_depend_on_points_per_pass(self, monkeypatch,
+                                                      points):
+        cfg = make_cfg(**TestChunking.CFG, hap_power=4000.0,
+                       relay_power=4000.0)
+        whole = self.curves(cfg)
+        assert simulator._CHUNK_DRAWS // 150 >= 41
+        # Also splits the draws into chunks of a trial or a few.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", points * 150)
+        assert next(simulator._passes(13, 150)) == slice(0, points)
+        assert self.curves(cfg) == whole
+
+    @pytest.mark.parametrize("trials", [2, 150, 9000])
+    def test_rows_aggregate_as_one_point_each(self, trials):
+        # Each row's mean and std err must carry the bits of the same
+        # statistics over that row's finite trials alone.
+        rng = np.random.default_rng(trials)
+        rates = rng.exponential(7.0, (5, trials))
+        rates[:, rng.random(trials) < 0.1] = np.nan
+        rates[:, 0] = np.nan
+        xs = np.arange(5.0)
+        for x, row, got in zip(xs, rates, simulator._aggregate(xs, rates)):
+            finite = row[np.isfinite(row)]
+            assert got.trials_failed == trials - finite.size
+            if finite.size == 1:
+                assert (got.mean_rate, got.std_err) == (finite[0], 0.0)
+                continue
+            assert got.mean_rate == float(finite.mean())
+            assert got.std_err == float(finite.std(ddof=1)
+                                        / math.sqrt(finite.size))
+
+    def test_overflow_names_the_first_point_then_the_first_hop(self):
+        # The downlink overflows from the second point on and the uplink
+        # only at the last, as one call per point would find.
+        # Path factors 1e6 and 1e10; the largest forms lie in (0.1, 100).
+        cfg = make_cfg(ref_gain_up=8.1e10, ref_gain_down=8.1e12)
+        ens = TrialEnsemble(cfg, 20, 4)
+        assert all(0.1 < q.max() < 100.0 for q in ens._q)
+        gammas = np.array([1e290, 1e300, 1e305])
+        with pytest.raises(ValueError, match="^SNR on d_rd_m overflows"):
+            ens.relay_rates(gammas, gammas, 9000.0, 9000.0)
+        ens.relay_rates(gammas[0], gammas[0], 9000.0, 9000.0)
+        with pytest.raises(ValueError, match="^SNR on d_rd_m overflows"):
+            ens.relay_rates(gammas[1], gammas[1], 9000.0, 9000.0)
+        with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
+            ens.relay_rates(gammas[2], gammas[2], 9000.0, 9000.0)
+
+    def test_far_field_checked_at_every_point(self):
+        cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
+        ens = TrialEnsemble(cfg, 3, 1)
+        d = np.array([9000.0, 40.0, 9000.0])
+        with pytest.raises(ValueError, match="d_rd_m = 40 m .* far-field"):
+            ens.relay_rates(1.0, 1.0, 9000.0, d)
+        with pytest.raises(ValueError, match="d_sr_m = 40 m .* far-field"):
+            ens.relay_rates(1.0, 1.0, d, d)
+
+    def test_two_dimensional_points_rejected(self):
+        ens = TrialEnsemble(make_cfg(), 3, 1)
+        with pytest.raises(ValueError, match="1-D"):
+            ens.relay_rates(np.ones((2, 2)), 1.0, 9000.0, 9000.0)
 
 
 class TestOptimalAltitude:
