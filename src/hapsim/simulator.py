@@ -190,17 +190,17 @@ def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
 
     def hash_words(value: np.ndarray) -> np.ndarray:
         nonlocal const
-        value = value ^ const
+        value = value ^ np.uint32(const)
         const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> _XSHIFT)
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(_XSHIFT))
     return hash_words
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SeedSequence's mix of a pool word x with a hashed word y."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(_XSHIFT))
 
 
 def _trial_states(master_seed: int, lo: int,
@@ -213,7 +213,10 @@ def _trial_states(master_seed: int, lo: int,
     (initstate, initseq) of PCG64's seeding.  The hash constants follow a
     fixed sequence, so every step runs once over the whole chunk as uint32
     arrays (their products wrap mod 2**32, as in numpy's C code); only the
-    final 128-bit LCG step is Python integer arithmetic, per trial.
+    final 128-bit LCG step is Python integer arithmetic, per trial.  Every
+    array operand is an explicit np.uint32 or np.uint64, so the dtypes do
+    not rest on numpy's promotion rules for Python ints; the hash constants
+    advance as Python ints, which no numpy scalar overflow can touch.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(np.array([master_seed >> 32 * i & _MASK32], np.uint32))
@@ -232,7 +235,7 @@ def _trial_states(master_seed: int, lo: int,
     # Little-endian pairs of uint32 make the four uint64 seed words; PCG64
     # reads words 0-1 as initstate and 2-3 as initseq, high word first.
     # A memoryview yields each word as a Python int only when it is read.
-    words = [memoryview(half[2 * k + 1] << 32 | half[2 * k])
+    words = [memoryview(half[2 * k + 1] << np.uint64(32) | half[2 * k])
              for k in range(_POOL_SIZE)]
     for s_hi, s_lo, q_hi, q_lo in zip(*words):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128

@@ -1,8 +1,8 @@
 """Shared test utilities.
 
 Seeded random matrices with conditioning control, kernel inputs that carry
-given matrices unchanged, and two small statistics the tests use on the
-simulator's output.
+given matrices unchanged, the eigenvalue condition number the kernels' gate
+computes, and two small statistics the tests use on the simulator's output.
 """
 
 from __future__ import annotations
@@ -42,6 +42,19 @@ def kernel_inputs(hs) -> tuple[np.ndarray, ...]:
     """
     hs = np.asarray(hs, dtype=np.complex128)
     return np.zeros((1, *hs.shape[1:])), hs[:, None], np.zeros(1), np.ones(1)
+
+
+def gram_condition(h) -> np.ndarray:
+    """cond(H^H H) of each (.., r, c) matrix from eigvalsh; inf unless positive.
+
+    The same Gram product and eigenvalue ratio as the kernels' gate, so
+    is_singular of this value is the flag the kernels must report.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    ev = np.linalg.eigvalsh(np.conj(h).swapaxes(-1, -2) @ h)
+    lmin = ev[..., 0]
+    safe = lmin > 0.0
+    return np.where(safe, ev[..., -1] / np.where(safe, lmin, 1.0), np.inf)
 
 
 def asymptotic_capacity(dof_beta: float, snr_linear: float) -> float:

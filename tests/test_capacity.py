@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import asymptotic_capacity, random_complex
+from helpers import asymptotic_capacity, gram_condition, random_complex
 
-from hapsim.kernels import gram_condition
 from hapsim.network import NetworkConfig, ScenarioLayout, dof
 from hapsim.simulator import TrialEnsemble
 

@@ -1,21 +1,32 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import kernel_inputs, random_complex, well_conditioned
+from helpers import (
+    gram_condition,
+    kernel_inputs,
+    random_complex,
+    random_unitary,
+    well_conditioned,
+)
 
 from hapsim import kernels
 from hapsim.kernels import (
     CONDITION_LIMIT,
     all_stream_quadforms,
     first_stream_quadforms,
-    gram_condition,
     is_singular,
 )
+from hapsim.scenario import load_scenario
+from hapsim.simulator import TrialEnsemble
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+EPS = np.finfo(float).eps
 
 
 def reference_quadforms(los, nlos, a, b, all_streams):
@@ -121,6 +132,74 @@ class TestConditionTest:
                                       [False, False, True, True, True])
 
 
+def stream_forms(hs):
+    """Every column's q, the first-stream q_0 and the flag of each matrix."""
+    q, singular = all_stream_quadforms(*kernel_inputs(hs))
+    q0, singular0 = first_stream_quadforms(*kernel_inputs(hs))
+    np.testing.assert_array_equal(singular0, singular)
+    return q[:, 0], q0[:, 0], singular[:, 0]
+
+
+class TestZeroForcingIdentities:
+    """Zero-forcing SNR identities of the forms, scale * q_k, on each kernel."""
+
+    def test_identity_channel(self):
+        q, singular = first_stream_quadforms(*kernel_inputs([np.eye(2)]))
+        assert not singular.any()
+        assert q[0, 0] == 1.0
+
+    def test_orthogonal_columns(self):
+        c = 3.5
+        h = np.zeros((4, 2), dtype=complex)
+        h[0, 0] = c
+        h[1, 1] = c
+        q, q0, singular = stream_forms([h])
+        assert not singular.any()
+        for k in range(2):
+            assert 2.0 * q[0, k] == pytest.approx(2.0 * c * c, rel=1e-12)
+        assert 2.0 * q0[0] == pytest.approx(2.0 * c * c, rel=1e-12)
+
+    def test_matches_full_inverse_oracle(self):
+        rng = np.random.default_rng(34)
+        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(200)])
+        q, q0, singular = stream_forms(hs)
+        assert not singular.any()
+        for h, row, first in zip(hs, q, q0):
+            for k in range(3):
+                assert math.isclose(1.7 * row[k], oracles.zf_snr(h, k, 1.7),
+                                    rel_tol=1e-9)
+            assert math.isclose(1.7 * first, oracles.zf_snr(h, 0, 1.7),
+                                rel_tol=1e-9)
+
+    def test_linear_in_scale(self):
+        # The ensemble applies power as an amplitude factor on H: scaling H
+        # by sqrt(2) must double every stream's SNR.
+        rng = np.random.default_rng(35)
+        h = well_conditioned(rng, 5, 3)
+        q, q0, _ = stream_forms([h, math.sqrt(2.0) * h])
+        np.testing.assert_allclose(q[1], 2.0 * q[0], rtol=1e-12)
+        np.testing.assert_allclose(q0[1], 2.0 * q0[0], rtol=1e-12)
+
+    def test_unitary_invariance(self):
+        rng = np.random.default_rng(36)
+        hs, rotated = [], []
+        for _ in range(25):
+            h = well_conditioned(rng, 5, 3)
+            hs.append(h)
+            rotated.append(random_unitary(rng, 5) @ h)
+        q, q0, _ = stream_forms(hs)
+        q_rot, q0_rot, _ = stream_forms(rotated)
+        np.testing.assert_allclose(q_rot, q, rtol=1e-9)
+        np.testing.assert_allclose(q0_rot, q0, rtol=1e-9)
+
+    def test_nearly_collinear_is_flagged(self):
+        col = random_complex(np.random.default_rng(37), 6, 1)
+        h = np.hstack([col, col * (1.0 + 1e-9)])
+        q, singular = first_stream_quadforms(*kernel_inputs([h]))
+        assert singular.all()
+        assert q[0, 0] == 0.0
+
+
 class TestInputValidation:
     def test_wrong_rank_rejected(self):
         los, nlos, a, b = workload(trials=2)
@@ -149,7 +228,7 @@ def rician(rng, rows, cols, kappa_db):
 
 def plain_gate(hs):
     """The unscreened gate: eigenvalues of every Gram matrix."""
-    return is_singular(gram_condition(np.asarray(hs)))
+    return is_singular(gram_condition(hs))
 
 
 @st.composite
@@ -178,6 +257,9 @@ class TestScreenedGate:
 
     @settings(max_examples=300, deadline=None)
     @given(mixed_chunks())
+    # A zero 1x1 Gram: a factor that wrote into the kernel's own Gram stack
+    # would hand the eigenvalue test a pivot replaced by one.
+    @example(np.array([[[0.9 - 0.3j]], [[0.0]]]))
     def test_flags_equal_the_plain_gate(self, hs):
         q, singular = all_stream_quadforms(*kernel_inputs(hs))
         np.testing.assert_array_equal(singular[:, 0], plain_gate(hs))
@@ -185,7 +267,30 @@ class TestScreenedGate:
         assert (np.isfinite(q[~singular]) & (q[~singular] > 0.0)).all()
         q0, singular0 = first_stream_quadforms(*kernel_inputs(hs))
         np.testing.assert_array_equal(singular0, singular)
-        np.testing.assert_array_equal(q0, q[..., 0])
+        assert (q0[singular0] == 0.0).all()
+        # q0 is the last pivot, not column 0 of the inverse: it rounds
+        # differently, so check it against the 50-digit reference.  Forming
+        # G alone rounds a lone column's squared norm by up to rows * eps.
+        cond = gram_condition(hs)
+        for h, got, flag, cond_h in zip(hs, q0[:, 0], singular0[:, 0], cond):
+            if not flag:
+                ref = mp_quadforms(h)[0]
+                assert abs(got - ref) / ref <= (cond_h + h.shape[0]) * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_chunks())
+    def test_comparison_bound_exceeds_the_condition_number(self, hs):
+        # tr(G) c ||M(L)^{-1} e||_inf^2 >= cond(G) wherever every pivot is
+        # positive, up to rounding: four ulps, and cond(G) capped at the
+        # limit, because eigvalsh returns lmin <= 0, an infinite cond, for
+        # exactly singular G whose pivots all round positive.
+        gram = np.conj(hs).swapaxes(-1, -2) @ hs
+        g, trace, positive, _ = kernels._factor(
+            gram, np.roll(np.arange(gram.shape[-1]), -1))
+        bound = kernels._comparison_bound(g, trace)[:len(hs)]
+        cond = np.minimum(gram_condition(hs), CONDITION_LIMIT)
+        positive = positive[:len(hs)]
+        assert (bound[positive] >= cond[positive] * (1.0 - 4.0 * EPS)).all()
 
     def test_duplicate_column_inside_regular_chunk(self):
         # Exactly rank-deficient: a pivot rounds to a tiny value of either
@@ -242,6 +347,28 @@ class TestScreenedGate:
                 assert q[t, 0, k] == pytest.approx(
                     oracles.zf_snr(hs[t], k, 1.0), rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["altitude_sweep",
+                                      "altitude_sweep_symmetric", "snr_sweep"])
+    def test_shipped_scenarios_need_no_eigenvalues(self, name, monkeypatch):
+        # The screens clear every matrix of the shipped scenarios' draws, so
+        # no chunk pays for eigvalsh; a bound that lost this share would
+        # lose the first-stream kernel's speed.
+        rows = []
+        condition = kernels._condition
+
+        def counted(gram):
+            rows.append(len(gram))
+            return condition(gram)
+
+        monkeypatch.setattr(kernels, "_condition", counted)
+        scenario = load_scenario(str(SCENARIOS / f"{name}.yaml"))
+        TrialEnsemble(scenario.network, 1000, 12345,
+                      include_baseline=scenario.include_baseline)
+        assert sum(rows) == 0
+        # The count sees a matrix the screen does not clear.
+        first_stream_quadforms(*kernel_inputs([np.ones((2, 2))]))
+        assert sum(rows) == 1
+
 
 class TestBatchSplits:
     """A matrix's q and flag are the same bits in any batch, alone included."""
@@ -259,16 +386,19 @@ class TestBatchSplits:
             n, cols + extra_rows, cols)
         if cols > 1:
             hs[::5, :, -1] = hs[::5, :, 0]
-        q, singular = all_stream_quadforms(*kernel_inputs(hs))
-        assert singular[::5].all() == (cols > 1) and not singular[1::5].any()
-        for size in (1, 2, 3, 7, 64):
-            for start, stop in ((0, 70), (per_call - 35, n)):
-                for lo in range(start, stop, size):
-                    hi = min(lo + size, stop)
-                    q_s, singular_s = all_stream_quadforms(
-                        *kernel_inputs(hs[lo:hi]))
-                    assert q_s.tobytes() == q[lo:hi].tobytes(), (size, lo)
-                    assert singular_s.tobytes() == singular[lo:hi].tobytes()
+        for kernel in (all_stream_quadforms, first_stream_quadforms):
+            q, singular = kernel(*kernel_inputs(hs))
+            assert (singular[::5].all() == (cols > 1)
+                    and not singular[1::5].any())
+            for size in (1, 2, 3, 7, 64):
+                for start, stop in ((0, 70), (per_call - 35, n)):
+                    for lo in range(start, stop, size):
+                        hi = min(lo + size, stop)
+                        q_s, singular_s = kernel(*kernel_inputs(hs[lo:hi]))
+                        assert q_s.tobytes() == q[lo:hi].tobytes(), (
+                            kernel.__name__, size, lo)
+                        assert (singular_s.tobytes()
+                                == singular[lo:hi].tobytes())
 
 
 def mp_quadforms(h):
@@ -286,10 +416,12 @@ class TestIllConditionedAccuracy:
     def test_relative_error_within_condition_times_eps(self, kappa_db):
         rng = np.random.default_rng(int(kappa_db))
         hs = np.stack([rician(rng, 4, 4, kappa_db) for _ in range(40)])
-        q, singular = all_stream_quadforms(*kernel_inputs(hs))
-        assert not singular.any()
         s = np.linalg.svd(hs, compute_uv=False)
         cond = (s[:, 0] / s[:, -1]) ** 2
         ref = np.array([mp_quadforms(h) for h in hs])
-        err = np.abs(q[:, 0] - ref) / ref
-        assert (err <= cond[:, None] * 2.2e-16).all()
+        q, singular = all_stream_quadforms(*kernel_inputs(hs))
+        q0, singular0 = first_stream_quadforms(*kernel_inputs(hs))
+        assert not singular.any() and not singular0.any()
+        for got, want in ((q[:, 0], ref), (q0, ref[:, :1])):
+            err = np.abs(got - want) / want
+            assert (err <= cond[:, None] * 2.2e-16).all()

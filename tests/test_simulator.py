@@ -119,6 +119,48 @@ class TestChunkSeeding:
         np.testing.assert_array_equal(got.view(np.uint64),
                                       want.view(np.uint64))
 
+    def test_seeding_dtypes_are_explicit(self, monkeypatch):
+        # The hash and mix run on uint32 words and the seed words are
+        # uint64 under any promotion rules for Python ints (numpy 1.24's
+        # value-based casting or NEP 50), and no numpy scalar overflows.
+        dtypes = {"hash": set(), "mix": set(), "words": set()}
+        hasher, mix = simulator._hasher, simulator._mix
+
+        def spy_hasher(init, mult):
+            hash_words = hasher(init, mult)
+
+            def spied(value):
+                out = hash_words(value)
+                dtypes["hash"].update((value.dtype, out.dtype))
+                return out
+            return spied
+
+        def spy_mix(x, y):
+            out = mix(x, y)
+            dtypes["mix"].update((x.dtype, y.dtype, out.dtype))
+            return out
+
+        def spy_memoryview(words):
+            dtypes["words"].add(words.dtype)
+            return memoryview(words)
+
+        monkeypatch.setattr(simulator, "_hasher", spy_hasher)
+        monkeypatch.setattr(simulator, "_mix", spy_mix)
+        monkeypatch.setattr(simulator, "memoryview", spy_memoryview,
+                            raising=False)
+        with np.errstate(all="raise"):
+            states = list(simulator._trial_states(2**64 - 1, 2**32 - 8,
+                                                  2**32))
+        assert dtypes == {"hash": {np.dtype(np.uint32)},
+                          "mix": {np.dtype(np.uint32)},
+                          "words": {np.dtype(np.uint64)}}
+        assert len(states) == 8
+        for state, inc in states:
+            assert type(state) is int and type(inc) is int
+            assert 0 <= state < 2**128 and 0 < inc < 2**128 and inc % 2 == 1
+        rng = trial_rng(2**64 - 1, 2**32 - 1).bit_generator.state["state"]
+        assert (rng["state"], rng["inc"]) == states[-1]
+
     def test_at_most_one_seed_sequence_per_chunk(self, monkeypatch):
         made = []
 

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import kernel_inputs, random_complex, random_unitary, well_conditioned
+from helpers import gram_condition, kernel_inputs, random_complex, well_conditioned
 
 from hapsim.kernels import (
     CONDITION_LIMIT,
     all_stream_quadforms,
     first_stream_quadforms,
-    gram_condition,
     is_singular,
 )
 
@@ -56,59 +55,6 @@ class TestProjectionComplement:
         _, singular = first_stream_quadforms(
             *kernel_inputs([np.hstack([other, h_tilde])]))
         assert singular.all()
-
-
-class TestZfStreamSnr:
-    def test_identity_channel(self):
-        q, singular = first_stream_quadforms(*kernel_inputs([np.eye(2)]))
-        assert not singular.any()
-        assert q[0, 0] == 1.0
-
-    def test_orthogonal_columns(self):
-        c = 3.5
-        h = np.zeros((4, 2), dtype=complex)
-        h[0, 0] = c
-        h[1, 1] = c
-        q, singular = quadforms([h])
-        assert not singular.any()
-        for k in range(2):
-            assert 2.0 * q[0, k] == pytest.approx(2.0 * c * c, rel=1e-12)
-
-    def test_matches_full_inverse_oracle(self):
-        rng = np.random.default_rng(34)
-        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(200)])
-        q, singular = quadforms(hs)
-        assert not singular.any()
-        for h, row in zip(hs, q):
-            for k in range(3):
-                assert math.isclose(1.7 * row[k], oracles.zf_snr(h, k, 1.7),
-                                    rel_tol=1e-9)
-
-    def test_linear_in_scale(self):
-        # The ensemble applies power as an amplitude factor on H: scaling H
-        # by sqrt(2) must double every stream's SNR.
-        rng = np.random.default_rng(35)
-        h = well_conditioned(rng, 5, 3)
-        q, _ = quadforms([h, math.sqrt(2.0) * h])
-        np.testing.assert_allclose(q[1], 2.0 * q[0], rtol=1e-12)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(36)
-        hs, rotated = [], []
-        for _ in range(25):
-            h = well_conditioned(rng, 5, 3)
-            hs.append(h)
-            rotated.append(random_unitary(rng, 5) @ h)
-        q, _ = quadforms(hs)
-        q_rot, _ = quadforms(rotated)
-        np.testing.assert_allclose(q_rot, q, rtol=1e-9)
-
-    def test_nearly_collinear_raises(self):
-        col = random_complex(np.random.default_rng(37), 6, 1)
-        h = np.hstack([col, col * (1.0 + 1e-9)])
-        q, singular = first_stream_quadforms(*kernel_inputs([h]))
-        assert singular.all()
-        assert q[0, 0] == 0.0
 
 
 class TestZfAllStreams:
