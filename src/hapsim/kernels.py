@@ -101,7 +101,7 @@ def _factor(gram: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, ...]:
     writes into the caller's stack.
     """
     n, c = gram.shape[:2]
-    stack = gram if n > 1 else gram[[0, 0]]
+    stack = gram[[0, 0]] if n == 1 else gram
     g = np.ascontiguousarray(stack.transpose(1, 2, 0)[np.ix_(order, order)])
     trace = sum(g[j, j].real for j in range(c))
     positive = np.ones(g.shape[-1], dtype=bool)

@@ -8,9 +8,14 @@ argmaxes are stable, and results are independent of evaluation order or
 parallel scheduling.  Each trial takes one standard-normal fill from its
 stream, laid out in _hops() order.  trial_rng defines a trial's stream;
 an ensemble seeds a whole chunk's streams at once (_fill_trials): it
-runs numpy's SeedSequence and PCG64 seeding arithmetic over the chunk's
-trial indices as uint32 arrays, then sets each trial's PCG64 state on
-one reused generator, so every row equals trial_rng's draws bit for bit.
+runs numpy's SeedSequence hash over the chunk's trial indices as uint32
+arrays and PCG64's 128-bit seeding step as 32-bit limbs in uint64 arrays,
+which gives every trial's four PCG64 state words (_trial_states).  One
+reused generator then draws each row after that row's words are written
+into its {state, inc} pair through bit_generator.ctypes.state_address, in
+the memory order probed before the first draw, so every row equals
+trial_rng's draws
+bit for bit.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of as many trials as fit _CHUNK_DRAWS draws, and keeps only the
@@ -35,6 +40,8 @@ on the same draws.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -46,6 +53,10 @@ from . import kernels
 from .network import NetworkConfig, check_far_field, db_to_linear, los_channel
 
 _LN2 = math.log(2.0)
+# Scales two standard normals to the planes of a CN(0, 1) entry.  numpy
+# divides a complex array by sqrt(2) as a multiply by this, so the bits are
+# those of that division.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 SNR_DB = "snr_db"
 RELAY_ALTITUDE_M = "relay_altitude_m"
@@ -70,7 +81,10 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 2**32 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2**128 - 1
+# _pcg64_words holds a 128-bit value as 4 limbs of 32 bits in uint64 arrays.
+_LIMBS = 4
+_LIMB_BITS = np.uint64(32)
+_LIMB_MASK = np.uint64(_MASK32)
 
 
 def _trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
@@ -203,20 +217,75 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(_XSHIFT))
 
 
-def _trial_states(master_seed: int, lo: int,
-                  hi: int) -> Iterator[tuple[int, int]]:
-    """Yield PCG64 (state, inc) of trials lo..hi-1, as trial_rng seeds them.
+def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """32-bit limbs, mod 2**128, of uint64 column sums, low limb first."""
+    limbs, carry = [], np.uint64(0)
+    for column in columns:
+        column = column + carry
+        limbs.append(column & _LIMB_MASK)
+        carry = column >> _LIMB_BITS
+    return limbs
+
+
+def _mul_add(x: list[np.ndarray], const: int,
+             y: list[np.ndarray]) -> list[np.ndarray]:
+    """(x * const + y) mod 2**128 on 32-bit limbs, low limb first.
+
+    A product of two limbs fits a uint64; it adds its low half to its
+    column and its high half to the next, so a column sums at most 8 terms
+    below 2**32 and cannot overflow either.
+    """
+    m = [np.uint64(const >> 32 * j & _MASK32) for j in range(_LIMBS)]
+    columns = list(y)
+    for i in range(_LIMBS):
+        for j in range(_LIMBS - i):
+            product = x[i] * m[j]
+            columns[i + j] = columns[i + j] + (product & _LIMB_MASK)
+            if i + j + 1 < _LIMBS:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> _LIMB_BITS)
+    return _carry(columns)
+
+
+def _pcg64_words(half: list[np.ndarray]) -> np.ndarray:
+    """PCG64's state words after seeding, from its seed words in halves.
+
+    half holds SeedSequence.generate_state(4, uint64) as 8 uint32 halves in
+    uint64 arrays, the low half of each word first; PCG64 reads words 0-1
+    as initstate and 2-3 as initseq, high word first.  Its seeding sets
+    inc = initseq << 1 | 1 and state = (initstate + inc) * MULT + inc,
+    mod 2**128, here on 4 limbs of 32 bits a value.  Returns an (n, 4)
+    uint64 array of the words (state high, state low, inc high, inc low),
+    the order of the state setter's pcg64_set_state.
+    """
+    initstate = [half[2], half[3], half[0], half[1]]
+    initseq = [half[6], half[7], half[4], half[5]]
+    one = np.uint64(1)
+    inc = [(initseq[0] << one | one) & _LIMB_MASK]
+    inc += [(word << one | low >> np.uint64(31)) & _LIMB_MASK
+            for low, word in zip(initseq, initseq[1:])]
+    state = _mul_add(_carry([a + b for a, b in zip(initstate, inc)]),
+                     _PCG64_MULT, inc)
+    words = np.empty((len(half[0]), 4), dtype=np.uint64)
+    for k, limbs in enumerate((state, inc)):
+        words[:, 2 * k] = limbs[3] << _LIMB_BITS | limbs[2]
+        words[:, 2 * k + 1] = limbs[1] << _LIMB_BITS | limbs[0]
+    return words
+
+
+def _trial_states(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """PCG64 state words of trials lo..hi-1, as trial_rng seeds them.
 
     SeedSequence(master_seed, spawn_key=(t,)) hashes the entropy words
     [seed words zero-padded to the pool size, t] into a 4-word pool, and
-    generate_state(4, uint64) hashes the pool into the words
-    (initstate, initseq) of PCG64's seeding.  The hash constants follow a
-    fixed sequence, so every step runs once over the whole chunk as uint32
-    arrays (their products wrap mod 2**32, as in numpy's C code); only the
-    final 128-bit LCG step is Python integer arithmetic, per trial.  Every
-    array operand is an explicit np.uint32 or np.uint64, so the dtypes do
-    not rest on numpy's promotion rules for Python ints; the hash constants
-    advance as Python ints, which no numpy scalar overflow can touch.
+    generate_state(4, uint64) hashes the pool into the seed words of
+    PCG64 (_pcg64_words).  The hash constants follow a fixed sequence, so
+    every step runs once over the whole chunk: the hash and mix as uint32
+    arrays (their products wrap mod 2**32, as in numpy's C code), PCG64's
+    128-bit seeding as uint64 arrays of 32-bit limbs.  Every array operand
+    is an explicit np.uint32 or np.uint64, so the dtypes do not rest on
+    numpy's promotion rules for Python ints; the hash constants advance as
+    Python ints, which no numpy scalar overflow can touch.  Returns an
+    (hi - lo, 4) uint64 array, one row of _pcg64_words per trial.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(np.array([master_seed >> 32 * i & _MASK32], np.uint32))
@@ -230,32 +299,64 @@ def _trial_states(master_seed: int, lo: int,
         pool[dst] = _mix(pool[dst], hashmix(spawn))
 
     generate = _hasher(_INIT_B, _MULT_B)
-    half = [generate(pool[i % _POOL_SIZE]).astype(np.uint64)
-            for i in range(2 * _POOL_SIZE)]
-    # Little-endian pairs of uint32 make the four uint64 seed words; PCG64
-    # reads words 0-1 as initstate and 2-3 as initseq, high word first.
-    # A memoryview yields each word as a Python int only when it is read.
-    words = [memoryview(half[2 * k + 1] << np.uint64(32) | half[2 * k])
-             for k in range(_POOL_SIZE)]
-    for s_hi, s_lo, q_hi, q_lo in zip(*words):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        yield ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
+    return _pcg64_words([generate(pool[i % _POOL_SIZE]).astype(np.uint64)
+                         for i in range(2 * _POOL_SIZE)])
+
+
+def _state_pair(bit_gen: np.random.PCG64) -> np.ndarray:
+    """A PCG64's {state, inc} pair as a writable array of 4 uint64 words.
+
+    bit_gen.ctypes.state_address points to numpy's pcg64_state struct,
+    whose first field points to the pair.  The view does not keep bit_gen
+    alive.
+    """
+    pair = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pair))
+
+
+@functools.cache
+def _pair_order() -> np.ndarray:
+    """Which of _pcg64_words' columns each word of the pair holds in memory.
+
+    numpy keeps the pair as two little-endian __uint128_t or, where it
+    emulates 128-bit math, as two {high, low} structs; setting four
+    distinct words through the public state setter and reading them back
+    tells which.  Any other layout raises RuntimeError before a trial is
+    drawn.  The probe runs on first use, not at import: numpy loads
+    numpy.random lazily, and importing it would add about 20 ms to
+    `import hapsim`.
+    """
+    written = [1, 2, 3, 4]
+    bit_gen = np.random.PCG64(0)
+    state = bit_gen.state
+    state["state"] = {"state": written[0] << 64 | written[1],
+                      "inc": written[2] << 64 | written[3]}
+    bit_gen.state = state
+    read = _state_pair(bit_gen).tolist()
+    if sorted(read) != written:
+        raise RuntimeError(f"unknown PCG64 state layout: wrote the words "
+                           f"{written}, read back {read}")
+    return np.array([written.index(word) for word in read])
 
 
 def _fill_trials(master_seed: int, lo: int, out: np.ndarray) -> None:
     """Fill row i of out with trial lo + i's standard normals.
 
     Each row equals trial_rng(master_seed, lo + i).standard_normal(out=row)
-    bit for bit; the chunk is seeded by _trial_states and drawn through one
-    generator of trial_rng's kind, whose PCG64 state is set per row.
+    bit for bit.  _trial_states computes the state words of the whole chunk
+    at once; one generator of trial_rng's kind draws every row, after that
+    row's four words are written into its {state, inc} pair through
+    ctypes.state_address (_state_pair), in the probed memory order.  Each
+    write copies the four words as one 32-byte void scalar, a third of the
+    cost of a 4-word slice assignment.  A normal fill never sets
+    has_uint32, so it stays 0 as trial_rng has it.
     """
     rng = trial_rng(master_seed, lo)
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    for row, (value, inc) in zip(out, _trial_states(master_seed, lo,
-                                                    lo + len(out))):
-        state["state"] = {"state": value, "inc": inc}
-        bit_gen.state = state
+    pair = _state_pair(rng.bit_generator).view("V32")
+    words = np.ascontiguousarray(
+        _trial_states(master_seed, lo, lo + len(out))[:, _pair_order()])
+    for row, trial_words in zip(out, words.view("V32")[:, 0]):
+        pair[0] = trial_words
         rng.standard_normal(out=row)
 
 
@@ -385,7 +486,9 @@ class TrialEnsemble:
             for hop, (span, los, a, b, kernel), q_out, failed_out in zip(
                     self._hops, stages, self._q, self._failed):
                 z = x[:, span].reshape(hi - lo, hop.links, 2, *hop.shape)
-                nlos = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+                nlos = np.empty(z[:, :, 0].shape, dtype=np.complex128)
+                np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos.real)
+                np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos.imag)
                 q, singular = kernel(los, nlos, a, b)
                 q_out[:, lo:hi] = q.reshape(hi - lo, -1).T
                 failed_out[lo:hi] = singular.any(axis=1)

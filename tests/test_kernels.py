@@ -200,6 +200,74 @@ class TestZeroForcingIdentities:
         assert q[0, 0] == 0.0
 
 
+def all_forms(hs) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's q and the singular flag of each matrix in hs."""
+    q, singular = all_stream_quadforms(*kernel_inputs(hs))
+    return q[:, 0], singular[:, 0]
+
+
+class TestProjectionResidual:
+    """q_0 = h_0^H (I - P) h_0: the energy of column 0 off the span of the
+    other columns, and a flag where those columns leave no such residual."""
+
+    def test_basis_column(self):
+        # The other column is e_1: zero forcing removes the first entry only.
+        h = np.array([[2.0, 1.0], [3.0, 0.0], [4.0j, 0.0]], dtype=complex)
+        q, singular = all_forms([h])
+        assert not singular.any()
+        assert q[0, 0] == pytest.approx(9.0 + 16.0, rel=1e-15)
+
+    def test_matches_pseudo_inverse_oracle(self):
+        rng = np.random.default_rng(31)
+        hs = np.stack([well_conditioned(rng, 4, 3) for _ in range(50)])
+        q, _ = all_forms(hs)
+        for h, got in zip(hs, q[:, 0]):
+            rest = h[:, 1:]
+            resid = h[:, 0] - rest @ (np.linalg.pinv(rest) @ h[:, 0])
+            assert math.isclose(got, np.vdot(resid, resid).real, rel_tol=1e-9)
+
+    def test_rank_deficient_is_flagged(self):
+        col = random_complex(np.random.default_rng(33), 4, 1)
+        h_tilde = np.hstack([col, col])
+        cond = gram_condition(h_tilde)
+        assert cond >= CONDITION_LIMIT
+        assert is_singular(cond)
+        other = random_complex(np.random.default_rng(34), 4, 1)
+        _, singular = first_stream_quadforms(
+            *kernel_inputs([np.hstack([other, h_tilde])]))
+        assert singular.all()
+
+
+class TestAllStreamForms:
+    """Every column's q from the all-stream kernel: 1 / [(H^H H)^{-1}]_kk."""
+
+    def test_identity_channel(self):
+        q, singular = all_forms([np.eye(3)])
+        assert not singular.any()
+        assert (2.0 * q[0]).tolist() == [2.0, 2.0, 2.0]
+
+    def test_rank_one_is_flagged(self):
+        a = np.exp(1j * np.linspace(0.0, 2.0, 4))
+        b = np.exp(1j * np.linspace(0.0, 1.0, 3))
+        _, singular = all_forms([np.outer(a, b)])
+        assert singular.all()
+
+    def test_matches_inverse_diagonal(self):
+        rng = np.random.default_rng(38)
+        hs = np.stack([well_conditioned(rng, 5, 3) for _ in range(50)])
+        q, _ = all_forms(hs)
+        for h, row in zip(hs, q):
+            for k in range(3):
+                assert math.isclose(0.8 * row[k], oracles.zf_snr(h, k, 0.8),
+                                    rel_tol=1e-9)
+
+    def test_single_column(self):
+        h = np.array([[3.0], [4.0]], dtype=complex)
+        q, _ = all_forms([h])
+        assert q.shape == (1, 1)
+        assert q[0, 0] == pytest.approx(25.0, rel=1e-12)
+
+
 class TestInputValidation:
     def test_wrong_rank_rejected(self):
         los, nlos, a, b = workload(trials=2)
@@ -372,6 +440,16 @@ class TestScreenedGate:
 
 class TestBatchSplits:
     """A matrix's q and flag are the same bits in any batch, alone included."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 4])
+    def test_zero_trials_give_empty_forms(self, cols):
+        los, nlos, a, b = workload(trials=1, cols=cols)
+        q0, singular0 = first_stream_quadforms(los, nlos[:0], a, b)
+        q, singular = all_stream_quadforms(los, nlos[:0], a, b)
+        assert q0.shape == singular0.shape == singular.shape == (0, 3)
+        assert q.shape == (0, 3, cols)
+        assert q0.dtype == q.dtype == np.float64
+        assert singular0.dtype == singular.dtype == np.bool_
 
     @pytest.mark.parametrize("extra_rows", [0, 2], ids=["square", "tall"])
     @pytest.mark.parametrize("cols", range(1, 10))

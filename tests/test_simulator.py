@@ -120,11 +120,14 @@ class TestChunkSeeding:
                                       want.view(np.uint64))
 
     def test_seeding_dtypes_are_explicit(self, monkeypatch):
-        # The hash and mix run on uint32 words and the seed words are
-        # uint64 under any promotion rules for Python ints (numpy 1.24's
-        # value-based casting or NEP 50), and no numpy scalar overflows.
-        dtypes = {"hash": set(), "mix": set(), "words": set()}
+        # The hash and mix run on uint32 words and the 128-bit limb
+        # arithmetic on uint64 under any promotion rules for Python ints
+        # (numpy 1.24's value-based casting or NEP 50), and no numpy scalar
+        # overflows.
+        dtypes = {"hash": set(), "mix": set(), "limbs": set()}
         hasher, mix = simulator._hasher, simulator._mix
+        carry, mul_add = simulator._carry, simulator._mul_add
+        pcg64_words = simulator._pcg64_words
 
         def spy_hasher(init, mult):
             hash_words = hasher(init, mult)
@@ -140,26 +143,84 @@ class TestChunkSeeding:
             dtypes["mix"].update((x.dtype, y.dtype, out.dtype))
             return out
 
-        def spy_memoryview(words):
-            dtypes["words"].add(words.dtype)
-            return memoryview(words)
+        def spy_carry(columns):
+            out = carry(columns)
+            dtypes["limbs"].update(a.dtype for a in columns + out)
+            return out
+
+        def spy_mul_add(x, const, y):
+            out = mul_add(x, const, y)
+            dtypes["limbs"].update(a.dtype for a in x + y + out)
+            return out
+
+        def spy_pcg64_words(half):
+            out = pcg64_words(half)
+            dtypes["limbs"].update(a.dtype for a in half + [out])
+            return out
 
         monkeypatch.setattr(simulator, "_hasher", spy_hasher)
         monkeypatch.setattr(simulator, "_mix", spy_mix)
-        monkeypatch.setattr(simulator, "memoryview", spy_memoryview,
-                            raising=False)
+        monkeypatch.setattr(simulator, "_carry", spy_carry)
+        monkeypatch.setattr(simulator, "_mul_add", spy_mul_add)
+        monkeypatch.setattr(simulator, "_pcg64_words", spy_pcg64_words)
         with np.errstate(all="raise"):
-            states = list(simulator._trial_states(2**64 - 1, 2**32 - 8,
-                                                  2**32))
+            words = simulator._trial_states(2**64 - 1, 2**32 - 8, 2**32)
         assert dtypes == {"hash": {np.dtype(np.uint32)},
                           "mix": {np.dtype(np.uint32)},
-                          "words": {np.dtype(np.uint64)}}
-        assert len(states) == 8
-        for state, inc in states:
-            assert type(state) is int and type(inc) is int
-            assert 0 <= state < 2**128 and 0 < inc < 2**128 and inc % 2 == 1
+                          "limbs": {np.dtype(np.uint64)}}
+        assert words.shape == (8, 4)
+        assert (words[:, 3] % 2 == 1).all()
+        state_hi, state_lo, inc_hi, inc_lo = (int(w) for w in words[-1])
         rng = trial_rng(2**64 - 1, 2**32 - 1).bit_generator.state["state"]
-        assert (rng["state"], rng["inc"]) == states[-1]
+        assert rng == {"state": state_hi << 64 | state_lo,
+                       "inc": inc_hi << 64 | inc_lo}
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seeds=st.lists(st.tuples(*[st.one_of(
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+        st.integers(0, 2**64 - 1))] * 4), min_size=1, max_size=8))
+    @example(seeds=[(0, 0, 0, 0)])
+    @example(seeds=[(2**64 - 1,) * 4])
+    @example(seeds=[(0, 2**64 - 1, 0, 2**64 - 1), (2**64 - 1, 0, 2**64 - 1, 0)])
+    def test_limbs_match_python_ints(self, seeds):
+        # PCG64's seeding on 32-bit limbs equals the same arithmetic on
+        # Python ints mod 2**128, carries across every limb and word included.
+        half = [np.array([word >> 32 * h & 0xFFFFFFFF
+                          for word in (seed[k] for seed in seeds)],
+                         dtype=np.uint64)
+                for k in range(4) for h in range(2)]
+        with np.errstate(all="raise"):
+            got = simulator._pcg64_words(half)
+        mask = 2**128 - 1
+        for (s_hi, s_lo, q_hi, q_lo), row in zip(seeds, got.tolist()):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
+            state = (((s_hi << 64 | s_lo) + inc) * simulator._PCG64_MULT
+                     + inc) & mask
+            assert row == [state >> 64, state & 2**64 - 1,
+                           inc >> 64, inc & 2**64 - 1]
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**32 - 4))
+    @example(seed=2**64 - 1, lo=2**32 - 4)
+    def test_written_words_set_the_public_state(self, seed, lo):
+        # Writing trial t's words into the pair leaves the generator in
+        # trial_rng(seed, t)'s state, as the public state dict reads it.
+        rng = trial_rng(seed, lo)
+        pair = simulator._state_pair(rng.bit_generator)
+        words = simulator._trial_states(seed, lo, lo + 4)
+        for t, trial_words in enumerate(words[:, simulator._pair_order()], lo):
+            rng.standard_normal(3)
+            pair[:] = trial_words
+            state = rng.bit_generator.state
+            assert state == trial_rng(seed, t).bit_generator.state
+            assert state["has_uint32"] == 0
+
+    def test_unknown_state_layout_raises(self, monkeypatch):
+        assert sorted(simulator._pair_order().tolist()) == [0, 1, 2, 3]
+        monkeypatch.setattr(simulator, "_state_pair",
+                            lambda bit_gen: np.array([1, 2, 3, 5], np.uint64))
+        with pytest.raises(RuntimeError, match="unknown PCG64 state layout"):
+            simulator._pair_order.__wrapped__()
 
     def test_at_most_one_seed_sequence_per_chunk(self, monkeypatch):
         made = []
