@@ -191,16 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(args.config)
         scenario = scenario.with_overrides(trials=args.trials,
                                            master_seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    if args.dump_config:
-        sys.stdout.write(dump_scenario(scenario))
-        return 0
-    try:
+        if args.dump_config:
+            sys.stdout.write(dump_scenario(scenario))
+            return 0
         if args.command == "geometry":
             return _cmd_geometry(scenario)
         if hop := wide_hop(scenario.network):  # before any draw

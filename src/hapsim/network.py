@@ -14,7 +14,8 @@ where C1 sums one zero-forced stream per platform on the uplink and C2 does
 the same per ground station on the downlink; simulator.TrialEnsemble
 evaluates it per trial over the kernels' quadratic forms.  The config also
 owns the far-field rule (far_field_m, the shortest admissible link, and
-check_far_field(), the one test of a distance against it) and wide_hop(),
+check_far_field(), the one test of a distance: past that limit, and short
+enough that its square fits a float64) and wide_hop(),
 the one test that zero forcing can serve both hops.  dof() returns the
 high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna count
 and is deliberately a separate quantity from the capacity prefactor.
@@ -263,13 +264,19 @@ class NetworkConfig:
 
 
 def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
-    """Raise ValueError unless link name, distance_m long, is past the far field."""
+    """Raise ValueError unless link name, distance_m long, is past the far field
+    and its square, which the path loss divides by, fits in a float64."""
     distance_m = float(distance_m)
     if not distance_m > 0.0:
         raise ValueError(f"{name} must be positive, got {distance_m:g}")
     if not distance_m > cfg.far_field_m:
         raise ValueError(f"{name} = {distance_m:g} m is inside "
                          f"the far-field limit {cfg.far_field_m:g} m")
+    try:
+        distance_m ** 2  # the path loss squares a distance this way
+    except OverflowError:
+        raise ValueError(f"{name} = {distance_m:g} m is too long: its square "
+                         "overflows float64") from None
 
 
 def wide_hop(cfg: NetworkConfig) -> str | None:

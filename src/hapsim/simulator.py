@@ -7,15 +7,15 @@ sweep are therefore pathwise: per-trial rates are monotone in power, curve
 argmaxes are stable, and results are independent of evaluation order or
 parallel scheduling.  Each trial takes one standard-normal fill from its
 stream, laid out in _hops() order.  trial_rng defines a trial's stream;
-an ensemble seeds a whole chunk's streams at once (_fill_trials): it
-runs numpy's SeedSequence hash over the chunk's trial indices as uint32
-arrays and PCG64's 128-bit seeding step as 32-bit limbs in uint64 arrays,
-which gives every trial's four PCG64 state words (_trial_states).  One
-reused generator then draws each row after that row's words are written
-into its {state, inc} pair through bit_generator.ctypes.state_address, in
-the memory order probed before the first draw, so every row equals
-trial_rng's draws
-bit for bit.
+an ensemble seeds a whole chunk's streams at once (_fill_trials): numpy's
+SeedSequence(master_seed) hashes the seed into its pool, the spawn key's
+stage of the hash runs over the chunk's trial indices as uint32 arrays,
+and PCG64's seeding up to its last LCG step runs as uint64 words, which
+gives every trial's four PCG64 words (_trial_states).  One reused
+generator then draws each row after that row's words are written into its
+{state, inc} pair through bit_generator.ctypes.state_address, in the
+memory order probed before the first draw, and one random_raw() takes the
+last seeding step, so every row equals trial_rng's draws bit for bit.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of as many trials as fit _CHUNK_DRAWS draws, and keeps only the
@@ -72,19 +72,16 @@ _CHUNK_DRAWS = 2**17
 # A trial's spawn key is one 32-bit word, and the master seed at most two.
 _MAX_TRIALS = 2**32
 
-# numpy's SeedSequence constants (pool of 4 uint32 words, hashmix and mix)
-# and PCG64's 128-bit LCG multiplier; _trial_states repeats their seeding.
-_POOL_SIZE = 4
+# numpy's SeedSequence constants (hashmix and mix, and generate_state's hash);
+# _trial_states repeats the spawn-key stage of the hash.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 2**32 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# _pcg64_words holds a 128-bit value as 4 limbs of 32 bits in uint64 arrays.
-_LIMBS = 4
-_LIMB_BITS = np.uint64(32)
-_LIMB_MASK = np.uint64(_MASK32)
+# The hash constant of the spawn key's first hash: the pool took 16 before it
+# (4 of the padded seed words, 12 in the mixing rounds).
+_SPAWN_A = _INIT_A * _MULT_A**16 & _MASK32
 
 
 def _trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
@@ -217,90 +214,50 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(_XSHIFT))
 
 
-def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """32-bit limbs, mod 2**128, of uint64 column sums, low limb first."""
-    limbs, carry = [], np.uint64(0)
-    for column in columns:
-        column = column + carry
-        limbs.append(column & _LIMB_MASK)
-        carry = column >> _LIMB_BITS
-    return limbs
+def _prestep_words(seed: np.ndarray) -> np.ndarray:
+    """PCG64's (state, inc) words, one LCG step short of its seeded state.
 
-
-def _mul_add(x: list[np.ndarray], const: int,
-             y: list[np.ndarray]) -> list[np.ndarray]:
-    """(x * const + y) mod 2**128 on 32-bit limbs, low limb first.
-
-    A product of two limbs fits a uint64; it adds its low half to its
-    column and its high half to the next, so a column sums at most 8 terms
-    below 2**32 and cannot overflow either.
+    seed holds generate_state(4, uint64) words as PCG64 reads them: initstate
+    high and low, then initseq high and low, one row per trial.  PCG64 sets
+    inc = initseq << 1 | 1 and state = initstate + inc, then takes one LCG
+    step, which the generator's own random_raw() takes once these words are
+    written.  Returns an (n, 4) uint64 array of (state high, state low,
+    inc high, inc low), the order of the state setter's pcg64_set_state;
+    each 64-bit word wraps, and the low state word carries into the high one.
     """
-    m = [np.uint64(const >> 32 * j & _MASK32) for j in range(_LIMBS)]
-    columns = list(y)
-    for i in range(_LIMBS):
-        for j in range(_LIMBS - i):
-            product = x[i] * m[j]
-            columns[i + j] = columns[i + j] + (product & _LIMB_MASK)
-            if i + j + 1 < _LIMBS:
-                columns[i + j + 1] = columns[i + j + 1] + (product >> _LIMB_BITS)
-    return _carry(columns)
-
-
-def _pcg64_words(half: list[np.ndarray]) -> np.ndarray:
-    """PCG64's state words after seeding, from its seed words in halves.
-
-    half holds SeedSequence.generate_state(4, uint64) as 8 uint32 halves in
-    uint64 arrays, the low half of each word first; PCG64 reads words 0-1
-    as initstate and 2-3 as initseq, high word first.  Its seeding sets
-    inc = initseq << 1 | 1 and state = (initstate + inc) * MULT + inc,
-    mod 2**128, here on 4 limbs of 32 bits a value.  Returns an (n, 4)
-    uint64 array of the words (state high, state low, inc high, inc low),
-    the order of the state setter's pcg64_set_state.
-    """
-    initstate = [half[2], half[3], half[0], half[1]]
-    initseq = [half[6], half[7], half[4], half[5]]
     one = np.uint64(1)
-    inc = [(initseq[0] << one | one) & _LIMB_MASK]
-    inc += [(word << one | low >> np.uint64(31)) & _LIMB_MASK
-            for low, word in zip(initseq, initseq[1:])]
-    state = _mul_add(_carry([a + b for a, b in zip(initstate, inc)]),
-                     _PCG64_MULT, inc)
-    words = np.empty((len(half[0]), 4), dtype=np.uint64)
-    for k, limbs in enumerate((state, inc)):
-        words[:, 2 * k] = limbs[3] << _LIMB_BITS | limbs[2]
-        words[:, 2 * k + 1] = limbs[1] << _LIMB_BITS | limbs[0]
+    words = np.empty_like(seed)
+    words[:, 3] = seed[:, 3] << one | one
+    words[:, 2] = seed[:, 2] << one | seed[:, 3] >> np.uint64(63)
+    words[:, 1] = seed[:, 1] + words[:, 3]
+    words[:, 0] = seed[:, 0] + words[:, 2] + (words[:, 1] < words[:, 3])
     return words
 
 
-def _trial_states(master_seed: int, lo: int, hi: int) -> np.ndarray:
-    """PCG64 state words of trials lo..hi-1, as trial_rng seeds them.
+def _trial_states(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """PCG64 words of trials lo..hi-1, one LCG step before trial_rng's state.
 
-    SeedSequence(master_seed, spawn_key=(t,)) hashes the entropy words
-    [seed words zero-padded to the pool size, t] into a 4-word pool, and
-    generate_state(4, uint64) hashes the pool into the seed words of
-    PCG64 (_pcg64_words).  The hash constants follow a fixed sequence, so
-    every step runs once over the whole chunk: the hash and mix as uint32
-    arrays (their products wrap mod 2**32, as in numpy's C code), PCG64's
-    128-bit seeding as uint64 arrays of 32-bit limbs.  Every array operand
-    is an explicit np.uint32 or np.uint64, so the dtypes do not rest on
-    numpy's promotion rules for Python ints; the hash constants advance as
-    Python ints, which no numpy scalar overflow can touch.  Returns an
-    (hi - lo, 4) uint64 array, one row of _pcg64_words per trial.
+    pool is SeedSequence(master_seed).pool.  A seed below 2**128 fills at
+    most the pool's 4 words, which numpy pads with zeros whether or not a
+    spawn key follows, so that pool is the first stage of
+    SeedSequence(master_seed, spawn_key=(t,))'s.  The spawn key's stage
+    continues the hash from its 17th constant, and generate_state(4, uint64)
+    hashes the mixed pool into PCG64's seed words (_prestep_words).  Every
+    step runs once over the chunk's trial indices as uint32 arrays, whose
+    products wrap mod 2**32 as in numpy's C code; every operand is an
+    explicit np.uint32 or np.uint64, so the dtypes do not rest on numpy's
+    promotion rules for Python ints.  Returns an (hi - lo, 4) uint64 array,
+    one row of _prestep_words per trial.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(np.array([master_seed >> 32 * i & _MASK32], np.uint32))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    hashmix = _hasher(_SPAWN_A, _MULT_A)
     spawn = np.arange(lo, hi, dtype=np.uint32)
-    for dst in range(_POOL_SIZE):
-        pool[dst] = _mix(pool[dst], hashmix(spawn))
-
+    mixed = [_mix(pool[i:i + 1], hashmix(spawn)) for i in range(len(pool))]
     generate = _hasher(_INIT_B, _MULT_B)
-    return _pcg64_words([generate(pool[i % _POOL_SIZE]).astype(np.uint64)
-                         for i in range(2 * _POOL_SIZE)])
+    half = [generate(word).astype(np.uint64) for word in mixed + mixed]
+    # generate_state's uint64 word k is uint32 words 2k (low) and 2k + 1.
+    seed = np.stack([high << np.uint64(32) | low
+                     for low, high in zip(half[::2], half[1::2])], axis=1)
+    return _prestep_words(seed)
 
 
 def _state_pair(bit_gen: np.random.PCG64) -> np.ndarray:
@@ -316,7 +273,7 @@ def _state_pair(bit_gen: np.random.PCG64) -> np.ndarray:
 
 @functools.cache
 def _pair_order() -> np.ndarray:
-    """Which of _pcg64_words' columns each word of the pair holds in memory.
+    """Which of _prestep_words' columns each word of the pair holds in memory.
 
     numpy keeps the pair as two little-endian __uint128_t or, where it
     emulates 128-bit math, as two {high, low} structs; setting four
@@ -343,20 +300,25 @@ def _fill_trials(master_seed: int, lo: int, out: np.ndarray) -> None:
     """Fill row i of out with trial lo + i's standard normals.
 
     Each row equals trial_rng(master_seed, lo + i).standard_normal(out=row)
-    bit for bit.  _trial_states computes the state words of the whole chunk
-    at once; one generator of trial_rng's kind draws every row, after that
-    row's four words are written into its {state, inc} pair through
-    ctypes.state_address (_state_pair), in the probed memory order.  Each
-    write copies the four words as one 32-byte void scalar, a third of the
-    cost of a 4-word slice assignment.  A normal fill never sets
-    has_uint32, so it stays 0 as trial_rng has it.
+    bit for bit.  One SeedSequence(master_seed) gives the chunk its
+    generator, of trial_rng's kind, and its pool, from which _trial_states
+    computes every trial's words at once.  Each row's four words are
+    written into the generator's {state, inc} pair through
+    ctypes.state_address (_state_pair), in the probed memory order, as one
+    32-byte void scalar, a third of the cost of a 4-word slice assignment;
+    one random_raw() then takes PCG64's last seeding step.  Neither that
+    step nor a normal fill sets has_uint32, so it stays 0 as trial_rng has
+    it.
     """
-    rng = trial_rng(master_seed, lo)
+    seq = np.random.SeedSequence(master_seed)
+    rng = np.random.default_rng(seq)
+    step = rng.bit_generator.random_raw
     pair = _state_pair(rng.bit_generator).view("V32")
     words = np.ascontiguousarray(
-        _trial_states(master_seed, lo, lo + len(out))[:, _pair_order()])
+        _trial_states(seq.pool, lo, lo + len(out))[:, _pair_order()])
     for row, trial_words in zip(out, words.view("V32")[:, 0]):
         pair[0] = trial_words
+        step()
         rng.standard_normal(out=row)
 
 
@@ -596,10 +558,10 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
 
     It needs lo < hi and a positive resolution tol (the golden-section
     stopping width or the grid step).  It must lie strictly between the
-    ground stations and the platforms, and at both ends leave each hop
-    longer than the far-field limit, and each hop's snr scale must be
-    positive and finite.  Callers that build a trial ensemble check first,
-    so that bad input costs no draws.
+    ground stations and the platforms, and leave each hop longer than the
+    far-field limit and short enough that its square fits a float64, and
+    each hop's snr scale must be positive and finite.  Callers that build a
+    trial ensemble check first, so that bad input costs no draws.
     """
     lo, hi, tol = float(lo), float(hi), float(tol)
     if not lo < hi:
@@ -612,8 +574,12 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
             f"altitude range [{lo:g}, {hi:g}] must lie strictly inside "
             f"({lay.gs_altitude_m:g}, {lay.hap_altitude_m:g})"
         )
+    # Each hop at its shortest, the far-field test's case, then at its
+    # longest, the square's.
     check_far_field(cfg, "d_rd_m", lo - lay.gs_altitude_m)
     check_far_field(cfg, "d_sr_m", lay.hap_altitude_m - hi)
+    check_far_field(cfg, "d_rd_m", hi - lay.gs_altitude_m)
+    check_far_field(cfg, "d_sr_m", lay.hap_altitude_m - lo)
     _altitude_scales(cfg)
 
 

@@ -2,12 +2,10 @@
 
 Seeded random matrices with conditioning control, kernel inputs that carry
 given matrices unchanged, the eigenvalue condition number the kernels' gate
-computes, and two small statistics the tests use on the simulator's output.
+computes, and a bootstrap interval the tests use on the simulator's output.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -55,15 +53,6 @@ def gram_condition(h) -> np.ndarray:
     lmin = ev[..., 0]
     safe = lmin > 0.0
     return np.where(safe, ev[..., -1] / np.where(safe, lmin, 1.0), np.inf)
-
-
-def asymptotic_capacity(dof_beta: float, snr_linear: float) -> float:
-    """Leading high-SNR term beta * log2(snr), in bits/s/Hz."""
-    if not float(dof_beta) > 0.0:
-        raise ValueError(f"dof_beta must be positive, got {dof_beta!r}")
-    if not float(snr_linear) > 1.0:
-        raise ValueError(f"snr_linear must exceed 1, got {snr_linear!r}")
-    return float(dof_beta) * math.log2(float(snr_linear))
 
 
 def bootstrap_mean_ci(samples: np.ndarray, confidence: float = 0.95,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import asymptotic_capacity, gram_condition, random_complex
+from helpers import gram_condition, random_complex
 
 from hapsim.network import NetworkConfig, ScenarioLayout, dof
 from hapsim.simulator import TrialEnsemble
@@ -39,22 +39,6 @@ class TestDof:
     def test_invalid_counts(self):
         with pytest.raises(ValueError, match=">= 1"):
             dof(0, 3, 1)
-
-
-class TestAsymptoticCapacity:
-    def test_reference_values(self):
-        assert asymptotic_capacity(1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
-        assert asymptotic_capacity(1.8, 1024.0) == pytest.approx(18.0, rel=1e-15)
-
-    def test_slope_is_beta(self):
-        gamma = 50.0
-        slope = (asymptotic_capacity(1.8, gamma * 4.0)
-                 - asymptotic_capacity(1.8, gamma)) / 2.0
-        assert slope == pytest.approx(1.8, rel=1e-12)
-
-    def test_low_snr_rejected(self):
-        with pytest.raises(ValueError, match="snr_linear"):
-            asymptotic_capacity(1.8, 1.0)
 
 
 def unit_los_cfg() -> NetworkConfig:

@@ -272,8 +272,18 @@ class TestOneEnsemblePerCommand:
         ("snr-sweep", snr_keys(relay_altitude_m=17999.9), []),
         ("snr-sweep", snr_keys(sweep_start=-4000.0, sweep_stop=10.0,
                                sweep_step=2005.0, trials=2000), []),
+        ("snr-sweep", snr_keys(hap_altitude_m=1e200), []),
+        ("altitude-sweep", altitude_keys(hap_altitude_m=1e200), []),
+        ("altitude-sweep", altitude_keys(hap_altitude_m=1e200),
+         ["--cross-check"]),
+        ("optimal-altitude", altitude_keys(hap_altitude_m=1e200), []),
+        ("altitude-sweep", altitude_keys(hap_altitude_m=2e154,
+                                         sweep_start=1e3, sweep_stop=1.9e154,
+                                         sweep_step=1e153), []),
     ], ids=["wrong-variable", "bracket", "tol", "band", "snr-far-field",
-            "snr-underflow"])
+            "snr-underflow", "snr-square-overflow", "altitude-square-overflow",
+            "cross-check-square-overflow", "optimal-square-overflow",
+            "far-end-square-overflow"])
     def test_bad_input_draws_nothing(self, tmp_path, capsys, builds, command,
                                      keys, flags):
         argv = [command, "--config", write_scenario(tmp_path, **keys), *flags]
@@ -555,3 +565,15 @@ def test_cli_import_loads_neither_scipy_nor_numba():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily, and loading it costs about 20 ms, so
+    # the trial seeding touches it on first use, not at import.
+    code = ("import sys, hapsim, hapsim.cli; "
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(hapsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True False"

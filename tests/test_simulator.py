@@ -120,14 +120,13 @@ class TestChunkSeeding:
                                       want.view(np.uint64))
 
     def test_seeding_dtypes_are_explicit(self, monkeypatch):
-        # The hash and mix run on uint32 words and the 128-bit limb
-        # arithmetic on uint64 under any promotion rules for Python ints
-        # (numpy 1.24's value-based casting or NEP 50), and no numpy scalar
+        # The hash and mix run on uint32 words and PCG64's seeding on
+        # uint64 words under any promotion rules for Python ints (numpy
+        # 1.24's value-based casting or NEP 50), and no numpy scalar
         # overflows.
-        dtypes = {"hash": set(), "mix": set(), "limbs": set()}
+        dtypes = {"hash": set(), "mix": set(), "words": set()}
         hasher, mix = simulator._hasher, simulator._mix
-        carry, mul_add = simulator._carry, simulator._mul_add
-        pcg64_words = simulator._pcg64_words
+        prestep_words = simulator._prestep_words
 
         def spy_hasher(init, mult):
             hash_words = hasher(init, mult)
@@ -143,37 +142,27 @@ class TestChunkSeeding:
             dtypes["mix"].update((x.dtype, y.dtype, out.dtype))
             return out
 
-        def spy_carry(columns):
-            out = carry(columns)
-            dtypes["limbs"].update(a.dtype for a in columns + out)
-            return out
-
-        def spy_mul_add(x, const, y):
-            out = mul_add(x, const, y)
-            dtypes["limbs"].update(a.dtype for a in x + y + out)
-            return out
-
-        def spy_pcg64_words(half):
-            out = pcg64_words(half)
-            dtypes["limbs"].update(a.dtype for a in half + [out])
+        def spy_prestep_words(seed):
+            out = prestep_words(seed)
+            dtypes["words"].update((seed.dtype, out.dtype))
             return out
 
         monkeypatch.setattr(simulator, "_hasher", spy_hasher)
         monkeypatch.setattr(simulator, "_mix", spy_mix)
-        monkeypatch.setattr(simulator, "_carry", spy_carry)
-        monkeypatch.setattr(simulator, "_mul_add", spy_mul_add)
-        monkeypatch.setattr(simulator, "_pcg64_words", spy_pcg64_words)
+        monkeypatch.setattr(simulator, "_prestep_words", spy_prestep_words)
+        pool = np.random.SeedSequence(2**64 - 1).pool
         with np.errstate(all="raise"):
-            words = simulator._trial_states(2**64 - 1, 2**32 - 8, 2**32)
+            words = simulator._trial_states(pool, 2**32 - 8, 2**32)
         assert dtypes == {"hash": {np.dtype(np.uint32)},
                           "mix": {np.dtype(np.uint32)},
-                          "limbs": {np.dtype(np.uint64)}}
+                          "words": {np.dtype(np.uint64)}}
         assert words.shape == (8, 4)
         assert (words[:, 3] % 2 == 1).all()
-        state_hi, state_lo, inc_hi, inc_lo = (int(w) for w in words[-1])
-        rng = trial_rng(2**64 - 1, 2**32 - 1).bit_generator.state["state"]
-        assert rng == {"state": state_hi << 64 | state_lo,
-                       "inc": inc_hi << 64 | inc_lo}
+        bit_gen = np.random.PCG64(0)
+        simulator._state_pair(bit_gen)[:] = words[-1, simulator._pair_order()]
+        bit_gen.random_raw()
+        assert (bit_gen.state
+                == trial_rng(2**64 - 1, 2**32 - 1).bit_generator.state)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(seeds=st.lists(st.tuples(*[st.one_of(
@@ -182,20 +171,16 @@ class TestChunkSeeding:
     @example(seeds=[(0, 0, 0, 0)])
     @example(seeds=[(2**64 - 1,) * 4])
     @example(seeds=[(0, 2**64 - 1, 0, 2**64 - 1), (2**64 - 1, 0, 2**64 - 1, 0)])
-    def test_limbs_match_python_ints(self, seeds):
-        # PCG64's seeding on 32-bit limbs equals the same arithmetic on
-        # Python ints mod 2**128, carries across every limb and word included.
-        half = [np.array([word >> 32 * h & 0xFFFFFFFF
-                          for word in (seed[k] for seed in seeds)],
-                         dtype=np.uint64)
-                for k in range(4) for h in range(2)]
+    def test_prestep_words_match_python_ints(self, seeds):
+        # inc = initseq << 1 | 1 and state = initstate + inc on uint64
+        # words equal the same arithmetic on Python ints mod 2**128, the
+        # carries out of the low words included.
         with np.errstate(all="raise"):
-            got = simulator._pcg64_words(half)
+            got = simulator._prestep_words(np.array(seeds, dtype=np.uint64))
         mask = 2**128 - 1
         for (s_hi, s_lo, q_hi, q_lo), row in zip(seeds, got.tolist()):
             inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
-            state = (((s_hi << 64 | s_lo) + inc) * simulator._PCG64_MULT
-                     + inc) & mask
+            state = ((s_hi << 64 | s_lo) + inc) & mask
             assert row == [state >> 64, state & 2**64 - 1,
                            inc >> 64, inc & 2**64 - 1]
 
@@ -203,14 +188,17 @@ class TestChunkSeeding:
     @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**32 - 4))
     @example(seed=2**64 - 1, lo=2**32 - 4)
     def test_written_words_set_the_public_state(self, seed, lo):
-        # Writing trial t's words into the pair leaves the generator in
-        # trial_rng(seed, t)'s state, as the public state dict reads it.
+        # Writing trial t's words into the pair and taking one step with
+        # random_raw() leaves the generator in trial_rng(seed, t)'s state,
+        # as the public state dict reads it.
         rng = trial_rng(seed, lo)
         pair = simulator._state_pair(rng.bit_generator)
-        words = simulator._trial_states(seed, lo, lo + 4)
+        pool = np.random.SeedSequence(seed).pool
+        words = simulator._trial_states(pool, lo, lo + 4)
         for t, trial_words in enumerate(words[:, simulator._pair_order()], lo):
             rng.standard_normal(3)
             pair[:] = trial_words
+            rng.bit_generator.random_raw()
             state = rng.bit_generator.state
             assert state == trial_rng(seed, t).bit_generator.state
             assert state["has_uint32"] == 0
@@ -798,6 +786,14 @@ class TestGridPasses:
             ens.relay_rates(1.0, 1.0, 9000.0, d)
         with pytest.raises(ValueError, match="d_sr_m = 40 m .* far-field"):
             ens.relay_rates(1.0, 1.0, d, d)
+
+    def test_distance_whose_square_overflows_rejected(self):
+        ens = TrialEnsemble(make_cfg(), 3, 1)
+        d = np.array([9000.0, 1e200])
+        with pytest.raises(ValueError, match="d_rd_m = 1e.200 m is too long"):
+            ens.relay_rates(1.0, 1.0, 9000.0, d)
+        with pytest.raises(ValueError, match="d_sr_m = 1e.200 m is too long"):
+            ens.relay_rates(1.0, 1.0, d, 9000.0)
 
     def test_two_dimensional_points_rejected(self):
         ens = TrialEnsemble(make_cfg(), 3, 1)
