@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import sys
 
 from .network import dof, min_hap_separation, wide_hop
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
+    _CHUNK_DRAWS,
     RELAY_ALTITUDE_M,
     SnrSweepResult,
     SumRateCurve,
@@ -19,6 +22,34 @@ from .simulator import (
     run_altitude_sweep,
     run_snr_sweep,
 )
+
+
+# glibc mallopt parameters.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_chunk_memory() -> bool:
+    """Keep freed chunk-sized arrays in the heap; whether glibc took it.
+
+    By default glibc returns each chunk's work arrays (about 1 MiB each) to
+    the kernel when they are freed and faults them in again, page by page,
+    for the next chunk.  An mmap threshold of four chunk budgets and a trim
+    threshold twice that (glibc's own ratio) serve them from resident heap
+    pages instead; the stored forms, which grow with the trials, stay above
+    the mmap threshold.  A no-op where the C library has no mallopt or
+    rejects it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_threshold = 4 * _CHUNK_DRAWS * 8  # bytes of float64
+    return bool(mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+                and mallopt(_M_TRIM_THRESHOLD, 2 * mmap_threshold))
 
 
 def _fmt(value: float) -> str:
@@ -187,6 +218,7 @@ def _cmd_optimal_altitude(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_chunk_memory()
     try:
         scenario = load_scenario(args.config)
         scenario = scenario.with_overrides(trials=args.trials,

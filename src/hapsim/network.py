@@ -264,11 +264,14 @@ class NetworkConfig:
 
 
 def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
-    """Raise ValueError unless link name, distance_m long, is past the far field
-    and its square, which the path loss divides by, fits in a float64."""
+    """Raise ValueError unless link name, distance_m long, is finite, past the
+    far field and its square, which the path loss divides by, fits in a
+    float64."""
     distance_m = float(distance_m)
     if not distance_m > 0.0:
         raise ValueError(f"{name} must be positive, got {distance_m:g}")
+    if not math.isfinite(distance_m):
+        raise ValueError(f"{name} must be finite, got {distance_m:g}")
     if not distance_m > cfg.far_field_m:
         raise ValueError(f"{name} = {distance_m:g} m is inside "
                          f"the far-field limit {cfg.far_field_m:g} m")

@@ -3,12 +3,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 import hapsim
-from hapsim import simulator
+from hapsim import cli, simulator
 from hapsim.cli import build_parser, main
 from hapsim.scenario import scenario_from_mapping
 
@@ -543,6 +544,69 @@ class TestExitCodes:
     def test_missing_required_args_raise_system_exit(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["snr-sweep"])
+
+
+def glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestChunkMemory:
+    """main keeps freed chunk arrays resident through glibc's mallopt."""
+
+    @pytest.fixture
+    def fresh(self):
+        # The helper is cached per process; let it run again before and
+        # after a test that replaces the C library.
+        cli._keep_chunk_memory.cache_clear()
+        yield
+        cli._keep_chunk_memory.cache_clear()
+
+    @staticmethod
+    def snr_argv(out, trials=500):
+        return ["snr-sweep", "--config", str(SCENARIOS / "snr_sweep.yaml"),
+                "--trials", str(trials), "--out", str(out)]
+
+    @pytest.mark.skipif(not glibc(), reason="the thresholds are glibc's")
+    def test_repeated_sweep_takes_no_fresh_pages(self, tmp_path):
+        import resource
+
+        argv = self.snr_argv(tmp_path / "curve.csv")
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100
+
+    @pytest.mark.parametrize("libc", [SimpleNamespace(),
+                                      SimpleNamespace(mallopt=lambda p, v: 0)],
+                             ids=["no-mallopt", "mallopt-refuses"])
+    def test_same_csv_without_mallopt(self, tmp_path, monkeypatch, fresh,
+                                      libc):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        assert main(self.snr_argv(want, trials=40)) == 0
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_chunk_memory.cache_clear()
+        assert main(self.snr_argv(got, trials=40)) == 0
+        assert cli._keep_chunk_memory() is False
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_thresholds_set_once_per_process(self, tmp_path, monkeypatch,
+                                             fresh, capsys):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda p, v: calls.append((p, v)) or 1)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cfg = write_scenario(tmp_path)
+        for _ in range(3):
+            assert main(["geometry", "--config", cfg]) == 0
+        # M_MMAP_THRESHOLD at four 1 MiB chunk budgets, M_TRIM_THRESHOLD
+        # at twice that.
+        assert simulator._CHUNK_DRAWS * 8 == 2**20
+        assert calls == [(-3, 4 * 2**20), (-1, 8 * 2**20)]
+        assert cli._keep_chunk_memory() is True
+        assert len(calls) == 2
 
 
 @pytest.mark.skipif(shutil.which("hapsim") is None,

@@ -493,6 +493,15 @@ class TestTrialEnsemble:
             ens.relay_rates(1.0, 1.0, 9000.0, edge)
         ens.relay_rates(1.0, 1.0, edge + 1.0, edge + 1.0)
 
+    @pytest.mark.parametrize("up,down,name", [
+        (math.inf, 9000.0, "d_sr_m"), (9000.0, math.inf, "d_rd_m"),
+    ])
+    def test_infinite_distance_rejected(self, up, down, name):
+        cfg = load_scenario("scenarios/snr_sweep.yaml").network
+        ens = TrialEnsemble(cfg, trials=4, master_seed=1)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ens.relay_rates(1.0, 1.0, up, down)
+
     def test_post_path_loss_ignores_distance(self):
         cfg = make_cfg(snr_reference="post_path_loss")
         ens = TrialEnsemble(cfg, trials=10, master_seed=6)
