@@ -10,11 +10,13 @@ every column (all_stream_quadforms).  scale * q_k is stream k's zero-forcing
 SNR, so path gains and power scale q from the outside and one kernel pass
 serves a whole sweep.  simulator.TrialEnsemble is the only caller.
 
-Each G is factored G = L L^H (Cholesky) by one loop, _factor, as
-whole-array numpy operations over the whole call, copied batch-last
-(c, c, n) with its columns in a given order: no LAPACK call per matrix.  A
-pivot that is not positive is replaced by one, so the factorization never
-raises.
+The kernel mixes H batch-first, then copies it once batch-last, (r, c, n)
+with its columns in the kernel's order.  On that copy one loop, _factor,
+forms the lower triangle of G, G[i, j] = sum_r conj(H[r, i]) H[r, j]
+added up in index order of r, and factors G = L L^H (Cholesky), all as
+whole-array numpy operations over the whole call: no BLAS or LAPACK call
+per matrix.  A pivot that is not positive is replaced by one, so the
+factorization never raises.
 - The all-stream kernel factors G in natural order, inverts L by forward
   substitution and reads [G^{-1}]_kk as the k-th column sum of
   |L^{-1}|^2.
@@ -25,23 +27,23 @@ raises.
 Each step runs along the batch axis or sums a matrix axis in index order,
 so a matrix's bits do not depend on the rest of its call; a lone matrix,
 which would drop that axis and switch numpy to loops that round otherwise
-(a scalar complex multiply, a pairwise sum), is factored as two copies.
+(a scalar complex multiply, a pairwise sum), is copied twice.
 
 A matrix is singular when cond(G), taken from the eigenvalues of G, reaches
 CONDITION_LIMIT; is_singular alone makes that decision, and a sweep counts
-such a trial as failed.  Eigenvalues are computed only where the factor
-does not clear G.  The all-stream screen uses cond(G) <= tr(G)
-||L^{-1}||_F^2.  The first-stream screen has no L^{-1} and bounds it by the
-comparison matrix M(L) (|diagonal|, -|off-diagonal|): |L^{-1}| <= M(L)^{-1}
-entrywise and ||M(L)^{-1}||_inf = ||M(L)^{-1} e||_inf for the ones vector
-e (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8),
-so ||L^{-1}||_F^2 <= c ||M(L)^{-1} e||_inf^2, one real forward
-substitution.  A completed Cholesky is backward stable, L L^H = G + E with
-||E||_2 <= gamma_{c+1} tr(G + E) (Higham, Thm 10.3), so G is regular when
-every pivot is positive and its bound is below _SCREEN_LIMIT.  Conversely
-every G the eigenvalue test passes meets Demmel's condition for Cholesky
-to complete, c(c+1) u cond(G) < 1 (Higham, section 10.1), for c up to
-about 90.  Flagged matrices get q = 0.
+such a trial as failed.  Eigenvalues, of G from np.matmul, are computed
+only where the factor does not clear G.  The all-stream screen uses
+cond(G) <= tr(G) ||L^{-1}||_F^2.  The first-stream screen has no L^{-1} and
+bounds it by the comparison matrix M(L) (|diagonal|, -|off-diagonal|):
+|L^{-1}| <= M(L)^{-1} entrywise and ||M(L)^{-1}||_inf = ||M(L)^{-1} e||_inf
+for the ones vector e (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 8), so ||L^{-1}||_F^2 <= c ||M(L)^{-1} e||_inf^2,
+one real forward substitution.  A completed Cholesky is backward stable,
+L L^H = G + E with ||E||_2 <= gamma_{c+1} tr(G + E) (Higham, Thm 10.3), so
+G is regular when every pivot is positive and its bound is below
+_SCREEN_LIMIT.  Conversely every G the eigenvalue test passes meets
+Demmel's condition for Cholesky to complete, c(c+1) u cond(G) < 1
+(Higham, section 10.1), for c up to about 90.  Flagged matrices get q = 0.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ import numpy as np
 # Gram-matrix condition number at or above this is treated as singular.
 CONDITION_LIMIT = 1e12
 # A condition bound below this clears a matrix without its eigenvalues; the
-# factor of ten absorbs the bound's and the test's errors, about cond(G) eps.
+# factor of ten absorbs the bound's and the test's errors, about cond(G) eps,
+# and the test's own G, which rounds otherwise than the factor's.
 _SCREEN_LIMIT = 1e11
 
 
@@ -91,20 +94,44 @@ def is_singular(cond: np.ndarray) -> np.ndarray:
     return ~(np.asarray(cond) < CONDITION_LIMIT)
 
 
-def _factor(gram: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cholesky factor of a (n, c, c) stack with its columns taken in order.
+def _batch_last(h: np.ndarray, shift: int) -> np.ndarray:
+    """A batch-last (r, c, m) copy of a (n, r, c) stack, columns rolled left.
+
+    Column shift comes first and the columns before it go last; m = n,
+    except that a lone matrix is copied twice.
+    """
+    n, r, c = h.shape
+    t = h.transpose(1, 2, 0)
+    out = np.empty((r, c, 2 if n == 1 else n), dtype=np.complex128)
+    out[:, :c - shift] = t[:, shift:]
+    out[:, c - shift:] = t[:, :shift]
+    return out
+
+
+def _factor(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cholesky factor of G = H^H H from a batch-last (r, c, m) stack H.
 
     Returns L batch-last (c, c, m) in the lower triangle, tr(G), where every
     pivot is positive, and the last pivot, the Schur complement of the other
-    columns (one where it is not positive); m = n, except that a lone matrix
-    is factored as two copies.  The gather copies G, so the factor never
-    writes into the caller's stack.
+    columns (one where it is not positive).  Only the lower triangle of G is
+    formed, G[i, j] = sum_r conj(H[r, i]) H[r, j] added up in index order of
+    r, one diagonal d = i - j at a time: its products are the contiguous
+    slices conj(H[r, d:]) * H[r, :c-d], which numpy multiplies without
+    broadcasting.  The upper triangle is never written or read.
     """
-    n, c = gram.shape[:2]
-    stack = gram[[0, 0]] if n == 1 else gram
-    g = np.ascontiguousarray(stack.transpose(1, 2, 0)[np.ix_(order, order)])
+    r, c, m = h.shape
+    if not r:  # G = 0, the Gram matrix of one zero row
+        h = np.zeros((1, c, m), dtype=np.complex128)
+    hc = np.conj(h)
+    g = np.empty((c, c, m), dtype=np.complex128)
+    rows = g.reshape(c * c, m)  # G[i, i - d] is row i (c + 1) - d
+    for d in range(c):
+        diagonal = hc[0, d:] * h[0, :c - d]
+        for k in range(1, len(h)):
+            diagonal += hc[k, d:] * h[k, :c - d]
+        rows[d * c::c + 1] = diagonal
     trace = sum(g[j, j].real for j in range(c))
-    positive = np.ones(g.shape[-1], dtype=bool)
+    positive = np.ones(m, dtype=bool)
     for j in range(c):  # column j of L overwrites column j of G
         g[j:, j] -= (g[j:, :j] * g[j, :j].conj()).sum(axis=1)
         pivot = g[j, j].real
@@ -116,25 +143,25 @@ def _factor(gram: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, ...]:
     return g, trace, positive, pivot
 
 
-def _all_forms(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every q_k (n, c) of a (n, c, c) stack and where the screen clears G."""
-    n, c = gram.shape[:2]
-    g, trace, cleared, _ = _factor(gram, np.arange(c))
+def _all_forms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every q_k (m, c) of a batch-last (r, c, m) H and where G is cleared."""
+    c = h.shape[1]
+    g, trace, cleared, _ = _factor(h)
     inv = np.zeros_like(g)
     for i in range(c):
         inv[i, i] = 1.0 / g[i, i].real
         inv[i, :i] = (g[i, :i, None] * inv[:i, :i]).sum(axis=0) * -inv[i, i].real
     inv_diag = (inv.real ** 2 + inv.imag ** 2).sum(axis=0)
     cleared &= trace * inv_diag.sum(axis=0) < _SCREEN_LIMIT
-    return 1.0 / inv_diag.T[:n], cleared[:n]
+    return 1.0 / inv_diag.T, cleared
 
 
-def _first_forms(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q_0 (n, 1) of a (n, c, c) stack and where the screen clears G."""
-    n, c = gram.shape[:2]
-    g, trace, cleared, q0 = _factor(gram, np.roll(np.arange(c), -1))
+def _first_forms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q_0 (m, 1) of a batch-last (r, c, m) H, column 0 last, and where G is
+    cleared."""
+    g, trace, cleared, q0 = _factor(h)
     cleared &= _comparison_bound(g, trace) < _SCREEN_LIMIT
-    return q0[:n, None], cleared[:n]
+    return q0[:, None], cleared
 
 
 def _comparison_bound(g: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -147,20 +174,25 @@ def _comparison_bound(g: np.ndarray, trace: np.ndarray) -> np.ndarray:
 
 
 def _quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray, b: np.ndarray,
-               forms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """q (T, L, k) from forms, zero where singular, and the flags (T, L)."""
+               forms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+               shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """q (T, L, k) from forms, zero where singular, and the flags (T, L).
+
+    forms gets H batch-last with its columns rolled left by shift.
+    """
     los, nlos, a, b = _check_inputs(los, nlos, a, b)
-    gram = _gram(a[:, None, None] * los + b[:, None, None] * nlos)
-    flat = gram.reshape(-1, *gram.shape[-2:])
+    h = a[:, None, None] * los + b[:, None, None] * nlos
+    n = h.shape[0] * h.shape[1]
+    flat = h.reshape(n, *h.shape[2:])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q, cleared = forms(flat)
-        singular = ~cleared
+        q, cleared = forms(_batch_last(flat, shift))
+        singular = ~cleared[:n]
         if singular.any():  # eigvalsh costs a call even on no matrices
-            singular[singular] = is_singular(_condition(flat[singular]))
-        q = np.where(singular[:, None], 0.0, q)
-    return (q.reshape(*gram.shape[:-2], q.shape[-1]),
-            singular.reshape(gram.shape[:-2]))
+            singular[singular] = is_singular(
+                _condition(_gram(flat[singular])))
+        q = np.where(singular[:, None], 0.0, q[:n])
+    return (q.reshape(*h.shape[:-2], q.shape[-1]),
+            singular.reshape(h.shape[:-2]))
 
 
 def first_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
@@ -175,11 +207,11 @@ def first_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
         q: float64 (T, L); zero where the singular flag is set.
         singular: bool (T, L); True where cond(H^H H) >= CONDITION_LIMIT.
     """
-    q, singular = _quadforms(los, nlos, a, b, _first_forms)
+    q, singular = _quadforms(los, nlos, a, b, _first_forms, 1)
     return q[..., 0], singular
 
 
 def all_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-(trial, link, column) quadratic forms and per-matrix singular flags."""
-    return _quadforms(los, nlos, a, b, _all_forms)
+    return _quadforms(los, nlos, a, b, _all_forms, 0)

@@ -329,11 +329,22 @@ def _passes(points: int, trials: int) -> Iterator[slice]:
 
 
 def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
-    """values broadcast to 1-D float64 arrays, and whether all were scalars."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-    if arrays[0].ndim > 1:
+    """values broadcast to 1-D float64 arrays, and whether all were scalars.
+
+    Broadcasting follows numpy's rule for at most one axis: every 1-D value
+    has length 1 or the common length.
+    """
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    if any(a.ndim > 1 for a in arrays):
         raise ValueError("operating points must be scalars or 1-D arrays")
-    return arrays[0].ndim == 0, [a.reshape(-1) for a in arrays]
+    lengths = {len(a) for a in arrays if a.ndim} - {1}
+    if len(lengths) > 1:
+        raise ValueError(f"operating points of lengths {sorted(lengths)} "
+                         "do not broadcast together")
+    n = lengths.pop() if lengths else 1
+    return (all(a.ndim == 0 for a in arrays),
+            [a.reshape(-1) if a.size == n else np.full(n, a.reshape(-1)[0])
+             for a in arrays])
 
 
 def _aggregate(xs: np.ndarray, rates: np.ndarray) -> list[CurvePoint]:
@@ -454,6 +465,7 @@ class TrialEnsemble:
                 q, singular = kernel(los, nlos, a, b)
                 q_out[:, lo:hi] = q.reshape(hi - lo, -1).T
                 failed_out[lo:hi] = singular.any(axis=1)
+        self._relay_failed = self._failed[_UP] | self._failed[_DOWN]
 
     def _hop_rate(self, index: int, snr_scale: np.ndarray,
                   distance_m: np.ndarray) -> np.ndarray:
@@ -522,7 +534,7 @@ class TrialEnsemble:
         self._check_finite({_UP: c1, _DOWN: c2})
         rates = np.minimum(c1, c2, out=c1)
         rates *= self.cfg.dof_prefactor
-        rates[:, self._failed[_UP] | self._failed[_DOWN]] = np.nan
+        rates[:, self._relay_failed] = np.nan
         return rates[0] if scalar else rates
 
     def baseline_rates(self, snr_scale) -> np.ndarray:
@@ -610,6 +622,26 @@ def _altitude_points(ens: TrialEnsemble,
     return points
 
 
+def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
+    """The mean relay rate at one altitude, as _altitude_points reports it.
+
+    One relay_rates call per altitude; its row is averaged over the valid
+    trials, which _aggregate's mean does in the same order, so the value is
+    the same bits without a CurvePoint or a standard error.  NaN when no
+    trial is valid.
+    """
+    lay = ens.cfg.layout
+    scale_up, scale_dn = _altitude_scales(ens.cfg)
+    valid = ~ens._relay_failed
+    any_valid = valid.any()
+
+    def mean_rate(alt: float) -> float:
+        rates = ens.relay_rates(scale_up, scale_dn, lay.hap_altitude_m - alt,
+                                alt - lay.gs_altitude_m)
+        return float(rates[valid].mean()) if any_valid else math.nan
+    return mean_rate
+
+
 def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
                   include_baseline: bool = False) -> SnrSweepResult:
     """Mean sum-rate versus transmit SNR at the configured layout.
@@ -675,10 +707,7 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
     """
     check_altitude_bracket(ens.cfg, lo, hi, tol)
     lo, hi, tol = float(lo), float(hi), float(tol)
-
-    def objective(alt: float) -> float:
-        return _altitude_points(ens, np.array([alt]))[0].mean_rate
-
+    objective = _mean_relay_rate(ens)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)

@@ -284,6 +284,16 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="mixing weights"):
             all_stream_quadforms(los, nlos, a[:2], b)
 
+    def test_channels_without_rows_are_singular(self):
+        # H with no rows has G = 0: every matrix is flagged and q is zero.
+        nlos = np.zeros((2, 1, 0, 3), dtype=np.complex128)
+        args = np.zeros((1, 0, 3)), nlos, np.zeros(1), np.ones(1)
+        q, singular = all_stream_quadforms(*args)
+        q0, singular0 = first_stream_quadforms(*args)
+        assert singular.tolist() == singular0.tolist() == [[True], [True]]
+        assert q.shape == (2, 1, 3) and q0.shape == (2, 1)
+        assert not q.any() and not q0.any()
+
 
 def rician(rng, rows, cols, kappa_db):
     """Rank-one line of sight plus CN(0, 1) scattering at Rician factor kappa."""
@@ -352,12 +362,11 @@ class TestScreenedGate:
         # positive, up to rounding: four ulps, and cond(G) capped at the
         # limit, because eigvalsh returns lmin <= 0, an infinite cond, for
         # exactly singular G whose pivots all round positive.
-        gram = np.conj(hs).swapaxes(-1, -2) @ hs
-        g, trace, positive, _ = kernels._factor(
-            gram, np.roll(np.arange(gram.shape[-1]), -1))
-        bound = kernels._comparison_bound(g, trace)[:len(hs)]
+        # The factor takes H batch-last (r, c, n) with column 0 last.
+        h = np.ascontiguousarray(np.roll(hs, -1, axis=-1).transpose(1, 2, 0))
+        g, trace, positive, _ = kernels._factor(h)
+        bound = kernels._comparison_bound(g, trace)
         cond = np.minimum(gram_condition(hs), CONDITION_LIMIT)
-        positive = positive[:len(hs)]
         assert (bound[positive] >= cond[positive] * (1.0 - 4.0 * EPS)).all()
 
     def test_duplicate_column_inside_regular_chunk(self):
@@ -477,6 +486,28 @@ class TestBatchSplits:
                             kernel.__name__, size, lo)
                         assert (singular_s.tobytes()
                                 == singular[lo:hi].tobytes())
+
+    @pytest.mark.parametrize("cols", [1, 4, 9])
+    def test_nlos_memory_layout_does_not_change_the_bits(self, cols):
+        # The kernels copy H batch-last themselves: C-ordered draws, a
+        # transposed view of batch-last memory and a strided slice give the
+        # same bits, and neither los nor nlos is written.
+        los, nlos, a, b = workload(trials=9, rows=cols, cols=cols)
+        batch_last = np.ascontiguousarray(nlos.transpose(2, 3, 1, 0))
+        wide = np.zeros((18, 3, cols, 2 * cols), dtype=np.complex128)
+        wide[::2, :, :, ::2] = nlos
+        layouts = [nlos, batch_last.transpose(3, 2, 0, 1),
+                   wide[::2, :, :, ::2]]
+        assert [x.flags.c_contiguous for x in layouts] == [True, False, False]
+        before = [x.copy() for x in [los, *layouts]]
+        for kernel in (all_stream_quadforms, first_stream_quadforms):
+            want = kernel(los, nlos, a, b)
+            for x in layouts[1:]:
+                got = kernel(los, x, a, b)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), kernel.__name__
+        for x, y in zip([los, *layouts], before):
+            assert x.tobytes() == y.tobytes()
 
 
 def mp_quadforms(h):

@@ -809,6 +809,27 @@ class TestGridPasses:
         with pytest.raises(ValueError, match="1-D"):
             ens.relay_rates(np.ones((2, 2)), 1.0, 9000.0, 9000.0)
 
+    @pytest.mark.parametrize("values", [
+        (2.0, 3.0), (np.arange(4.0), 3.0), ([5.0], np.arange(3.0)),
+        (np.arange(2.0), [1.0, 2.0]), (np.zeros(0), 1.0), ([7.0], [8.0]),
+        (np.arange(6.0)[::2], 1.0),
+    ])
+    def test_points_broadcast_as_numpy_does(self, values):
+        scalar, got = simulator._operating_points(*values)
+        want = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                     for v in values))
+        assert scalar == (want[0].ndim == 0)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.ndim == 1
+            assert g.tobytes() == w.reshape(-1).tobytes()
+
+    def test_points_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            simulator._operating_points(np.ones(2), 1.0, np.ones(3))
+        ens = TrialEnsemble(make_cfg(), 3, 1)
+        with pytest.raises(ValueError, match="broadcast"):
+            ens.relay_rates(np.ones(2), 1.0, np.full(3, 9000.0), 9000.0)
+
 
 class TestOptimalAltitude:
     def test_symmetric_network_peaks_at_midpoint(self):
@@ -839,6 +860,23 @@ class TestOptimalAltitude:
         alt = find_optimal_altitude(TrialEnsemble(cfg, 20, 4),
                                     4000.0, 14000.0, 250.0)
         assert math.isnan(alt)
+
+    @pytest.mark.parametrize("overrides", [{}, TestChunking.CFG])
+    def test_objective_is_the_curve_points_mean(self, overrides):
+        # The search's value at an altitude carries the bits of the mean
+        # an altitude sweep reports there, with or without failed trials.
+        ens = TrialEnsemble(make_cfg(**overrides), 150, 3)
+        assert ens._relay_failed.any() == bool(overrides)
+        objective = simulator._mean_relay_rate(ens)
+        for alt in (4000.0, 7321.5, 9000.0, 13999.0):
+            point = simulator._altitude_points(ens, np.array([alt]))[0]
+            assert np.float64(objective(alt)).tobytes() == np.float64(
+                point.mean_rate).tobytes()
+
+    def test_objective_is_nan_without_valid_trials(self):
+        cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
+        objective = simulator._mean_relay_rate(TrialEnsemble(cfg, 20, 4))
+        assert math.isnan(objective(9000.0))
 
 
 class TestBootstrapCi:
