@@ -178,21 +178,23 @@ def _quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray, b: np.ndarray,
                shift: int) -> tuple[np.ndarray, np.ndarray]:
     """q (T, L, k) from forms, zero where singular, and the flags (T, L).
 
-    forms gets H batch-last with its columns rolled left by shift.
+    forms gets H batch-last, columns rolled left by shift; the mix is freed
+    first, and the eigenvalue test rolls the columns of that copy back.
     """
     los, nlos, a, b = _check_inputs(los, nlos, a, b)
     h = a[:, None, None] * los + b[:, None, None] * nlos
-    n = h.shape[0] * h.shape[1]
-    flat = h.reshape(n, *h.shape[2:])
+    batch = h.shape[:2]
+    n = batch[0] * batch[1]
+    h = _batch_last(h.reshape(n, *h.shape[2:]), shift)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q, cleared = forms(_batch_last(flat, shift))
+        q, cleared = forms(h)
         singular = ~cleared[:n]
         if singular.any():  # eigvalsh costs a call even on no matrices
-            singular[singular] = is_singular(
-                _condition(_gram(flat[singular])))
+            flagged = np.roll(h[..., :n][..., singular], shift, axis=1)
+            singular[singular] = is_singular(_condition(_gram(
+                np.ascontiguousarray(flagged.transpose(2, 0, 1)))))
         q = np.where(singular[:, None], 0.0, q[:n])
-    return (q.reshape(*h.shape[:-2], q.shape[-1]),
-            singular.reshape(h.shape[:-2]))
+    return q.reshape(*batch, q.shape[-1]), singular.reshape(batch)
 
 
 def first_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,

@@ -10,6 +10,7 @@ the relay antenna count), so a dumped scenario re-parses identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import yaml
@@ -30,6 +31,11 @@ class Scenario:
     sweep: SweepSpec
     include_baseline: bool
     spacing_dof_beta: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.spacing_dof_beta < math.inf:
+            raise ValueError("spacing_dof_beta must be positive and finite, "
+                             f"got {self.spacing_dof_beta!r}")
 
     def with_overrides(self, trials: int | None = None,
                        master_seed: int | None = None) -> "Scenario":

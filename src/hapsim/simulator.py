@@ -6,16 +6,8 @@ reused at every sweep point (common random numbers).  Comparisons along a
 sweep are therefore pathwise: per-trial rates are monotone in power, curve
 argmaxes are stable, and results are independent of evaluation order or
 parallel scheduling.  Each trial takes one standard-normal fill from its
-stream, laid out in _hops() order.  trial_rng defines a trial's stream;
-an ensemble seeds a whole chunk's streams at once (_fill_trials): numpy's
-SeedSequence(master_seed) hashes the seed into its pool, the spawn key's
-stage of the hash runs over the chunk's trial indices as uint32 arrays,
-and PCG64's seeding up to its last LCG step runs as uint64 words, which
-gives every trial's four PCG64 words (_trial_states).  One reused
-generator then draws each row after that row's words are written into its
-{state, inc} pair through bit_generator.ctypes.state_address, in the
-memory order probed before the first draw, and one random_raw() takes the
-last seeding step, so every row equals trial_rng's draws bit for bit.
+stream, laid out in _hops() order; streams defines the streams (trial_rng)
+and fills a chunk's rows with them.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of as many trials as fit _CHUNK_DRAWS draws, and keeps only the
@@ -40,8 +32,6 @@ on the same draws.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -49,8 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import kernels, streams
 from .network import NetworkConfig, check_far_field, db_to_linear, los_channel
+from .streams import trial_budget, trial_rng
 
 _LN2 = math.log(2.0)
 # Scales two standard normals to the planes of a CN(0, 1) entry.  numpy
@@ -68,30 +59,6 @@ DEFAULT_MASTER_SEED = 12345
 # Draws per chunk and rates per sweep pass (1 MiB of float64); any size gives
 # the same results, and this one keeps the kernels' temporaries in cache.
 _CHUNK_DRAWS = 2**17
-
-# A trial's spawn key is one 32-bit word, and the master seed at most two.
-_MAX_TRIALS = 2**32
-
-# numpy's SeedSequence constants (hashmix and mix, and generate_state's hash);
-# _trial_states repeats the spawn-key stage of the hash.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 2**32 - 1
-# The hash constant of the spawn key's first hash: the pool took 16 before it
-# (4 of the padded seed words, 12 in the mixing rounds).
-_SPAWN_A = _INIT_A * _MULT_A**16 & _MASK32
-
-
-def _trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
-    """(trials, master_seed) as ints; ValueError outside the seeded range."""
-    trials, seed = int(trials), int(master_seed)
-    if not 1 <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, 2**32], got {trials!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"master_seed must fit in 64 bits, got {seed!r}")
-    return trials, seed
 
 
 @dataclass(frozen=True)
@@ -126,7 +93,7 @@ class SweepSpec:
                 f"step {self.step!r} yields fewer than 2 points over "
                 f"[{self.start!r}, {self.stop!r}]"
             )
-        trials, seed = _trial_budget(self.trials, self.master_seed)
+        trials, seed = trial_budget(self.trials, self.master_seed)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", seed)
 
@@ -189,139 +156,6 @@ class SnrSweepResult:
     baseline: SumRateCurve | None = None
 
 
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Random stream of one trial, identical at every sweep point."""
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(trial),))
-    return np.random.default_rng(seq)
-
-
-def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's uint32 hash; each call moves its constant on by mult."""
-    const = init
-
-    def hash_words(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(_XSHIFT))
-    return hash_words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(_XSHIFT))
-
-
-def _prestep_words(seed: np.ndarray) -> np.ndarray:
-    """PCG64's (state, inc) words, one LCG step short of its seeded state.
-
-    seed holds generate_state(4, uint64) words as PCG64 reads them: initstate
-    high and low, then initseq high and low, one row per trial.  PCG64 sets
-    inc = initseq << 1 | 1 and state = initstate + inc, then takes one LCG
-    step, which the generator's own random_raw() takes once these words are
-    written.  Returns an (n, 4) uint64 array of (state high, state low,
-    inc high, inc low), the order of the state setter's pcg64_set_state;
-    each 64-bit word wraps, and the low state word carries into the high one.
-    """
-    one = np.uint64(1)
-    words = np.empty_like(seed)
-    words[:, 3] = seed[:, 3] << one | one
-    words[:, 2] = seed[:, 2] << one | seed[:, 3] >> np.uint64(63)
-    words[:, 1] = seed[:, 1] + words[:, 3]
-    words[:, 0] = seed[:, 0] + words[:, 2] + (words[:, 1] < words[:, 3])
-    return words
-
-
-def _trial_states(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """PCG64 words of trials lo..hi-1, one LCG step before trial_rng's state.
-
-    pool is SeedSequence(master_seed).pool.  A seed below 2**128 fills at
-    most the pool's 4 words, which numpy pads with zeros whether or not a
-    spawn key follows, so that pool is the first stage of
-    SeedSequence(master_seed, spawn_key=(t,))'s.  The spawn key's stage
-    continues the hash from its 17th constant, and generate_state(4, uint64)
-    hashes the mixed pool into PCG64's seed words (_prestep_words).  Every
-    step runs once over the chunk's trial indices as uint32 arrays, whose
-    products wrap mod 2**32 as in numpy's C code; every operand is an
-    explicit np.uint32 or np.uint64, so the dtypes do not rest on numpy's
-    promotion rules for Python ints.  Returns an (hi - lo, 4) uint64 array,
-    one row of _prestep_words per trial.
-    """
-    hashmix = _hasher(_SPAWN_A, _MULT_A)
-    spawn = np.arange(lo, hi, dtype=np.uint32)
-    mixed = [_mix(pool[i:i + 1], hashmix(spawn)) for i in range(len(pool))]
-    generate = _hasher(_INIT_B, _MULT_B)
-    half = [generate(word).astype(np.uint64) for word in mixed + mixed]
-    # generate_state's uint64 word k is uint32 words 2k (low) and 2k + 1.
-    seed = np.stack([high << np.uint64(32) | low
-                     for low, high in zip(half[::2], half[1::2])], axis=1)
-    return _prestep_words(seed)
-
-
-def _state_pair(bit_gen: np.random.PCG64) -> np.ndarray:
-    """A PCG64's {state, inc} pair as a writable array of 4 uint64 words.
-
-    bit_gen.ctypes.state_address points to numpy's pcg64_state struct,
-    whose first field points to the pair.  The view does not keep bit_gen
-    alive.
-    """
-    pair = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
-    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pair))
-
-
-@functools.cache
-def _pair_order() -> np.ndarray:
-    """Which of _prestep_words' columns each word of the pair holds in memory.
-
-    numpy keeps the pair as two little-endian __uint128_t or, where it
-    emulates 128-bit math, as two {high, low} structs; setting four
-    distinct words through the public state setter and reading them back
-    tells which.  Any other layout raises RuntimeError before a trial is
-    drawn.  The probe runs on first use, not at import: numpy loads
-    numpy.random lazily, and importing it would add about 20 ms to
-    `import hapsim`.
-    """
-    written = [1, 2, 3, 4]
-    bit_gen = np.random.PCG64(0)
-    state = bit_gen.state
-    state["state"] = {"state": written[0] << 64 | written[1],
-                      "inc": written[2] << 64 | written[3]}
-    bit_gen.state = state
-    read = _state_pair(bit_gen).tolist()
-    if sorted(read) != written:
-        raise RuntimeError(f"unknown PCG64 state layout: wrote the words "
-                           f"{written}, read back {read}")
-    return np.array([written.index(word) for word in read])
-
-
-def _fill_trials(master_seed: int, lo: int, out: np.ndarray) -> None:
-    """Fill row i of out with trial lo + i's standard normals.
-
-    Each row equals trial_rng(master_seed, lo + i).standard_normal(out=row)
-    bit for bit.  One SeedSequence(master_seed) gives the chunk its
-    generator, of trial_rng's kind, and its pool, from which _trial_states
-    computes every trial's words at once.  Each row's four words are
-    written into the generator's {state, inc} pair through
-    ctypes.state_address (_state_pair), in the probed memory order, as one
-    32-byte void scalar, a third of the cost of a 4-word slice assignment;
-    one random_raw() then takes PCG64's last seeding step.  Neither that
-    step nor a normal fill sets has_uint32, so it stays 0 as trial_rng has
-    it.
-    """
-    seq = np.random.SeedSequence(master_seed)
-    rng = np.random.default_rng(seq)
-    step = rng.bit_generator.random_raw
-    pair = _state_pair(rng.bit_generator).view("V32")
-    words = np.ascontiguousarray(
-        _trial_states(seq.pool, lo, lo + len(out))[:, _pair_order()])
-    for row, trial_words in zip(out, words.view("V32")[:, 0]):
-        pair[0] = trial_words
-        step()
-        rng.standard_normal(out=row)
-
-
 def _passes(points: int, trials: int) -> Iterator[slice]:
     """Slices of a grid of points, each holding at most _CHUNK_DRAWS rates."""
     step = max(1, _CHUNK_DRAWS // trials)
@@ -375,7 +209,10 @@ class _Hop(NamedTuple):
     snr_keys: str                 # scenario keys that set the hop's SNR
     links: int
     shape: tuple[int, int]        # (receive, transmit) antennas of every link
-    kappa_db: tuple[float, ...]   # per-link Rician factor
+    span: slice                   # the hop's columns of a trial's fill
+    los: np.ndarray               # (links, *shape) line-of-sight stack
+    a: np.ndarray                 # per-link sqrt(k/(1+k)), k the Rician factor
+    b: np.ndarray                 # per-link sqrt(1/(1+k))
     ref_gain: np.ndarray          # per-link reference gain
     all_streams: bool             # every column counts, not just the first
 
@@ -396,75 +233,75 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     """
     m, n = cfg.num_haps, cfg.num_gs
     a_node, r_ant = cfg.antennas_per_node, cfg.relay_antennas
-    hops = [
-        _Hop("d_sr_m", "hap_power/noise_power, ref_gain_up", m,
-             (r_ant, a_node), cfg.kappa_up_db,
-             np.array(cfg.ref_gain_up), cfg.all_streams),
-        _Hop("d_rd_m", "relay_power/noise_power, ref_gain_down", n,
-             (a_node, r_ant), cfg.kappa_down_db,
-             np.array(cfg.ref_gain_down), cfg.all_streams),
-    ]
+    kinds = [("d_sr_m", "hap_power/noise_power, ref_gain_up", m, (r_ant, a_node),
+              cfg.kappa_up_db, cfg.ref_gain_up, cfg.all_streams),
+             ("d_rd_m", "relay_power/noise_power, ref_gain_down", n,
+              (a_node, r_ant), cfg.kappa_down_db, cfg.ref_gain_down,
+              cfg.all_streams)]
     if include_baseline:
-        hops.append(_Hop("d_sd_m", "hap_power/noise_power, ref_gain_direct",
-                         m * n, (a_node, a_node),
-                         tuple(np.repeat(cfg.kappa_direct_db, n)),
-                         np.repeat(np.array(cfg.ref_gain_direct), n), True))
+        kinds.append(("d_sd_m", "hap_power/noise_power, ref_gain_direct",
+                      m * n, (a_node, a_node),
+                      np.repeat(cfg.kappa_direct_db, n),
+                      np.repeat(cfg.ref_gain_direct, n), True))
+    hops, width = [], 0
+    for distance, keys, links, shape, kappa_db, ref_gain, all_streams in kinds:
+        span = slice(width, width + 2 * links * math.prod(shape))
+        width = span.stop
+        los = np.broadcast_to(los_channel(cfg, *shape), (links, *shape))
+        k = np.array([db_to_linear(v) for v in kappa_db])
+        hops.append(_Hop(distance, keys, links, shape, span, los,
+                         np.sqrt(k / (1.0 + k)), np.sqrt(1.0 / (1.0 + k)),
+                         np.array(ref_gain), all_streams))
     return tuple(hops)
+
+
+def _draw_chunk(hops: tuple[_Hop, ...], master_seed: int, lo: int,
+                q_out: list[np.ndarray], failed_out: list[np.ndarray]) -> None:
+    """Draw trials lo..lo+n-1 and reduce them into hop i's views: q_out[i]
+    (forms, n) takes its forms trial-last and failed_out[i] (n,) whether any
+    of its links is singular.  Each trial's fill, in hop order, becomes the
+    CN(0, 1) scattering matrices of every link."""
+    n = len(failed_out[0])
+    x = np.empty((n, hops[-1].span.stop))
+    streams.fill_trials(master_seed, lo, x)
+    for hop, q_view, failed_view in zip(hops, q_out, failed_out):
+        z = x[:, hop.span].reshape(n, hop.links, 2, *hop.shape)
+        nlos = np.empty(z[:, :, 0].shape, dtype=np.complex128)
+        np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos.real)
+        np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos.imag)
+        kernel = (kernels.all_stream_quadforms if hop.all_streams
+                  else kernels.first_stream_quadforms)
+        q, singular = kernel(hop.los, nlos, hop.a, hop.b)
+        q_view[...] = q.reshape(n, -1).T
+        failed_view[...] = singular.any(axis=1)
 
 
 class TrialEnsemble:
     """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
-    Construction draws and reduces the trials in chunks of as many trials
-    as fit _CHUNK_DRAWS standard normals: one fill per trial, in hop order,
-    becomes the CN(0, 1) scattering matrices of every link, and the kernels
-    turn each chunk into quadratic forms q and singular flags.  Only q
-    (float64, one row of T per link and stream, link-major) and the
-    per-trial flags are kept, so results are the same at any chunk size.
-    relay_rates and baseline_rates then evaluate one or many (power,
-    distance) operating points as whole-row arithmetic over the stored
-    forms.  Failed (singular) trials surface as NaN rates so callers can
-    count and exclude them.
+    Construction runs _draw_chunk on chunks of as many trials as fit
+    _CHUNK_DRAWS standard normals and keeps only q (float64, one row of T
+    per link and stream, link-major) and the per-trial flags, so results are
+    the same at any chunk size.  relay_rates and baseline_rates evaluate
+    operating points as whole-row arithmetic over the stored forms; failed
+    (singular) trials surface as NaN rates.
     """
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
                  include_baseline: bool = False):
         self.cfg = cfg
-        self.trials, self.master_seed = _trial_budget(trials, master_seed)
+        self.trials, self.master_seed = trial_budget(trials, master_seed)
         self.has_baseline = bool(include_baseline)
         self._hops = _hops(cfg, include_baseline)
-
-        stages, self._q, self._failed = [], [], []
-        width = 0
-        for hop in self._hops:
-            rows, cols = hop.shape
-            los = np.broadcast_to(los_channel(cfg, rows, cols),
-                                  (hop.links, rows, cols))
-            k = np.array([db_to_linear(v) for v in hop.kappa_db])
-            kernel = (kernels.all_stream_quadforms if hop.all_streams
-                      else kernels.first_stream_quadforms)
-            span = slice(width, width + 2 * hop.links * rows * cols)
-            width = span.stop
-            stages.append((span, los, np.sqrt(k / (1.0 + k)),
-                           np.sqrt(1.0 / (1.0 + k)), kernel))
-            streams = cols if hop.all_streams else 1
-            self._q.append(np.empty((hop.links * streams, self.trials)))
-            self._failed.append(np.empty(self.trials, dtype=bool))
-
-        chunk = max(1, _CHUNK_DRAWS // width)
+        self._q = [np.empty((h.links * (h.shape[1] if h.all_streams else 1),
+                             self.trials)) for h in self._hops]
+        self._failed = [np.empty(self.trials, dtype=bool) for _ in self._hops]
+        chunk = max(1, _CHUNK_DRAWS // self._hops[-1].span.stop)
         for lo in range(0, self.trials, chunk):
-            hi = min(lo + chunk, self.trials)
-            x = np.empty((hi - lo, width))
-            _fill_trials(self.master_seed, lo, x)
-            for hop, (span, los, a, b, kernel), q_out, failed_out in zip(
-                    self._hops, stages, self._q, self._failed):
-                z = x[:, span].reshape(hi - lo, hop.links, 2, *hop.shape)
-                nlos = np.empty(z[:, :, 0].shape, dtype=np.complex128)
-                np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos.real)
-                np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos.imag)
-                q, singular = kernel(los, nlos, a, b)
-                q_out[:, lo:hi] = q.reshape(hi - lo, -1).T
-                failed_out[lo:hi] = singular.any(axis=1)
+            part = slice(lo, lo + chunk)
+            _draw_chunk(self._hops, self.master_seed, lo,
+                        [q[:, part] for q in self._q],
+                        [failed[part] for failed in self._failed])
         self._relay_failed = self._failed[_UP] | self._failed[_DOWN]
 
     def _hop_rate(self, index: int, snr_scale: np.ndarray,
@@ -478,7 +315,7 @@ class TrialEnsemble:
         """
         hop = self._hops[index]
         q = self._q[index]
-        streams = len(q) // hop.links
+        per_link = len(q) // hop.links
         with np.errstate(over="ignore", invalid="ignore"):
             if self.cfg.snr_reference == "post_path_loss":
                 path = np.ones((len(distance_m), hop.links))
@@ -492,7 +329,7 @@ class TrialEnsemble:
             part = np.empty_like(rate) if len(q) > 1 else None
             for k, row in enumerate(q):
                 out = part if k else rate
-                np.multiply(f[:, k // streams, None], row, out=out)
+                np.multiply(f[:, k // per_link, None], row, out=out)
                 np.log1p(out, out=out)
                 if k:
                     rate += part
@@ -651,9 +488,10 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     place of it under snr_reference = "post_path_loss".
     """
     check_sweep_variable(spec, SNR_DB)
-    # Reject bad input before any draw.
-    for hop in _hops(cfg, include_baseline):
-        check_far_field(cfg, hop.distance, getattr(cfg.layout, hop.distance))
+    # Reject bad input before any draw, hop by hop in _hops() order; the hop
+    # table itself, line-of-sight stacks included, is the ensemble's to build.
+    for name in ("d_sr_m", "d_rd_m", "d_sd_m")[:3 if include_baseline else 2]:
+        check_far_field(cfg, name, getattr(cfg.layout, name))
     grid = spec.grid()
     gammas = np.array([db_to_linear(x) for x in grid])
     for x, gamma in zip(grid, gammas):

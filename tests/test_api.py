@@ -39,9 +39,11 @@ def _hapsim_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("module,allowed", [
     ("network", set()),
     ("kernels", set()),
-    ("simulator", {"network", "kernels"}),
+    ("streams", set()),
+    ("simulator", {"network", "kernels", "streams"}),
     ("scenario", {"network", "simulator"}),
-], ids=["network", "kernels", "simulator", "scenario"])
+    ("cli", {"network", "scenario", "simulator"}),
+], ids=["network", "kernels", "streams", "simulator", "scenario", "cli"])
 def test_module_imports_only_its_lower_layers(module, allowed):
     assert _hapsim_imports(SRC / f"{module}.py") == allowed
 

@@ -442,6 +442,20 @@ class TestExitCodes:
         assert main(["snr-sweep", "--config", cfg, "--out", str(out),
                      "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],
+        ["altitude-sweep", "--out"], ["optimal-altitude"],
+    ], ids=["geometry", "dump-config", "snr", "altitude", "optimal"])
+    def test_bad_spacing_dof_beta_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_scenario(tmp_path, spacing_dof_beta=-1.0,
+                             **altitude_keys())
+        out = tmp_path / "curve.csv"
+        argv = argv + [str(out)] if argv[-1] == "--out" else argv
+        assert main(argv + ["--config", cfg]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: spacing_dof_beta must be "
+                                       "positive and finite, got -1.0\n")
+
     def test_trials_beyond_one_spawn_word_exit_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -96,6 +97,11 @@ class TestValidation:
     def test_layout_ordering_enforced(self):
         with pytest.raises(ScenarioError, match="relay"):
             scenario_from_mapping({"relay_altitude_m": 19000.0})
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.inf, math.nan])
+    def test_spacing_dof_beta_positive_and_finite(self, beta):
+        with pytest.raises(ScenarioError, match="^spacing_dof_beta must be"):
+            scenario_from_mapping({"spacing_dof_beta": beta})
 
 
 class TestPerLinkValues:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from helpers import bootstrap_mean_ci
 
-from hapsim import kernels, simulator
+from hapsim import kernels, simulator, streams
 from hapsim.network import (
     FAR_FIELD_FACTOR,
     NetworkConfig,
@@ -72,6 +72,10 @@ class TestSweepSpec:
         (dict(master_seed=-1), "master_seed"),
         (dict(trials=2**32 + 1), "trials"),
         (dict(start=math.nan), "start must be finite"),
+        (dict(trials=2.7), "trials must be an integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(master_seed=3.99), "master_seed must be an integer"),
+        (dict(master_seed=np.bool_(False)), "master_seed must be an integer"),
     ])
     def test_validation(self, kwargs, msg):
         base = dict(variable=SNR_DB, start=0.0, stop=30.0, step=2.5)
@@ -112,7 +116,7 @@ class TestChunkSeeding:
     @example(seed=2**64 - 1, lo=2**32 - ROWS)
     def test_rows_equal_trial_rng(self, seed, lo):
         got = np.empty((self.ROWS, 13))
-        simulator._fill_trials(seed, lo, got)
+        streams.fill_trials(seed, lo, got)
         want = np.empty_like(got)
         for t, row in enumerate(want, lo):
             trial_rng(seed, t).standard_normal(out=row)
@@ -125,8 +129,8 @@ class TestChunkSeeding:
         # 1.24's value-based casting or NEP 50), and no numpy scalar
         # overflows.
         dtypes = {"hash": set(), "mix": set(), "words": set()}
-        hasher, mix = simulator._hasher, simulator._mix
-        prestep_words = simulator._prestep_words
+        hasher, mix = streams._hasher, streams._mix
+        prestep_words = streams._prestep_words
 
         def spy_hasher(init, mult):
             hash_words = hasher(init, mult)
@@ -147,19 +151,19 @@ class TestChunkSeeding:
             dtypes["words"].update((seed.dtype, out.dtype))
             return out
 
-        monkeypatch.setattr(simulator, "_hasher", spy_hasher)
-        monkeypatch.setattr(simulator, "_mix", spy_mix)
-        monkeypatch.setattr(simulator, "_prestep_words", spy_prestep_words)
+        monkeypatch.setattr(streams, "_hasher", spy_hasher)
+        monkeypatch.setattr(streams, "_mix", spy_mix)
+        monkeypatch.setattr(streams, "_prestep_words", spy_prestep_words)
         pool = np.random.SeedSequence(2**64 - 1).pool
         with np.errstate(all="raise"):
-            words = simulator._trial_states(pool, 2**32 - 8, 2**32)
+            words = streams._trial_states(pool, 2**32 - 8, 2**32)
         assert dtypes == {"hash": {np.dtype(np.uint32)},
                           "mix": {np.dtype(np.uint32)},
                           "words": {np.dtype(np.uint64)}}
         assert words.shape == (8, 4)
         assert (words[:, 3] % 2 == 1).all()
         bit_gen = np.random.PCG64(0)
-        simulator._state_pair(bit_gen)[:] = words[-1, simulator._pair_order()]
+        streams._state_pair(bit_gen)[:] = words[-1, streams._pair_order()]
         bit_gen.random_raw()
         assert (bit_gen.state
                 == trial_rng(2**64 - 1, 2**32 - 1).bit_generator.state)
@@ -176,7 +180,7 @@ class TestChunkSeeding:
         # words equal the same arithmetic on Python ints mod 2**128, the
         # carries out of the low words included.
         with np.errstate(all="raise"):
-            got = simulator._prestep_words(np.array(seeds, dtype=np.uint64))
+            got = streams._prestep_words(np.array(seeds, dtype=np.uint64))
         mask = 2**128 - 1
         for (s_hi, s_lo, q_hi, q_lo), row in zip(seeds, got.tolist()):
             inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
@@ -192,10 +196,10 @@ class TestChunkSeeding:
         # random_raw() leaves the generator in trial_rng(seed, t)'s state,
         # as the public state dict reads it.
         rng = trial_rng(seed, lo)
-        pair = simulator._state_pair(rng.bit_generator)
+        pair = streams._state_pair(rng.bit_generator)
         pool = np.random.SeedSequence(seed).pool
-        words = simulator._trial_states(pool, lo, lo + 4)
-        for t, trial_words in enumerate(words[:, simulator._pair_order()], lo):
+        words = streams._trial_states(pool, lo, lo + 4)
+        for t, trial_words in enumerate(words[:, streams._pair_order()], lo):
             rng.standard_normal(3)
             pair[:] = trial_words
             rng.bit_generator.random_raw()
@@ -204,11 +208,11 @@ class TestChunkSeeding:
             assert state["has_uint32"] == 0
 
     def test_unknown_state_layout_raises(self, monkeypatch):
-        assert sorted(simulator._pair_order().tolist()) == [0, 1, 2, 3]
-        monkeypatch.setattr(simulator, "_state_pair",
+        assert sorted(streams._pair_order().tolist()) == [0, 1, 2, 3]
+        monkeypatch.setattr(streams, "_state_pair",
                             lambda bit_gen: np.array([1, 2, 3, 5], np.uint64))
         with pytest.raises(RuntimeError, match="unknown PCG64 state layout"):
-            simulator._pair_order.__wrapped__()
+            streams._pair_order.__wrapped__()
 
     def test_at_most_one_seed_sequence_per_chunk(self, monkeypatch):
         made = []
@@ -218,6 +222,7 @@ class TestChunkSeeding:
                 made.append(args)
                 super().__init__(*args, **kwargs)
 
+        streams._pair_order()  # the one-off probe draws its own stream
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         trial_rng(5, 0)
         assert len(made) == 1
@@ -233,18 +238,48 @@ class TestChunkSeeding:
         (2**32 + 1, 5, "trials"),
         (1, -1, "master_seed"),
         (1, 2**64, "master_seed"),
+        (2.7, 1.9, "trials must be an integer"),
+        (True, 3, "trials must be an integer"),
+        (2, 3.99, "master_seed must be an integer"),
+        (2, "3", "master_seed must be an integer"),
     ])
     def test_budget_rejected_before_any_draw(self, monkeypatch, trials,
                                              seed, msg):
         def draw(*args):
             raise AssertionError("drew trials")
 
-        monkeypatch.setattr(simulator, "_fill_trials", draw)
+        monkeypatch.setattr(streams, "fill_trials", draw)
         with pytest.raises(ValueError, match=msg):
             TrialEnsemble(make_cfg(), trials, seed)
 
     def test_largest_trial_count_accepted(self):
         assert SweepSpec(SNR_DB, 0.0, 30.0, 2.5, trials=2**32).trials == 2**32
+
+    def test_numpy_integers_accepted(self):
+        ens = TrialEnsemble(make_cfg(), np.int64(3), np.uint64(2**64 - 1))
+        assert (ens.trials, ens.master_seed) == (3, 2**64 - 1)
+        assert type(ens.trials) is int and type(ens.master_seed) is int
+
+    def test_seeding_self_check_raises_before_any_draw(self, monkeypatch):
+        # A hash constant that differs from numpy's makes the chunk path's
+        # rows differ from trial_rng's; the probe must catch that before
+        # the ensemble draws a trial of its own.
+        drawn = []
+        draw_rows = streams._draw_rows
+
+        def spy(master_seed, lo, out, order):
+            drawn.append(master_seed)
+            draw_rows(master_seed, lo, out, order)
+
+        monkeypatch.setattr(streams, "_MULT_A", streams._MULT_A ^ 2)
+        monkeypatch.setattr(streams, "_draw_rows", spy)
+        streams._pair_order.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="disagrees with trial_rng"):
+                TrialEnsemble(make_cfg(), 4, 5)
+        finally:
+            streams._pair_order.cache_clear()
+        assert drawn == [2**64 - 1]
 
 
 class TestHarnessTransparency:
