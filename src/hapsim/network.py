@@ -50,20 +50,51 @@ FAR_FIELD_FACTOR = 100.0
 SNR_REFERENCE_CHOICES = ("pre_path_loss", "post_path_loss")
 
 
+# Strict scalar checks for every configured value; concrete type tuples
+# keep each one a single isinstance test.
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value, kind: str = "a number") -> float:
+    """value as a float; ValueError for a bool, a non-number or an integer
+    past the float64 range."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float64 range") from None
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not value > 0.0 or not math.isfinite(value):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
 
 def _as_float_tuple(value, count: int, key: str) -> tuple[float, ...]:
-    if value is None:
-        raise ValueError(f"{key} must be a number or a per-link list, got None")
-    if np.isscalar(value):
-        items = [float(value)] * count
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = [_number(f"{key} entries", v, "numbers") for v in value]
     else:
-        items = [float(v) for v in value]
+        items = [_number(key, value, "a number or a per-link list")] * count
     if len(items) != count:
         raise ValueError(f"{key} must have {count} entries, got {len(items)}")
     for v in items:
@@ -93,12 +124,10 @@ class ScenarioLayout:
 
     def __post_init__(self) -> None:
         for key in ("hap_altitude_m", "relay_altitude_m", "hap_spacing_m",
-                    "gs_spacing_m", "gs_altitude_m"):
-            object.__setattr__(self, key, float(getattr(self, key)))
-        _require_positive("hap_altitude_m", self.hap_altitude_m)
-        _require_positive("relay_altitude_m", self.relay_altitude_m)
-        _require_positive("hap_spacing_m", self.hap_spacing_m)
-        _require_positive("gs_spacing_m", self.gs_spacing_m)
+                    "gs_spacing_m"):
+            object.__setattr__(self, key, _require_positive(key, getattr(self, key)))
+        object.__setattr__(self, "gs_altitude_m",
+                           _number("gs_altitude_m", self.gs_altitude_m))
         if self.gs_altitude_m < 0.0 or not math.isfinite(self.gs_altitude_m):
             raise ValueError(
                 f"gs_altitude_m must be non-negative, got {self.gs_altitude_m!r}"
@@ -188,7 +217,8 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         set_ = lambda k, v: object.__setattr__(self, k, v)  # noqa: E731
-        m, n, a = int(self.num_haps), int(self.num_gs), int(self.antennas_per_node)
+        m, n, a = (_integer(key, getattr(self, key))
+                   for key in ("num_haps", "num_gs", "antennas_per_node"))
         if m < 1 or n < 1 or a < 1:
             raise ValueError(
                 "num_haps, num_gs, antennas_per_node must be >= 1, got "
@@ -198,7 +228,8 @@ class NetworkConfig:
         set_("num_gs", n)
         set_("antennas_per_node", a)
         required = self.required_relay_antennas
-        relay = required if self.relay_antennas is None else int(self.relay_antennas)
+        relay = (required if self.relay_antennas is None
+                 else _integer("relay_antennas", self.relay_antennas))
         if relay < required:
             raise ValueError(
                 f"relay_antennas must be >= (M-1)(N-1) = {required}, got {relay}"
@@ -207,7 +238,7 @@ class NetworkConfig:
         for key in ("hap_power", "relay_power", "noise_power"):
             set_(key, _require_positive(key, getattr(self, key)))
         if self.streams_per_tx is not None:
-            s = int(self.streams_per_tx)
+            s = _integer("streams_per_tx", self.streams_per_tx)
             if s < 1:
                 raise ValueError(f"streams_per_tx must be >= 1, got {s}")
             set_("streams_per_tx", s)
@@ -228,16 +259,16 @@ class NetworkConfig:
             v = getattr(self, key)
             set_(key, _require_positive(key, wl / 2.0 if v is None else v))
         for key in ("aoa_deg", "aod_deg"):
-            v = float(getattr(self, key))
+            v = _number(key, getattr(self, key))
             if not math.isfinite(v):
                 raise ValueError(f"{key} must be finite, got {v!r}")
             set_(key, v)
-        if self.snr_reference not in SNR_REFERENCE_CHOICES:
+        set_("all_streams", _flag("all_streams", self.all_streams))
+        if _text("snr_reference", self.snr_reference) not in SNR_REFERENCE_CHOICES:
             raise ValueError(
                 f"snr_reference must be one of {SNR_REFERENCE_CHOICES}, "
                 f"got {self.snr_reference!r}"
             )
-        set_("all_streams", bool(self.all_streams))
 
     @property
     def required_relay_antennas(self) -> int:
@@ -291,7 +322,7 @@ def wide_hop(cfg: NetworkConfig) -> str | None:
 
 def dof(num_tx: int, num_rx: int, antennas: int) -> float:
     """Degrees of freedom M*N*A / (M + N - 1) of the M x N network."""
-    m, n, a = int(num_tx), int(num_rx), int(antennas)
+    m, n, a = map(_integer, ("num_tx", "num_rx", "antennas"), (num_tx, num_rx, antennas))
     if m < 1 or n < 1 or a < 1:
         raise ValueError(f"counts must be >= 1, got ({m}, {n}, {a})")
     return m * n * a / (m + n - 1)

@@ -40,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, streams
-from .network import NetworkConfig, check_far_field, db_to_linear, los_channel
+from .network import (NetworkConfig, _number, _text, check_far_field,
+                      db_to_linear, los_channel)
 from .streams import trial_budget, trial_rng
 
 _LN2 = math.log(2.0)
@@ -73,12 +74,12 @@ class SweepSpec:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
+        if _text("variable", self.variable) not in SWEEP_VARIABLES:
             raise ValueError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
         for key in ("start", "stop", "step"):
-            v = float(getattr(self, key))
+            v = _number(key, getattr(self, key))
             if not math.isfinite(v):
                 raise ValueError(f"{key} must be finite, got {v!r}")
             object.__setattr__(self, key, v)
@@ -539,7 +540,8 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
     deterministic in altitude and the search result is reproducible; given
     the ensemble of an altitude sweep, the search refines that sweep's
     argmax on the same draws.  Returns the interval midpoint once the
-    bracket is narrower than tol, or NaN when no trial of the ensemble is
+    bracket is narrower than tol or a probe reaches its ends (it can then
+    shrink no further in float64), or NaN when no trial of the ensemble is
     valid (singular trials do not depend on altitude, so the objective is
     then NaN everywhere).
     """
@@ -553,7 +555,7 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
     fc, fd = objective(c), objective(d)
     if math.isnan(fc):
         return math.nan
-    while (b - a) > tol:
+    while b - a > tol and a < c and d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

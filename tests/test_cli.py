@@ -456,6 +456,19 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: spacing_dof_beta must be "
                                        "positive and finite, got -1.0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],
+        ["altitude-sweep", "--out"], ["optimal-altitude"],
+    ], ids=["geometry", "dump-config", "snr", "altitude", "optimal"])
+    def test_number_past_float64_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_scenario(tmp_path, **altitude_keys(hap_power=10**400))
+        out = tmp_path / "curve.csv"
+        argv = argv + [str(out)] if argv[-1] == "--out" else argv
+        assert main(argv + ["--config", cfg]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", "error: hap_power is out of float64 range\n")
+
     def test_trials_beyond_one_spawn_word_exit_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"

@@ -70,7 +70,7 @@ def workload(seed=7, trials=40, links=3, rows=4, cols=4):
     return los, nlos, a, b
 
 
-class TestBackendParity:
+class TestResidualReference:
     """The kernels against the least-squares residual reference."""
 
     def test_first_stream_matches_reference(self):

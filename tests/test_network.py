@@ -4,8 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hapsim.network import ScenarioLayout, check_far_field, min_hap_separation
+from hapsim.network import (
+    NetworkConfig,
+    ScenarioLayout,
+    check_far_field,
+    dof,
+    min_hap_separation,
+)
 from hapsim.scenario import load_scenario
+from hapsim.simulator import SNR_DB, SweepSpec
 
 SNR_SCENARIO = str(Path(__file__).resolve().parents[1] / "scenarios"
                    / "snr_sweep.yaml")
@@ -42,6 +49,48 @@ class TestScenarioLayout:
         assert isinstance(lay.hap_altitude_m, float)
         assert lay == ScenarioLayout(hap_altitude_m=18000.0,
                                      relay_altitude_m=9000.0)
+
+
+class TestStrictFields:
+    """A library caller's values get the checks a scenario file's get:
+    nothing is truncated, counted as a flag or parsed from a string."""
+
+    LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
+    NETWORK = dict(num_haps=3, num_gs=3, antennas_per_node=4, layout=LAYOUT)
+
+    @pytest.mark.parametrize("field,value,msg", [
+        ("num_haps", 3.7, "an integer"),
+        ("num_gs", True, "an integer"),
+        ("relay_antennas", 4.2, "an integer"),
+        ("streams_per_tx", 1.5, "an integer"),
+        ("all_streams", "no", "true or false"),
+        ("hap_power", "3", "a number"),
+    ])
+    def test_network_config_rejects(self, field, value, msg):
+        with pytest.raises(ValueError, match=f"^{field} must be {msg}, got "):
+            NetworkConfig(**{**self.NETWORK, field: value})
+
+    def test_layout_rejects_a_string(self):
+        with pytest.raises(ValueError, match="^hap_altitude_m must be a number"):
+            ScenarioLayout(hap_altitude_m="18000", relay_altitude_m=9000.0)
+
+    def test_sweep_rejects_a_string(self):
+        with pytest.raises(ValueError, match="^start must be a number"):
+            SweepSpec(SNR_DB, start="0", stop=30.0, step=2.5)
+
+    def test_dof_rejects_a_fraction(self):
+        with pytest.raises(ValueError, match="^num_tx must be an integer"):
+            dof(2.5, 3, 1)
+
+    def test_numpy_values_keep_their_stored_values(self):
+        cfg = NetworkConfig(
+            num_haps=np.int64(3), num_gs=np.int64(3),
+            antennas_per_node=np.int64(4), layout=self.LAYOUT,
+            hap_power=np.float32(2.5), kappa_up_db=np.array([10.0, 20.0, 30.0]))
+        assert cfg == NetworkConfig(**self.NETWORK, hap_power=2.5,
+                                    kappa_up_db=(10.0, 20.0, 30.0))
+        assert type(cfg.num_haps) is int and type(cfg.hap_power) is float
+        assert all(type(v) is float for v in cfg.kappa_up_db)
 
 
 class TestCheckFarField:

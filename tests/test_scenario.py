@@ -81,6 +81,8 @@ class TestValidation:
         ("snr_reference", 3, "snr_reference must be a string"),
         ("kappa_up_db", [10.0, "x"], "kappa_up_db entries must be numbers"),
         ("kappa_down_db", None, "kappa_down_db must be a number or a per-link"),
+        pytest.param("hap_power", 10**400, "^hap_power is out of float64 range$",
+                     id="hap_power-401-digits"),
     ])
     def test_bad_types_name_the_key(self, key, value, msg):
         with pytest.raises(ScenarioError, match=msg):

@@ -908,6 +908,31 @@ class TestOptimalAltitude:
             assert np.float64(objective(alt)).tobytes() == np.float64(
                 point.mean_rate).tobytes()
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300, 5e-324])
+    def test_tolerance_below_float64_spacing_ends(self, monkeypatch, tol):
+        # Near the 13 km optimum float64 steps are 1.8e-12 m apart, so the
+        # bracket stops shrinking before it is narrower than tol; the capped
+        # objective makes a search that never ends fail instead of hang.
+        mean_relay_rate = simulator._mean_relay_rate
+
+        def capped(ens):
+            objective, calls = mean_relay_rate(ens), iter(range(500))
+
+            def bounded(alt):
+                if next(calls, None) is None:
+                    raise RuntimeError("golden-section search did not end")
+                return objective(alt)
+            return bounded
+
+        monkeypatch.setattr(simulator, "_mean_relay_rate", capped)
+        cfg = make_cfg(kappa_up_db=30.0, kappa_down_db=15.0,
+                       hap_power=400.0, relay_power=400.0)
+        ens = TrialEnsemble(cfg, 20, 7)
+        coarse = find_optimal_altitude(ens, 1000.0, 17500.0, 1e-9)
+        assert coarse > 8192.0  # where the float64 step exceeds 1e-12
+        assert abs(find_optimal_altitude(ens, 1000.0, 17500.0, tol)
+                   - coarse) <= 1e-9
+
     def test_objective_is_nan_without_valid_trials(self):
         cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         objective = simulator._mean_relay_rate(TrialEnsemble(cfg, 20, 4))
