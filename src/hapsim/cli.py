@@ -7,13 +7,14 @@ import ctypes
 import functools
 import math
 import sys
+from collections.abc import Iterable
+from itertools import repeat
 
 from .network import dof, min_hap_separation, wide_hop
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     _CHUNK_DRAWS,
     RELAY_ALTITUDE_M,
-    SnrSweepResult,
     SumRateCurve,
     TrialEnsemble,
     check_altitude_bracket,
@@ -128,41 +129,33 @@ def _cmd_geometry(scenario: Scenario) -> int:
     return 0
 
 
-def _all_points_failed(curve: SumRateCurve, trials: int) -> bool:
-    return all(p.trials_failed == trials for p in curve.points)
-
-
 def _all_singular() -> int:
     print("error: every trial was singular at every sweep point",
           file=sys.stderr)
     return 3
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
+def _write_csv(path: str, header: str, curve: SumRateCurve,
+               *extra: Iterable[str]) -> None:
+    """header, then one row per point of curve: x, mean rate, std err,
+    trials failed and that point's cell of each extra column."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def _snr_rows(result: SnrSweepResult) -> list[str]:
-    rows = []
-    for i, p in enumerate(result.relay.points):
-        base = ""
-        if result.baseline is not None:
-            base = _fmt(result.baseline.points[i].mean_rate)
-        rows.append(f"{_fmt(p.x)},{_fmt(p.mean_rate)},{_fmt(p.std_err)},"
-                    f"{p.trials_failed},{base}")
-    return rows
+        for x, mean, std_err, *cells in zip(curve.xs, curve.mean_rates,
+                                            curve.std_errs, *extra):
+            fh.write(",".join([_fmt(x), _fmt(mean), _fmt(std_err),
+                               str(curve.trials_failed), *cells]) + "\n")
 
 
 def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
     result = run_snr_sweep(scenario.network, scenario.sweep,
                            include_baseline=scenario.include_baseline)
+    base = (repeat("") if result.baseline is None
+            else map(_fmt, result.baseline.mean_rates))
     _write_csv(out_path,
                "snr_db,mean_rate_bps_hz,std_err,trials_failed,baseline_rate_bps_hz",
-               _snr_rows(result))
-    if _all_points_failed(result.relay, scenario.sweep.trials):
+               result.relay, base)
+    if result.relay.trials_failed == scenario.sweep.trials:
         return _all_singular()
     return 0
 
@@ -184,11 +177,9 @@ def _cmd_altitude_sweep(scenario: Scenario, out_path: str,
                            sweep.step)
     ens = _ensemble(scenario)
     curve = run_altitude_sweep(ens, sweep)
-    rows = [f"{_fmt(p.x)},{_fmt(p.mean_rate)},{_fmt(p.std_err)},{p.trials_failed}"
-            for p in curve.points]
     _write_csv(out_path, "relay_altitude_m,mean_rate_bps_hz,std_err,trials_failed",
-               rows)
-    if _all_points_failed(curve, sweep.trials):
+               curve)
+    if curve.trials_failed == sweep.trials:
         return _all_singular()
     print(f"optimal_altitude_m={_fmt(curve.argmax_x)}")
     if cross_check:

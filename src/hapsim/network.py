@@ -295,10 +295,10 @@ class NetworkConfig:
 
 
 def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
-    """Raise ValueError unless link name, distance_m long, is finite, past the
-    far field and its square, which the path loss divides by, fits in a
-    float64."""
-    distance_m = float(distance_m)
+    """Raise ValueError unless link name, distance_m long, is a finite number
+    past the far field and its square, which the path loss divides by, fits
+    in a float64."""
+    distance_m = _number(name, distance_m)
     if not distance_m > 0.0:
         raise ValueError(f"{name} must be positive, got {distance_m:g}")
     if not math.isfinite(distance_m):

@@ -14,7 +14,7 @@ the relay antenna count), so a dumped scenario re-parses identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
@@ -57,50 +57,19 @@ class Scenario:
 # The schema: every scenario key with its default, grouped by the object
 # it configures and in the order the objects are built.  A key names its
 # object's field, with a sweep_ prefix on the SweepSpec fields; that object
-# checks the value's type and range, and resolves a null default.
+# checks the value's type and range, and resolves a null default.  Only
+# the defaults that no dataclass holds are written here; every field that
+# has a default is a key with that default.
 _SCHEMA = {
-    ScenarioLayout: {
-        "hap_altitude_m": 18000.0,
-        "relay_altitude_m": 17000.0,
-        "hap_spacing_m": 1125.0,
-        "gs_spacing_m": 0.1,
-        "gs_altitude_m": 0.0,
-    },
-    NetworkConfig: {
-        "num_haps": 3,
-        "num_gs": 3,
-        "antennas_per_node": 4,
-        "relay_antennas": None,
-        "hap_power": 1.0,
-        "relay_power": 1.0,
-        "noise_power": 1.0,
-        "streams_per_tx": None,
-        "kappa_up_db": 30.0,
-        "kappa_down_db": 15.0,
-        "kappa_direct_db": None,
-        "ref_gain_up": 1.0,
-        "ref_gain_down": 1.0,
-        "ref_gain_direct": None,
-        "wavelength_m": 0.00625,
-        "rx_spacing_m": None,
-        "tx_spacing_m": None,
-        "aoa_deg": 30.0,
-        "aod_deg": 30.0,
-        "all_streams": False,
-        "snr_reference": "pre_path_loss",
-    },
-    SweepSpec: {
-        "sweep_variable": "snr_db",
-        "sweep_start": 0.0,
-        "sweep_stop": 30.0,
-        "sweep_step": 2.5,
-        "trials": 1000,
-        "master_seed": 12345,
-    },
-    Scenario: {
-        "include_baseline": True,
-        "spacing_dof_beta": 1.0,
-    },
+    cls: {**keys, **{f.name: f.default for f in fields(cls)
+                     if f.default is not MISSING}}
+    for cls, keys in {
+        ScenarioLayout: {"hap_altitude_m": 18000.0, "relay_altitude_m": 17000.0},
+        NetworkConfig: {"num_haps": 3, "num_gs": 3, "antennas_per_node": 4},
+        SweepSpec: {"sweep_variable": "snr_db", "sweep_start": 0.0,
+                    "sweep_stop": 30.0, "sweep_step": 2.5},
+        Scenario: {"include_baseline": True, "spacing_dof_beta": 1.0},
+    }.items()
 }
 
 DEFAULTS: dict = {key: default for keys in _SCHEMA.values()
@@ -133,14 +102,29 @@ def scenario_from_mapping(mapping: dict) -> Scenario:
     return build(Scenario, network=network, sweep=build(SweepSpec, "sweep: "))
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser where PyYAML has it; the Python resolver and
+    constructors still type every value."""
+
+    def construct_yaml_int(self, node):
+        """The int, or a ConstructorError at the node for one with more
+        digits than Python converts."""
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:
+            raise yaml.constructor.ConstructorError(
+                None, None, "integer has too many digits", node.start_mark
+            ) from None
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
+
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario YAML file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            # libyaml's parser where PyYAML has it; the Python resolver and
-            # constructors still type every value.
-            document = yaml.load(
-                fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            document = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"invalid YAML in {path}: {exc}") from exc
     return scenario_from_mapping(document)

@@ -17,8 +17,10 @@ channel matrix, so transmit power and the 1/d^2 path factors multiply in
 afterwards.  A sweep therefore evaluates its grid in passes of as many
 points as fit _CHUNK_DRAWS rates: one rate call per pass scales each
 stored row by every point's factor at once and sums the rows into one row
-of per-trial rates per point, and the pass is aggregated row by row.
-Memory grows with the stored forms alone.  Neither the draws nor the
+of per-trial rates per point.  One pass loop (_curves) serves every curve:
+it reduces each pass's rows to that pass's slice of the curve's columns,
+mean rate and standard error per point, and frees them before the next
+call.  Memory grows with the stored forms alone.  Neither the draws nor the
 line-of-sight part (network.los_channel, built from the config's
 wavelength, spacings and angles) depend on a link distance, so the
 ensemble never sees one; network.check_far_field tests each distance where
@@ -106,47 +108,34 @@ class SweepSpec:
         return self.start + self.step * np.arange(self.num_points)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sweep sample; mean_rate is NaN when every trial failed."""
+@dataclass(frozen=True, eq=False)
+class SumRateCurve:
+    """A sweep as columns: the points xs, strictly ascending, with each
+    point's mean rate and its standard error (float64 arrays of one length),
+    and the count of failed trials.  Singular trials do not depend on the
+    operating point, so trials_failed is one count for the whole curve.  A
+    mean is NaN, and its standard error 0, where every trial failed."""
 
-    x: float
-    mean_rate: float
-    std_err: float
+    xs: np.ndarray
+    mean_rates: np.ndarray
+    std_errs: np.ndarray
     trials_failed: int
 
-
-@dataclass(frozen=True)
-class SumRateCurve:
-    """Sweep samples sorted by x, plus the argmax location."""
-
-    points: tuple[CurvePoint, ...]
-
     def __post_init__(self) -> None:
-        xs = [p.x for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("points must be strictly ascending in x")
+        for key in ("xs", "mean_rates", "std_errs"):
+            object.__setattr__(self, key,
+                               np.asarray(getattr(self, key), dtype=float))
+        if (np.diff(self.xs) <= 0.0).any():
+            raise ValueError("xs must be strictly ascending")
 
     @property
     def argmax_x(self) -> float:
-        """x of the largest mean rate; ties resolve to the smallest x."""
-        best_x, best = math.nan, -math.inf
-        for p in self.points:
-            if math.isfinite(p.mean_rate) and p.mean_rate > best:
-                best_x, best = p.x, p.mean_rate
-        return best_x
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
-
-    @property
-    def mean_rates(self) -> np.ndarray:
-        return np.array([p.mean_rate for p in self.points])
-
-    @property
-    def trials_failed(self) -> np.ndarray:
-        return np.array([p.trials_failed for p in self.points])
+        """x of the largest finite mean rate; ties resolve to the smallest
+        x, and it is NaN when no mean is finite."""
+        finite = np.isfinite(self.mean_rates)
+        if not finite.any():
+            return math.nan
+        return float(self.xs[np.where(finite, self.mean_rates, -np.inf).argmax()])
 
 
 @dataclass(frozen=True)
@@ -182,25 +171,33 @@ def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
              for a in arrays])
 
 
-def _aggregate(xs: np.ndarray, rates: np.ndarray) -> list[CurvePoint]:
-    """One CurvePoint per row of rates (points, trials).
+def _curves(grid: np.ndarray, trials: int,
+            *rates_of: Callable[[slice], np.ndarray]) -> list[SumRateCurve]:
+    """One SumRateCurve over grid per rates_of, in a single pass loop.
 
-    Every row is NaN on the same (failed) trials.  The row-wise mean and std
-    run over a C-contiguous copy of the other trials, which numpy sums per
-    row as it would sum that row alone.
+    rates_of[i](part) returns curve i's rows (points, trials) of per-trial
+    rates at grid[part]; each pass calls them in order.  Every row is NaN on
+    the same (failed) trials.  The row-wise mean and std run over a
+    C-contiguous copy of the other trials, which numpy sums per row as it
+    would sum that row alone.  Each call's rows are freed before the next.
     """
-    finite = np.isfinite(rates[0])
-    n = int(np.count_nonzero(finite))
-    failed = finite.size - n
-    if n == 0:
-        return [CurvePoint(float(x), math.nan, 0.0, failed) for x in xs]
-    if failed:
-        rates = np.compress(finite, rates, axis=1)
-    mean = rates.mean(axis=1)
-    std_err = (rates.std(axis=1, ddof=1) / math.sqrt(n) if n > 1
-               else np.zeros(len(xs)))
-    return [CurvePoint(float(x), float(m), float(s), failed)
-            for x, m, s in zip(xs, mean, std_err)]
+    means = np.empty((len(rates_of), len(grid)))
+    std_errs = np.zeros_like(means)
+    failed = [0] * len(rates_of)
+    for part in _passes(len(grid), trials):
+        for i, rates_at in enumerate(rates_of):
+            rates = rates_at(part)
+            finite = np.isfinite(rates[0])
+            n = int(np.count_nonzero(finite))
+            failed[i] = finite.size - n
+            if 0 < n < finite.size:
+                rates = np.compress(finite, rates, axis=1)
+            means[i, part] = rates.mean(axis=1) if n else math.nan
+            if n > 1:
+                std_errs[i, part] = rates.std(axis=1, ddof=1) / math.sqrt(n)
+            del rates
+    return [SumRateCurve(grid, *columns)
+            for columns in zip(means, std_errs, failed)]
 
 
 class _Hop(NamedTuple):
@@ -403,8 +400,9 @@ def check_sweep_variable(spec: SweepSpec, variable: str) -> None:
 
 
 def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
-                           tol: float) -> None:
-    """Raise ValueError unless the relay altitude bracket [lo, hi] is usable.
+                           tol: float) -> tuple[float, float, float]:
+    """The relay altitude bracket [lo, hi] and resolution tol as floats;
+    ValueError unless they are numbers and usable.
 
     It needs lo < hi and a positive resolution tol (the golden-section
     stopping width or the grid step).  It must lie strictly between the
@@ -413,7 +411,7 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
     each hop's snr scale must be positive and finite.  Callers that build a
     trial ensemble check first, so that bad input costs no draws.
     """
-    lo, hi, tol = float(lo), float(hi), float(tol)
+    lo, hi, tol = _number("lo", lo), _number("hi", hi), _number("tol", tol)
     if not lo < hi:
         raise ValueError(f"lo must be < hi, got ({lo!r}, {hi!r})")
     if not tol > 0.0:
@@ -431,6 +429,7 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
     check_far_field(cfg, "d_rd_m", hi - lay.gs_altitude_m)
     check_far_field(cfg, "d_sr_m", lay.hap_altitude_m - lo)
     _altitude_scales(cfg)
+    return lo, hi, tol
 
 
 def _altitude_scales(cfg: NetworkConfig) -> tuple[float, float]:
@@ -446,27 +445,13 @@ def _altitude_scales(cfg: NetworkConfig) -> tuple[float, float]:
     return up, dn
 
 
-def _altitude_points(ens: TrialEnsemble,
-                     alts: np.ndarray) -> list[CurvePoint]:
-    """CurvePoints of relay altitudes alts, on the ensemble's trials and
-    scales; one relay_rates call per pass of the grid."""
-    lay = ens.cfg.layout
-    scale_up, scale_dn = _altitude_scales(ens.cfg)
-    points = []
-    for part in _passes(len(alts), ens.trials):
-        x = alts[part]
-        points += _aggregate(x, ens.relay_rates(
-            scale_up, scale_dn, lay.hap_altitude_m - x, x - lay.gs_altitude_m))
-    return points
-
-
 def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
-    """The mean relay rate at one altitude, as _altitude_points reports it.
+    """The mean relay rate at one altitude, as run_altitude_sweep reports it.
 
     One relay_rates call per altitude; its row is averaged over the valid
-    trials, which _aggregate's mean does in the same order, so the value is
-    the same bits without a CurvePoint or a standard error.  NaN when no
-    trial is valid.
+    trials, which _curves' mean does in the same order, so the value is the
+    same bits without a pass loop or a standard error.  NaN when no trial is
+    valid.
     """
     lay = ens.cfg.layout
     scale_up, scale_dn = _altitude_scales(ens.cfg)
@@ -502,16 +487,16 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     ens = TrialEnsemble(cfg, spec.trials, spec.master_seed,
                         include_baseline=include_baseline)
     lay = cfg.layout
-    relay_pts = []
-    base_pts = []
-    for part in _passes(len(grid), spec.trials):
-        x, gamma = grid[part], gammas[part]
-        relay_pts += _aggregate(
-            x, ens.relay_rates(gamma, gamma, lay.d_sr_m, lay.d_rd_m))
-        if include_baseline:
-            base_pts += _aggregate(x, ens.baseline_rates(gamma))
-    baseline = SumRateCurve(tuple(base_pts)) if include_baseline else None
-    return SnrSweepResult(SumRateCurve(tuple(relay_pts)), baseline)
+
+    def relay(part: slice) -> np.ndarray:
+        return ens.relay_rates(gammas[part], gammas[part], lay.d_sr_m,
+                               lay.d_rd_m)
+
+    def baseline(part: slice) -> np.ndarray:
+        return ens.baseline_rates(gammas[part])
+
+    return SnrSweepResult(*_curves(grid, spec.trials, relay,
+                                   *([baseline] if include_baseline else [])))
 
 
 def run_altitude_sweep(ens: TrialEnsemble, spec: SweepSpec) -> SumRateCurve:
@@ -529,7 +514,15 @@ def run_altitude_sweep(ens: TrialEnsemble, spec: SweepSpec) -> SumRateCurve:
         )
     grid = spec.grid()
     check_altitude_bracket(ens.cfg, grid[0], grid[-1], spec.step)
-    return SumRateCurve(tuple(_altitude_points(ens, grid)))
+    lay = ens.cfg.layout
+    scale_up, scale_dn = _altitude_scales(ens.cfg)
+
+    def relay(part: slice) -> np.ndarray:
+        return ens.relay_rates(scale_up, scale_dn,
+                               lay.hap_altitude_m - grid[part],
+                               grid[part] - lay.gs_altitude_m)
+
+    return _curves(grid, ens.trials, relay)[0]
 
 
 def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
@@ -545,8 +538,7 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
     valid (singular trials do not depend on altitude, so the objective is
     then NaN everywhere).
     """
-    check_altitude_bracket(ens.cfg, lo, hi, tol)
-    lo, hi, tol = float(lo), float(hi), float(tol)
+    lo, hi, tol = check_altitude_bracket(ens.cfg, lo, hi, tol)
     objective = _mean_relay_rate(ens)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -190,7 +190,7 @@ class TestDfCapacity:
                                    rtol=4e-9, atol=0.0)
 
 
-class TestNoRelayBaseline:
+class TestBaselineRates:
     def test_point_to_point(self):
         ens = TrialEnsemble(unit_los_cfg(), trials=3, master_seed=1,
                             include_baseline=True)

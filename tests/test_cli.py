@@ -469,6 +469,16 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: hap_power is out of float64 range\n")
 
+    def test_integer_too_long_to_convert_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("hap_power: " + "1" * 5000 + "\n", encoding="utf-8")
+        assert main(["geometry", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: invalid YAML in {cfg}: ")
+        assert "line 1," in err
+        assert "set_int_max_str_digits" not in err
+
     def test_trials_beyond_one_spawn_word_exit_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"

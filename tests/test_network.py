@@ -100,6 +100,13 @@ class TestCheckFarField:
         with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
             check_far_field(cfg, name, math.inf)
 
+    @pytest.mark.parametrize("bad", ["9000", True])
+    def test_non_number_distance_rejected(self, bad):
+        cfg = load_scenario(SNR_SCENARIO).network
+        with pytest.raises(ValueError, match="^d_sr_m must be a number"):
+            check_far_field(cfg, "d_sr_m", bad)
+        check_far_field(cfg, "d_sr_m", np.float64(9000.0))
+
 
 class TestMinHapSeparation:
     def test_reference_spacing(self):

@@ -19,10 +19,10 @@ from hapsim.scenario import load_scenario
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
     SNR_DB,
-    CurvePoint,
     SumRateCurve,
     SweepSpec,
     TrialEnsemble,
+    check_altitude_bracket,
     find_optimal_altitude,
     run_altitude_sweep,
     run_snr_sweep,
@@ -312,19 +312,21 @@ class TestHarnessTransparency:
         links = [oracles.trial_links(cfg, 777, t, lay.d_sr_m, lay.d_rd_m,
                                      lay.d_sd_m)
                  for t in range(self.TRIALS)]
-        for point, base_pt in zip(result.relay.points, result.baseline.points):
-            gamma = db_to_linear(point.x)
+        for x, mean_rate, base_rate in zip(result.relay.xs,
+                                           result.relay.mean_rates,
+                                           result.baseline.mean_rates):
+            gamma = db_to_linear(x)
             hops = [(oracles.hop_rate(up, gamma), oracles.hop_rate(dn, gamma))
                     for up, dn, _ in links]
             expected = np.mean([oracles.relay_rate(m, n, *h) for h in hops])
-            assert point.mean_rate == pytest.approx(expected, rel=1e-9)
+            assert mean_rate == pytest.approx(expected, rel=1e-9)
             if binding is not None:
                 for c_up, c_down in hops:
                     assert (c_up < c_down) == (binding == "uplink")
             base_expected = np.mean([
                 oracles.baseline_rate(m, n, direct, gamma)
                 for _, _, direct in links])
-            assert base_pt.mean_rate == pytest.approx(base_expected, rel=1e-9)
+            assert base_rate == pytest.approx(base_expected, rel=1e-9)
 
     def test_altitude_point_matches_direct_capacity(self):
         cfg = make_cfg(hap_power=50.0, relay_power=80.0, noise_power=2.0)
@@ -333,17 +335,16 @@ class TestHarnessTransparency:
         curve = run_altitude_sweep(ensemble_for(cfg, spec), spec)
         scale_up = 50.0 / (2.0 * cfg.uplink_streams())
         scale_dn = 80.0 / (2.0 * cfg.downlink_streams())
-        for point in curve.points:
-            d_sr = cfg.layout.hap_altitude_m - point.x
-            d_rd = point.x - cfg.layout.gs_altitude_m
+        for x, mean_rate in zip(curve.xs, curve.mean_rates):
+            d_sr = cfg.layout.hap_altitude_m - x
+            d_rd = x - cfg.layout.gs_altitude_m
             expected = []
             for t in range(self.TRIALS):
                 up, dn, _ = oracles.trial_links(cfg, 778, t, d_sr, d_rd)
                 expected.append(oracles.relay_rate(
                     cfg.num_haps, cfg.num_gs, oracles.hop_rate(up, scale_up),
                     oracles.hop_rate(dn, scale_dn)))
-            assert point.mean_rate == pytest.approx(np.mean(expected),
-                                                    rel=1e-9)
+            assert mean_rate == pytest.approx(np.mean(expected), rel=1e-9)
 
 
 class TestSnrSweep:
@@ -362,8 +363,8 @@ class TestSnrSweep:
         hi = SweepSpec(SNR_DB, 5.0, 15.0, 5.0, trials=40, master_seed=9)
         r_lo = run_snr_sweep(cfg, lo).relay
         r_hi = run_snr_sweep(cfg, hi).relay
-        assert r_lo.points[1].mean_rate == r_hi.points[0].mean_rate
-        assert r_lo.points[2].mean_rate == r_hi.points[1].mean_rate
+        assert r_lo.mean_rates[1] == r_hi.mean_rates[0]
+        assert r_lo.mean_rates[2] == r_hi.mean_rates[1]
 
     def test_mean_rate_monotone_in_snr(self):
         cfg = make_cfg()
@@ -377,8 +378,8 @@ class TestSnrSweep:
                        kappa_up_db=5.0, kappa_down_db=5.0)
         small = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=600, master_seed=3)
         big = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=2400, master_seed=3)
-        se_small = run_snr_sweep(cfg, small).relay.points[0].std_err
-        se_big = run_snr_sweep(cfg, big).relay.points[0].std_err
+        se_small = run_snr_sweep(cfg, small).relay.std_errs[0]
+        se_big = run_snr_sweep(cfg, big).relay.std_errs[0]
         assert 1.6 < se_small / se_big < 2.4
 
     def test_relay_curve_ignores_baseline_flag(self):
@@ -394,19 +395,20 @@ class TestSnrSweep:
         cfg = make_cfg()
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=1, master_seed=2)
         ens = TrialEnsemble(cfg, 1, 2)
-        for point in run_snr_sweep(cfg, spec).relay.points:
-            rate = ens.relay_rates(db_to_linear(point.x), db_to_linear(point.x),
+        curve = run_snr_sweep(cfg, spec).relay
+        for x, mean_rate, std_err in zip(curve.xs, curve.mean_rates,
+                                         curve.std_errs):
+            rate = ens.relay_rates(db_to_linear(x), db_to_linear(x),
                                    cfg.layout.d_sr_m, cfg.layout.d_rd_m)
-            assert (point.mean_rate, point.std_err) == (rate[0], 0.0)
-            assert point.trials_failed == 0
+            assert (mean_rate, std_err) == (rate[0], 0.0)
+        assert curve.trials_failed == 0
 
     def test_all_singular_point_reports_nan(self):
         cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=5, master_seed=2)
         curve = run_snr_sweep(cfg, spec).relay
-        for point in curve.points:
-            assert math.isnan(point.mean_rate)
-            assert point.trials_failed == 5
+        assert np.isnan(curve.mean_rates).all()
+        assert curve.trials_failed == 5
         assert math.isnan(curve.argmax_x)
 
     def test_wrong_variable_rejected(self):
@@ -466,24 +468,16 @@ class TestAltitudeSweep:
 
 class TestSumRateCurve:
     def test_argmax_tie_takes_smallest_x(self):
-        curve = SumRateCurve((
-            CurvePoint(1.0, 2.0, 0.0, 0),
-            CurvePoint(2.0, 5.0, 0.0, 0),
-            CurvePoint(3.0, 5.0, 0.0, 0),
-        ))
+        curve = SumRateCurve([1.0, 2.0, 3.0], [2.0, 5.0, 5.0], [0.0] * 3, 0)
         assert curve.argmax_x == 2.0
 
     def test_argmax_skips_nan(self):
-        curve = SumRateCurve((
-            CurvePoint(1.0, math.nan, 0.0, 10),
-            CurvePoint(2.0, 1.5, 0.1, 0),
-        ))
+        curve = SumRateCurve([1.0, 2.0], [math.nan, 1.5], [0.0, 0.1], 0)
         assert curve.argmax_x == 2.0
 
     def test_unsorted_points_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
-            SumRateCurve((CurvePoint(2.0, 1.0, 0.0, 0),
-                          CurvePoint(1.0, 1.0, 0.0, 0)))
+            SumRateCurve([2.0, 1.0], [1.0, 1.0], [0.0, 0.0], 0)
 
 
 class TestTrialEnsemble:
@@ -763,15 +757,15 @@ class TestGridPasses:
         ).tobytes()
 
     @staticmethod
-    def curves(cfg: NetworkConfig) -> list[bytes]:
+    def curves(cfg: NetworkConfig) -> list:
         snr = SweepSpec(SNR_DB, 0.0, 30.0, 2.5, trials=150, master_seed=3)
         alt = SweepSpec(RELAY_ALTITUDE_M, 4000.0, 14000.0, 500.0,
                         trials=150, master_seed=3)
         result = run_snr_sweep(cfg, snr, include_baseline=True)
         ens = ensemble_for(cfg, alt)
         curves = [result.relay, result.baseline, run_altitude_sweep(ens, alt)]
-        got = [np.array([(p.x, p.mean_rate, p.std_err, p.trials_failed)
-                         for p in c.points]).tobytes() for c in curves]
+        got = [(c.xs.tobytes(), c.mean_rates.tobytes(), c.std_errs.tobytes(),
+                c.trials_failed) for c in curves]
         return got + [np.float64(
             find_optimal_altitude(ens, 4000.0, 14000.0, 100.0)).tobytes()]
 
@@ -795,16 +789,18 @@ class TestGridPasses:
         rates = rng.exponential(7.0, (5, trials))
         rates[:, rng.random(trials) < 0.1] = np.nan
         rates[:, 0] = np.nan
-        xs = np.arange(5.0)
-        for x, row, got in zip(xs, rates, simulator._aggregate(xs, rates)):
+        (curve,) = simulator._curves(np.arange(5.0), trials,
+                                     lambda part: rates[part])
+        for row, mean_rate, std_err in zip(rates, curve.mean_rates,
+                                           curve.std_errs):
             finite = row[np.isfinite(row)]
-            assert got.trials_failed == trials - finite.size
+            assert curve.trials_failed == trials - finite.size
             if finite.size == 1:
-                assert (got.mean_rate, got.std_err) == (finite[0], 0.0)
+                assert (mean_rate, std_err) == (finite[0], 0.0)
                 continue
-            assert got.mean_rate == float(finite.mean())
-            assert got.std_err == float(finite.std(ddof=1)
-                                        / math.sqrt(finite.size))
+            assert mean_rate == float(finite.mean())
+            assert std_err == float(finite.std(ddof=1)
+                                    / math.sqrt(finite.size))
 
     def test_overflow_names_the_first_point_then_the_first_hop(self):
         # The downlink overflows from the second point on and the uplink
@@ -890,6 +886,22 @@ class TestOptimalAltitude:
             find_optimal_altitude(TrialEnsemble(make_cfg(), 2, 12345),
                                   9000.0, 9000.0, 10.0)
 
+    @pytest.mark.parametrize("bad", ["4000", True])
+    @pytest.mark.parametrize("key", ["lo", "hi", "tol"])
+    def test_non_number_bracket_rejected(self, key, bad):
+        ens = TrialEnsemble(make_cfg(), 2, 12345)
+        bracket = {"lo": 4000.0, "hi": 14000.0, "tol": 500.0, key: bad}
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            check_altitude_bracket(ens.cfg, *bracket.values())
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            find_optimal_altitude(ens, *bracket.values())
+
+    def test_bracket_returned_as_floats(self):
+        got = check_altitude_bracket(make_cfg(), np.float64(4000.0), 14000,
+                                     np.float32(500.0))
+        assert got == (4000.0, 14000.0, 500.0)
+        assert all(type(v) is float for v in got)
+
     def test_all_singular_returns_nan(self):
         cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         alt = find_optimal_altitude(TrialEnsemble(cfg, 20, 4),
@@ -904,9 +916,12 @@ class TestOptimalAltitude:
         assert ens._relay_failed.any() == bool(overrides)
         objective = simulator._mean_relay_rate(ens)
         for alt in (4000.0, 7321.5, 9000.0, 13999.0):
-            point = simulator._altitude_points(ens, np.array([alt]))[0]
+            spec = SweepSpec(RELAY_ALTITUDE_M, alt, alt + 1.0, 1.0,
+                             trials=150, master_seed=3)
+            curve = run_altitude_sweep(ens, spec)
+            assert curve.xs[0] == alt
             assert np.float64(objective(alt)).tobytes() == np.float64(
-                point.mean_rate).tobytes()
+                curve.mean_rates[0]).tobytes()
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-300, 5e-324])
     def test_tolerance_below_float64_spacing_ends(self, monkeypatch, tol):
