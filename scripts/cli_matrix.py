@@ -1,0 +1,111 @@
+"""Run a fixed matrix of hapsim CLI calls and keep every run's outputs.
+
+Usage, from any directory:
+
+    python3 scripts/cli_matrix.py OUTDIR
+
+Each run calls ``python -m hapsim.cli`` with hapsim imported from this
+checkout's src/, in OUTDIR as working directory, so that every path the
+CLI prints is relative and the same for any checkout.  OUTDIR/<run>/ then
+holds the run's out.csv (when it wrote one), stdout, stderr and exit code.
+Two checkouts give the same behaviour when ``diff -r`` finds nothing
+between their OUTDIRs:
+
+    python3 old/scripts/cli_matrix.py /tmp/old-matrix
+    python3 new/scripts/cli_matrix.py /tmp/new-matrix
+    diff -r /tmp/old-matrix /tmp/new-matrix
+
+The matrix: snr-sweep on snr_sweep.yaml and on the benchmark's generated
+array scenario, altitude-sweep --cross-check on altitude_sweep.yaml and
+optimal-altitude on altitude_sweep_symmetric.yaml, each at 1, 999 and 5000
+trials with seeds 7 and 0; snr-sweep and altitude-sweep --cross-check at
+20000 trials, which take several sweep passes; and an snr-sweep whose hops
+are all singular (Rician factor 200 dB on both), which exits 3.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+
+import yaml
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def array_scenario_text() -> str:
+    """perfbench's generated array scenario, read from its workload file."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import ARRAY_KERNELS_YAML
+    return ARRAY_KERNELS_YAML
+
+
+def write_inputs(inputs: str) -> None:
+    """The shipped scenarios, the array scenario and the all-singular one."""
+    os.makedirs(inputs)
+    for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
+        shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
+    with open(os.path.join(inputs, "array.yaml"), "w", encoding="utf-8") as fh:
+        fh.write(array_scenario_text())
+    with open(os.path.join(ROOT, "scenarios", "snr_sweep.yaml"),
+              encoding="utf-8") as fh:
+        singular = yaml.safe_load(fh)
+    singular.update(kappa_up_db=200.0, kappa_down_db=200.0)
+    with open(os.path.join(inputs, "singular.yaml"), "w",
+              encoding="utf-8") as fh:
+        yaml.safe_dump(singular, fh, sort_keys=False)
+
+
+def runs() -> list[tuple[str, list[str], bool]]:
+    """(name, CLI arguments, whether it writes a CSV) of every run."""
+    cases = [("snr", ["snr-sweep", "--config", "inputs/snr_sweep.yaml"], True),
+             ("array", ["snr-sweep", "--config", "inputs/array.yaml"], True),
+             ("altitude", ["altitude-sweep", "--config",
+                           "inputs/altitude_sweep.yaml", "--cross-check"], True),
+             ("optimal", ["optimal-altitude", "--config",
+                          "inputs/altitude_sweep_symmetric.yaml"], False)]
+    out = []
+    for name, argv, csv in cases:
+        for trials in (1, 999, 5000):
+            for seed in (7, 0):
+                out.append((f"{name}-t{trials}-s{seed}",
+                            [*argv, "--trials", str(trials), "--seed",
+                             str(seed)], csv))
+    for name, argv, csv in cases[0], cases[2]:
+        out.append((f"{name}-t20000-s5",
+                    [*argv, "--trials", "20000", "--seed", "5"], csv))
+    out.append(("singular-t200-s1",
+                ["snr-sweep", "--config", "inputs/singular.yaml",
+                 "--trials", "200", "--seed", "1"], True))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = os.path.abspath(argv[0])
+    if os.path.exists(outdir):
+        print(f"error: {outdir} exists; give a new directory", file=sys.stderr)
+        return 2
+    write_inputs(os.path.join(outdir, "inputs"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for name, args, csv in runs():
+        run_dir = os.path.join(outdir, name)
+        os.makedirs(run_dir)
+        if csv:
+            args = [*args, "--out", os.path.join(name, "out.csv")]
+        proc = subprocess.run([sys.executable, "-m", "hapsim.cli", *args],
+                              cwd=outdir, env=env, capture_output=True)
+        for key, data in (("stdout", proc.stdout), ("stderr", proc.stderr),
+                          ("exit", f"{proc.returncode}\n".encode())):
+            with open(os.path.join(run_dir, key), "wb") as fh:
+                fh.write(data)
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -23,13 +23,16 @@ mean rate and standard error per point, and frees them before the next
 call.  Memory grows with the stored forms alone.  Neither the draws nor the
 line-of-sight part (network.los_channel, built from the config's
 wavelength, spacings and angles) depend on a link distance, so the
-ensemble never sees one; network.check_far_field tests each distance where
-it enters a rate.
+ensemble never sees one.  Operating points reach the hop rates along one
+checked path, TrialEnsemble._checked_rates: it tests each scale, each
+distance (network.check_far_field) where it enters a rate, and float64
+overflow, for relay_rates and baseline_rates alike.
 
 The altitude functions take their ensemble as an argument, so one command
 draws its trials once: altitude-sweep --cross-check passes the grid's
 ensemble to the golden-section search, which then refines the grid argmax
-on the same draws.
+on the same draws.  Both take their rates from one altitude map,
+_altitude_rates.
 """
 
 from __future__ import annotations
@@ -91,6 +94,11 @@ class SweepSpec:
             )
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValueError(
+                f"step {self.step!r} yields too many points to count over "
+                f"[{self.start!r}, {self.stop!r}]"
+            )
         if self.num_points < 2:
             raise ValueError(
                 f"step {self.step!r} yields fewer than 2 points over "
@@ -155,10 +163,15 @@ def _passes(points: int, trials: int) -> Iterator[slice]:
 def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
     """values broadcast to 1-D float64 arrays, and whether all were scalars.
 
-    Broadcasting follows numpy's rule for at most one axis: every 1-D value
-    has length 1 or the common length.
+    Each value must hold integers or floats: a bool, a string or any other
+    object raises ValueError.  Broadcasting follows numpy's rule for at most
+    one axis: every 1-D value has length 1 or the common length.
     """
-    arrays = [np.asarray(v, dtype=float) for v in values]
+    arrays = [np.asarray(v) for v in values]
+    for v, a in zip(values, arrays):
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"operating points must be numbers, got {v!r}")
+    arrays = [a.astype(float, copy=False) for a in arrays]
     if any(a.ndim > 1 for a in arrays):
         raise ValueError("operating points must be scalars or 1-D arrays")
     lengths = {len(a) for a in arrays if a.ndim} - {1}
@@ -334,20 +347,28 @@ class TrialEnsemble:
             rate /= _LN2
         return rate
 
-    def _check_finite(self, rates: dict[int, np.ndarray]) -> None:
-        """Raise ValueError when a hop's SNR overflows float64.
+    def _checked_rates(self, *points) -> list[np.ndarray]:
+        """Each point's (P, T) hop sums from _hop_rate, after the input checks.
 
-        rates maps hop index to that hop's (P, T) sums.  The message names
-        the first hop, in the given order, that overflows at the first such
-        point, so an input too large to represent is not mistaken for a
-        singular trial.
+        A point is a (hop index, scales, distances) triple of float64 arrays
+        of one length P.  Every scale must be positive, and each distance must
+        pass check_far_field, point by point with the hops in the given order.
+        An SNR that overflows float64 raises a ValueError naming the first such
+        hop at the first such point, so it is not mistaken for a singular trial.
         """
-        if all(np.isfinite(r).all() for r in rates.values()):
-            return
-        bad = np.array([~np.isfinite(r).all(axis=1) for r in rates.values()])
-        hop = self._hops[list(rates)[bad[:, bad.any(axis=0).argmax()].argmax()]]
-        raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
-                         f"{hop.snr_keys} or the swept SNR")
+        for _, scale, _ in points:
+            if not (scale > 0.0).all():
+                raise ValueError("snr scale must be positive")
+        for p in range(len(points[0][2])):
+            for index, _, d in points:
+                check_far_field(self.cfg, self._hops[index].distance, d[p])
+        rates = [self._hop_rate(*point) for point in points]
+        bad = np.array([~np.isfinite(r).all(axis=1) for r in rates])
+        if bad.any():
+            hop = self._hops[points[bad[:, bad.any(axis=0).argmax()].argmax()][0]]
+            raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
+                             f"{hop.snr_keys} or the swept SNR")
+        return rates
 
     def relay_rates(self, snr_scale_up, snr_scale_dn, d_sr_m,
                     d_rd_m) -> np.ndarray:
@@ -359,14 +380,7 @@ class TrialEnsemble:
         """
         scalar, (up, dn, d_sr, d_rd) = _operating_points(
             snr_scale_up, snr_scale_dn, d_sr_m, d_rd_m)
-        if not ((up > 0.0).all() and (dn > 0.0).all()):
-            raise ValueError("snr scales must be positive")
-        for a, b in zip(d_sr, d_rd):
-            check_far_field(self.cfg, self._hops[_UP].distance, a)
-            check_far_field(self.cfg, self._hops[_DOWN].distance, b)
-        c1 = self._hop_rate(_UP, up, d_sr)
-        c2 = self._hop_rate(_DOWN, dn, d_rd)
-        self._check_finite({_UP: c1, _DOWN: c2})
+        c1, c2 = self._checked_rates((_UP, up, d_sr), (_DOWN, dn, d_rd))
         rates = np.minimum(c1, c2, out=c1)
         rates *= self.cfg.dof_prefactor
         rates[:, self._relay_failed] = np.nan
@@ -380,13 +394,9 @@ class TrialEnsemble:
         """
         if not self.has_baseline:
             raise RuntimeError("ensemble was built without baseline draws")
-        scalar, (scale,) = _operating_points(snr_scale)
-        if not (scale > 0.0).all():
-            raise ValueError("snr scale must be positive")
-        d_sd = self.cfg.layout.d_sd_m
-        check_far_field(self.cfg, self._hops[_DIRECT].distance, d_sd)
-        rate = self._hop_rate(_DIRECT, scale, np.full(len(scale), d_sd))
-        self._check_finite({_DIRECT: rate})
+        scalar, (scale, d_sd) = _operating_points(snr_scale,
+                                                  self.cfg.layout.d_sd_m)
+        (rate,) = self._checked_rates((_DIRECT, scale, d_sd))
         rate /= self.cfg.num_haps * self.cfg.num_gs
         rate[:, self._failed[_DIRECT]] = np.nan
         return rate[0] if scalar else rate
@@ -445,6 +455,14 @@ def _altitude_scales(cfg: NetworkConfig) -> tuple[float, float]:
     return up, dn
 
 
+def _altitude_rates(ens: TrialEnsemble) -> Callable[[np.ndarray], np.ndarray]:
+    """ens.relay_rates at the configured powers, as a map of relay altitudes."""
+    lay = ens.cfg.layout
+    up, dn = _altitude_scales(ens.cfg)
+    return lambda alt: ens.relay_rates(up, dn, lay.hap_altitude_m - alt,
+                                       alt - lay.gs_altitude_m)
+
+
 def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
     """The mean relay rate at one altitude, as run_altitude_sweep reports it.
 
@@ -453,15 +471,12 @@ def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
     same bits without a pass loop or a standard error.  NaN when no trial is
     valid.
     """
-    lay = ens.cfg.layout
-    scale_up, scale_dn = _altitude_scales(ens.cfg)
+    rates = _altitude_rates(ens)
     valid = ~ens._relay_failed
     any_valid = valid.any()
 
     def mean_rate(alt: float) -> float:
-        rates = ens.relay_rates(scale_up, scale_dn, lay.hap_altitude_m - alt,
-                                alt - lay.gs_altitude_m)
-        return float(rates[valid].mean()) if any_valid else math.nan
+        return float(rates(alt)[valid].mean()) if any_valid else math.nan
     return mean_rate
 
 
@@ -514,15 +529,8 @@ def run_altitude_sweep(ens: TrialEnsemble, spec: SweepSpec) -> SumRateCurve:
         )
     grid = spec.grid()
     check_altitude_bracket(ens.cfg, grid[0], grid[-1], spec.step)
-    lay = ens.cfg.layout
-    scale_up, scale_dn = _altitude_scales(ens.cfg)
-
-    def relay(part: slice) -> np.ndarray:
-        return ens.relay_rates(scale_up, scale_dn,
-                               lay.hap_altitude_m - grid[part],
-                               grid[part] - lay.gs_altitude_m)
-
-    return _curves(grid, ens.trials, relay)[0]
+    rates = _altitude_rates(ens)
+    return _curves(grid, ens.trials, lambda part: rates(grid[part]))[0]
 
 
 def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,

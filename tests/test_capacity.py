@@ -84,7 +84,7 @@ def oracle_hops(cfg: NetworkConfig, ens: TrialEnsemble, scale_up: float,
     return np.array(c_up), np.array(c_dn)
 
 
-class TestCapacityBreakdown:
+class TestRelayRates:
     def test_total_derived_from_min(self):
         # Per trial the weaker hop sets the rate, and both hops bind somewhere.
         cfg = make_cfg(2, 3, kappa_up_db=5.0, kappa_down_db=5.0,
@@ -96,8 +96,6 @@ class TestCapacityBreakdown:
             got, cfg.dof_prefactor * np.minimum(c_up, c_dn), rtol=1e-9)
         assert (c_up < c_dn).any() and (c_dn < c_up).any()
 
-
-class TestHopSumRate:
     def test_scalar_channel(self):
         ens = TrialEnsemble(unit_los_cfg(), trials=2, master_seed=1)
         for snr, bits in ((1.0, 1.0), (3.0, 2.0), (15.0, 4.0)):

@@ -436,6 +436,20 @@ class TestExitCodes:
         assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["snr-sweep", "--out"],
+                                      ["snr-sweep", "--dump-config", "--out"]],
+                             ids=["snr", "dump-config"])
+    def test_sweep_too_many_points_to_count_exits_2(self, tmp_path, capsys,
+                                                     argv):
+        cfg = write_scenario(tmp_path, **snr_keys(sweep_stop=1.0e300,
+                                                  sweep_step=1.0e-300))
+        out = tmp_path / "curve.csv"
+        assert main(argv + [str(out), "--config", cfg]) == 2
+        assert not out.exists()
+        _, err = capsys.readouterr()
+        assert err.startswith("error: sweep: step 1e-300 yields too many ")
+        assert "Traceback" not in err
+
     def test_bad_override_exits_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"

@@ -76,6 +76,11 @@ class TestSweepSpec:
         (dict(trials=True), "trials must be an integer"),
         (dict(master_seed=3.99), "master_seed must be an integer"),
         (dict(master_seed=np.bool_(False)), "master_seed must be an integer"),
+        (dict(start=0.0, stop=1e300, step=1e-300),
+         r"^step 1e-300 yields too many points to count over \[0.0, 1e\+300\]"),
+        (dict(start=-1e308, stop=1e308, step=1.0),
+         r"^step 1.0 yields too many points to count over "
+         r"\[-1e\+308, 1e\+308\]"),
     ])
     def test_validation(self, kwargs, msg):
         base = dict(variable=SNR_DB, start=0.0, stop=30.0, step=2.5)
@@ -818,6 +823,23 @@ class TestGridPasses:
         with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
             ens.relay_rates(gammas[2], gammas[2], 9000.0, 9000.0)
 
+    @pytest.mark.parametrize("gammas,bad", [
+        ([1.0, 0.0, -1.0], 1), ([2.0, 3.0, math.nan], 2),
+        ([1e290, 1e300, 1e305], 1),
+    ], ids=["zero", "nan", "overflow"])
+    def test_baseline_raises_as_its_first_bad_point(self, gammas, bad):
+        # Path factor 6.25e8 on the 18 km direct links; with the largest
+        # form in (0.3, 100) the SNR overflows at 1e300 but not at 1e290.
+        cfg = make_cfg(ref_gain_direct=8.1e12)
+        ens = TrialEnsemble(cfg, 20, 4, include_baseline=True)
+        assert 0.3 < ens._q[simulator._DIRECT].max() < 100.0
+        with pytest.raises(ValueError) as one:
+            ens.baseline_rates(gammas[bad])
+        with pytest.raises(ValueError) as grid:
+            ens.baseline_rates(np.array(gammas))
+        assert str(grid.value) == str(one.value)
+        ens.baseline_rates(np.array(gammas[:bad]))
+
     def test_far_field_checked_at_every_point(self):
         cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
         ens = TrialEnsemble(cfg, 3, 1)
@@ -853,6 +875,34 @@ class TestGridPasses:
         for g, w in zip(got, want):
             assert g.dtype == np.float64 and g.ndim == 1
             assert g.tobytes() == w.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "2.0",
+                                     np.array(["9000"]), None, [1.0, "x"],
+                                     1.0 + 1.0j],
+                             ids=["bool", "numpy-bool", "str", "str-array",
+                                  "none", "mixed-list", "complex"])
+    def test_points_that_are_not_numbers_rejected(self, bad):
+        ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
+        good = (2.0, 3.0, 9000.0, 9000.0)
+        for i in range(4):
+            args = good[:i] + (bad,) + good[i + 1:]
+            with pytest.raises(ValueError, match="must be numbers, got"):
+                ens.relay_rates(*args)
+        with pytest.raises(ValueError, match="must be numbers, got"):
+            ens.baseline_rates(bad)
+
+    def test_numpy_number_points_equal_python_floats(self):
+        ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
+        want = ens.relay_rates(2.0, 3.0, 9000.0, 9000.0).tobytes()
+        for got in (ens.relay_rates(np.float32(2.0), np.int64(3),
+                                    np.float32(9000.0), np.int64(9000)),
+                    ens.relay_rates(np.int64(2), np.float32(3.0),
+                                    np.array([9000], dtype=np.int32),
+                                    np.array([9000.0], dtype=np.float32))[0]):
+            assert got.tobytes() == want
+        want = ens.baseline_rates(3.0).tobytes()
+        assert ens.baseline_rates(np.float32(3.0)).tobytes() == want
+        assert ens.baseline_rates(np.int64(3)).tobytes() == want
 
     def test_points_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="broadcast"):
