@@ -19,8 +19,10 @@ The matrix: snr-sweep on snr_sweep.yaml and on the benchmark's generated
 array scenario, altitude-sweep --cross-check on altitude_sweep.yaml and
 optimal-altitude on altitude_sweep_symmetric.yaml, each at 1, 999 and 5000
 trials with seeds 7 and 0; snr-sweep and altitude-sweep --cross-check at
-20000 trials, which take several sweep passes; and an snr-sweep whose hops
-are all singular (Rician factor 200 dB on both), which exits 3.
+20000 trials, which take several sweep passes; an snr-sweep on
+snr_sweep.yaml with all_streams on, where the uplink, downlink and direct
+links share one kernel call per chunk; and an snr-sweep whose hops are all
+singular (Rician factor 200 dB on both), which exits 3.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario and the all-singular one."""
+    """The shipped scenarios, the array scenario and two variants of
+    snr_sweep.yaml: all streams (baseline on, as shipped) and all-singular."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
@@ -51,11 +54,13 @@ def write_inputs(inputs: str) -> None:
         fh.write(array_scenario_text())
     with open(os.path.join(ROOT, "scenarios", "snr_sweep.yaml"),
               encoding="utf-8") as fh:
-        singular = yaml.safe_load(fh)
-    singular.update(kappa_up_db=200.0, kappa_down_db=200.0)
-    with open(os.path.join(inputs, "singular.yaml"), "w",
-              encoding="utf-8") as fh:
-        yaml.safe_dump(singular, fh, sort_keys=False)
+        snr = yaml.safe_load(fh)
+    for name, changes in (("all_streams", dict(all_streams=True)),
+                          ("singular", dict(kappa_up_db=200.0,
+                                            kappa_down_db=200.0))):
+        with open(os.path.join(inputs, f"{name}.yaml"), "w",
+                  encoding="utf-8") as fh:
+            yaml.safe_dump({**snr, **changes}, fh, sort_keys=False)
 
 
 def runs() -> list[tuple[str, list[str], bool]]:
@@ -76,6 +81,9 @@ def runs() -> list[tuple[str, list[str], bool]]:
     for name, argv, csv in cases[0], cases[2]:
         out.append((f"{name}-t20000-s5",
                     [*argv, "--trials", "20000", "--seed", "5"], csv))
+    out.append(("all-streams-t999-s7",
+                ["snr-sweep", "--config", "inputs/all_streams.yaml",
+                 "--trials", "999", "--seed", "7"], True))
     out.append(("singular-t200-s1",
                 ["snr-sweep", "--config", "inputs/singular.yaml",
                  "--trials", "200", "--seed", "1"], True))

@@ -8,17 +8,21 @@ read stream k's form q_k = 1 / [G^{-1}]_kk = h_k^H (I - P_k) h_k, where
 P_k projects onto the other columns: column 0 (first_stream_quadforms) or
 every column (all_stream_quadforms).  scale * q_k is stream k's zero-forcing
 SNR, so path gains and power scale q from the outside and one kernel pass
-serves a whole sweep.  simulator.TrialEnsemble is the only caller.
+serves a whole sweep.  simulator.TrialEnsemble is the only caller; it
+joins consecutive hops of one shape and kernel into one call per chunk.
 
-The kernel mixes H batch-first, then copies it once batch-last, (r, c, n)
-with its columns in the kernel's order.  On that copy one loop, _factor,
+The kernel mixes H batch-first, in place from b nlos, and drops its own
+reference to nlos, so a caller that handed over its only one frees the
+draws there.  It copies H once batch-last, (r, c, n) with its columns in
+the kernel's order, and frees the mix.  On that copy one loop, _factor,
 forms the lower triangle of G, G[i, j] = sum_r conj(H[r, i]) H[r, j]
 added up in index order of r, and factors G = L L^H (Cholesky), all as
 whole-array numpy operations over the whole call: no BLAS or LAPACK call
 per matrix.  A pivot that is not positive is replaced by one, so the
 factorization never raises.
 - The all-stream kernel factors G in natural order, inverts L by forward
-  substitution and reads [G^{-1}]_kk as the k-th column sum of
+  substitution one diagonal of L^{-1} at a time, on contiguous copies of
+  L's diagonals, and reads [G^{-1}]_kk as the k-th column sum of
   |L^{-1}|^2.
 - The first-stream kernel orders column 0 last and stops at the factor:
   the last pivot is the Schur complement of the other columns, which is
@@ -48,6 +52,7 @@ Demmel's condition for Cholesky to complete, c(c+1) u cond(G) < 1
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -115,21 +120,28 @@ def _factor(h: np.ndarray) -> tuple[np.ndarray, ...]:
     pivot is positive, and the last pivot, the Schur complement of the other
     columns (one where it is not positive).  Only the lower triangle of G is
     formed, G[i, j] = sum_r conj(H[r, i]) H[r, j] added up in index order of
-    r, one diagonal d = i - j at a time: its products are the contiguous
-    slices conj(H[r, d:]) * H[r, :c-d], which numpy multiplies without
-    broadcasting.  The upper triangle is never written or read.
+    r, one row r of H at a time into one array per diagonal d = i - j: its
+    products are the contiguous slices conj(H[r, d:]) * H[r, :c-d], which
+    numpy multiplies without broadcasting, and only row r of conj(H) is
+    held.  The upper triangle is never written or read.
     """
     r, c, m = h.shape
     if not r:  # G = 0, the Gram matrix of one zero row
         h = np.zeros((1, c, m), dtype=np.complex128)
-    hc = np.conj(h)
+    # G first: it then takes the space its caller has just freed, which the
+    # smaller arrays below would otherwise split.
     g = np.empty((c, c, m), dtype=np.complex128)
+    hc = np.conj(h[0])  # one row of H at a time
+    diagonals = [hc[d:] * h[0, :c - d] for d in range(c)]
+    for row in h[1:]:
+        np.conj(row, out=hc)
+        for d in range(c):
+            diagonals[d] += hc[d:] * row[:c - d]
+    del hc
     rows = g.reshape(c * c, m)  # G[i, i - d] is row i (c + 1) - d
     for d in range(c):
-        diagonal = hc[0, d:] * h[0, :c - d]
-        for k in range(1, len(h)):
-            diagonal += hc[k, d:] * h[k, :c - d]
-        rows[d * c::c + 1] = diagonal
+        rows[d * c::c + 1] = diagonals[d]
+    del diagonals  # the update below needs G alone
     trace = sum(g[j, j].real for j in range(c))
     positive = np.ones(m, dtype=bool)
     for j in range(c):  # column j of L overwrites column j of G
@@ -144,14 +156,29 @@ def _factor(h: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _all_forms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every q_k (m, c) of a batch-last (r, c, m) H and where G is cleared."""
-    c = h.shape[1]
+    """Every q_k (m, c) of a batch-last (r, c, m) H and where G is cleared.
+
+    X = L^{-1} is built one diagonal d = i - j at a time from contiguous
+    copies of L's diagonals: X[j + d, j] = -(sum_k L[j + d, k] X[k, j]) /
+    L[j + d, j + d], the sum over k = j .. j + d - 1 in that order, so the
+    zero upper triangle is never stored or multiplied.  [G^{-1}]_jj is then
+    sum_d |X[j + d, j]|^2, added up in order of d.
+    """
+    c, m = h.shape[1:]
     g, trace, cleared, _ = _factor(h)
-    inv = np.zeros_like(g)
-    for i in range(c):
-        inv[i, i] = 1.0 / g[i, i].real
-        inv[i, :i] = (g[i, :i, None] * inv[:i, :i]).sum(axis=0) * -inv[i, i].real
-    inv_diag = (inv.real ** 2 + inv.imag ** 2).sum(axis=0)
+    rows = g.reshape(c * c, m)  # L[j + d, j] is row j (c + 1) + d c
+    lower = [None] + [rows[d * c::c + 1].copy() for d in range(1, c)]
+    scale = -1.0 / rows[::c + 1].real  # -1 / L[j, j]
+    del g, rows
+    x = [-scale.astype(np.complex128)]  # X[j + d, j] is x[d][j]
+    for d in range(1, c):
+        acc = lower[d] * x[0][:c - d]
+        for e in range(1, d):
+            acc += lower[d - e][e:e + c - d] * x[e][:c - d]
+        x.append(acc * scale[d:])
+    inv_diag = x[0].real ** 2 + x[0].imag ** 2
+    for d in range(1, c):
+        inv_diag[:c - d] += x[d].real ** 2 + x[d].imag ** 2
     cleared &= trace * inv_diag.sum(axis=0) < _SCREEN_LIMIT
     return 1.0 / inv_diag.T, cleared
 
@@ -173,19 +200,25 @@ def _comparison_bound(g: np.ndarray, trace: np.ndarray) -> np.ndarray:
     return trace * c * x.max(axis=0) ** 2
 
 
-def _quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _mixed(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
+           b: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """H = a los + b nlos as an (n, r, c) stack, made in place from b nlos,
+    and the batch shape (T, L)."""
+    los, nlos, a, b = _check_inputs(los, nlos, a, b)
+    h = b[:, None, None] * nlos
+    h += a[:, None, None] * los
+    return h.reshape(math.prod(h.shape[:2]), *h.shape[2:]), h.shape[:2]
+
+
+def _quadforms(h: np.ndarray, batch: tuple[int, int],
                forms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                shift: int) -> tuple[np.ndarray, np.ndarray]:
     """q (T, L, k) from forms, zero where singular, and the flags (T, L).
 
-    forms gets H batch-last, columns rolled left by shift; the mix is freed
-    first, and the eigenvalue test rolls the columns of that copy back.
+    forms gets H batch-last, columns rolled left by shift; the eigenvalue
+    test rolls the columns of that copy back.
     """
-    los, nlos, a, b = _check_inputs(los, nlos, a, b)
-    h = a[:, None, None] * los + b[:, None, None] * nlos
-    batch = h.shape[:2]
-    n = batch[0] * batch[1]
-    h = _batch_last(h.reshape(n, *h.shape[2:]), shift)
+    n = math.prod(batch)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q, cleared = forms(h)
         singular = ~cleared[:n]
@@ -209,11 +242,17 @@ def first_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
         q: float64 (T, L); zero where the singular flag is set.
         singular: bool (T, L); True where cond(H^H H) >= CONDITION_LIMIT.
     """
-    q, singular = _quadforms(los, nlos, a, b, _first_forms, 1)
+    h, batch = _mixed(los, nlos, a, b)
+    del nlos  # the draws go here when the caller handed over its reference
+    h = _batch_last(h, 1)  # and the mix once copied
+    q, singular = _quadforms(h, batch, _first_forms, 1)
     return q[..., 0], singular
 
 
 def all_stream_quadforms(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-(trial, link, column) quadratic forms and per-matrix singular flags."""
-    return _quadforms(los, nlos, a, b, _all_forms, 0)
+    h, batch = _mixed(los, nlos, a, b)
+    del nlos  # as in first_stream_quadforms
+    h = _batch_last(h, 0)
+    return _quadforms(h, batch, _all_forms, 0)

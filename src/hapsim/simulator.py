@@ -10,23 +10,24 @@ stream, laid out in _hops() order; streams defines the streams (trial_rng)
 and fills a chunk's rows with them.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
-chunks of as many trials as fit _CHUNK_DRAWS draws, and keeps only the
-singular flags and the quadratic forms, trial-last: one row of T forms per
-link and stream.  The forms are invariant under uniform scaling of a
-channel matrix, so transmit power and the 1/d^2 path factors multiply in
-afterwards.  A sweep therefore evaluates its grid in passes of as many
-points as fit _CHUNK_DRAWS rates: one rate call per pass scales each
-stored row by every point's factor at once and sums the rows into one row
-of per-trial rates per point.  One pass loop (_curves) serves every curve:
-it reduces each pass's rows to that pass's slice of the curve's columns,
-mean rate and standard error per point, and frees them before the next
-call.  Memory grows with the stored forms alone.  Neither the draws nor the
-line-of-sight part (network.los_channel, built from the config's
-wavelength, spacings and angles) depend on a link distance, so the
-ensemble never sees one.  Operating points reach the hop rates along one
-checked path, TrialEnsemble._checked_rates: it tests each scale, each
-distance (network.check_far_field) where it enters a rate, and float64
-overflow, for relay_rates and baseline_rates alike.
+chunks of as many trials as fit _CHUNK_DRAWS draws, with one kernel call
+per chunk for each run of hops that share a matrix shape and a kernel
+(_runs), and keeps only the singular flags and the quadratic forms,
+trial-last: one row of T forms per link and stream.  The forms are
+invariant under uniform scaling of a channel matrix, so transmit power and
+the 1/d^2 path factors multiply in afterwards.  A sweep therefore evaluates
+its grid in passes of as many points as fit _CHUNK_DRAWS rates: one rate
+call per pass scales each stored row by every point's factor at once and
+sums the rows into one row of per-trial rates per point.  One pass loop
+(_curves) serves every curve: it reduces each pass's rows to that pass's
+slice of the curve's columns, mean rate and standard error per point, and
+frees them before the next call.  Memory grows with the stored forms alone.
+Neither the draws nor the line-of-sight part (network.los_channel, built
+from the config's wavelength, spacings and angles) depend on a link
+distance, so the ensemble never sees one.  Operating points reach the hop
+rates along one checked path, TrialEnsemble._checked_rates: it tests each
+scale, each distance (network.check_far_field) where it enters a rate, and
+float64 overflow, for relay_rates and baseline_rates alike.
 
 The altitude functions take their ensemble as an argument, so one command
 draws its trials once: altitude-sweep --cross-check passes the grid's
@@ -37,6 +38,7 @@ _altitude_rates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -61,6 +63,10 @@ SWEEP_VARIABLES = (SNR_DB, RELAY_ALTITUDE_M)
 
 DEFAULT_TRIALS = 1000
 DEFAULT_MASTER_SEED = 12345
+
+# Points a sweep grid may hold, checked before any is allocated: its grid
+# and each curve column take 8 MB at this size.
+MAX_SWEEP_POINTS = 10**6
 
 # Draws per chunk and rates per sweep pass (1 MiB of float64); any size gives
 # the same results, and this one keeps the kernels' temporaries in cache.
@@ -94,10 +100,12 @@ class SweepSpec:
             )
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
-        if not math.isfinite((self.stop - self.start) / self.step):
+        if not (math.isfinite((self.stop - self.start) / self.step)
+                and self.num_points <= MAX_SWEEP_POINTS):
             raise ValueError(
                 f"step {self.step!r} yields too many points to count over "
-                f"[{self.start!r}, {self.stop!r}]"
+                f"[{self.start!r}, {self.stop!r}]; a sweep has at most "
+                f"{MAX_SWEEP_POINTS} points"
             )
         if self.num_points < 2:
             raise ValueError(
@@ -266,25 +274,65 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     return tuple(hops)
 
 
-def _draw_chunk(hops: tuple[_Hop, ...], master_seed: int, lo: int,
+class _Run(NamedTuple):
+    """Consecutive hops that share a matrix shape and a kernel.  A chunk
+    makes one kernel call for the whole run, its hops' links joined in hop
+    order; their draws are already adjacent in a trial's fill."""
+
+    links: tuple[int, ...]        # each hop's link count, in hop order
+    span: slice                   # the run's columns of a trial's fill
+    los: np.ndarray               # the hops' line-of-sight stacks, joined
+    a: np.ndarray
+    b: np.ndarray
+    all_streams: bool
+
+
+def _runs(hops: tuple[_Hop, ...]) -> tuple[_Run, ...]:
+    """The hops grouped into runs, in hop order."""
+    runs = []
+    for (_, all_streams), group in itertools.groupby(
+            hops, key=lambda hop: (hop.shape, hop.all_streams)):
+        group = list(group)
+        runs.append(_Run(tuple(hop.links for hop in group),
+                         slice(group[0].span.start, group[-1].span.stop),
+                         np.concatenate([hop.los for hop in group]),
+                         np.concatenate([hop.a for hop in group]),
+                         np.concatenate([hop.b for hop in group]),
+                         all_streams))
+    return tuple(runs)
+
+
+def _draw_chunk(runs: tuple[_Run, ...], master_seed: int, lo: int,
                 q_out: list[np.ndarray], failed_out: list[np.ndarray]) -> None:
     """Draw trials lo..lo+n-1 and reduce them into hop i's views: q_out[i]
     (forms, n) takes its forms trial-last and failed_out[i] (n,) whether any
     of its links is singular.  Each trial's fill, in hop order, becomes the
-    CN(0, 1) scattering matrices of every link."""
+    CN(0, 1) scattering matrices of every link.  The fill is freed before
+    the first kernel call, and no reference to a run's scattering matrices
+    is kept past its call, so the kernel can free them once it has mixed H
+    (where the interpreter hands the argument over, as CPython 3.11 does)."""
     n = len(failed_out[0])
-    x = np.empty((n, hops[-1].span.stop))
+    x = np.empty((n, runs[-1].span.stop))
     streams.fill_trials(master_seed, lo, x)
-    for hop, q_view, failed_view in zip(hops, q_out, failed_out):
-        z = x[:, hop.span].reshape(n, hop.links, 2, *hop.shape)
-        nlos = np.empty(z[:, :, 0].shape, dtype=np.complex128)
-        np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos.real)
-        np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos.imag)
-        kernel = (kernels.all_stream_quadforms if hop.all_streams
+    nlos = []
+    for run in runs:
+        shape = (n, sum(run.links), 2, *run.los.shape[1:])
+        z = x[:, run.span].reshape(shape)
+        nlos.append(np.empty(z[:, :, 0].shape, dtype=np.complex128))
+        np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos[-1].real)
+        np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos[-1].imag)
+    del x, z
+    views = zip(q_out, failed_out)
+    for run in runs:
+        kernel = (kernels.all_stream_quadforms if run.all_streams
                   else kernels.first_stream_quadforms)
-        q, singular = kernel(hop.los, nlos, hop.a, hop.b)
-        q_view[...] = q.reshape(n, -1).T
-        failed_view[...] = singular.any(axis=1)
+        q, singular = kernel(run.los, nlos.pop(0), run.a, run.b)
+        bounds = np.cumsum(run.links)[:-1]
+        for q_hop, singular_hop, (q_view, failed_view) in zip(
+                np.split(q, bounds, axis=1), np.split(singular, bounds, axis=1),
+                views):
+            q_view[...] = q_hop.reshape(n, -1).T
+            failed_view[...] = singular_hop.any(axis=1)
 
 
 class TrialEnsemble:
@@ -304,13 +352,14 @@ class TrialEnsemble:
         self.trials, self.master_seed = trial_budget(trials, master_seed)
         self.has_baseline = bool(include_baseline)
         self._hops = _hops(cfg, include_baseline)
+        runs = _runs(self._hops)
         self._q = [np.empty((h.links * (h.shape[1] if h.all_streams else 1),
                              self.trials)) for h in self._hops]
         self._failed = [np.empty(self.trials, dtype=bool) for _ in self._hops]
         chunk = max(1, _CHUNK_DRAWS // self._hops[-1].span.stop)
         for lo in range(0, self.trials, chunk):
             part = slice(lo, lo + chunk)
-            _draw_chunk(self._hops, self.master_seed, lo,
+            _draw_chunk(runs, self.master_seed, lo,
                         [q[:, part] for q in self._q],
                         [failed[part] for failed in self._failed])
         self._relay_failed = self._failed[_UP] | self._failed[_DOWN]

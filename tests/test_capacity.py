@@ -127,8 +127,6 @@ class TestRelayRates:
         got, expected = oracle_relay_rates(cfg, TrialEnsemble(cfg, 20, 41))
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
-
-class TestDfCapacity:
     def test_unit_point_to_point(self):
         ens = TrialEnsemble(unit_los_cfg(), trials=3, master_seed=1)
         rates = ens.relay_rates(1.0, 1.0, 9000.0, 9000.0)

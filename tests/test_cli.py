@@ -450,6 +450,28 @@ class TestExitCodes:
         assert err.startswith("error: sweep: step 1e-300 yields too many ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],
+        ["snr-sweep", "--dump-config", "--out"],
+        ["altitude-sweep", "--out"], ["optimal-altitude"]],
+        ids=["geometry", "geometry-dump-config", "snr", "snr-dump-config",
+             "altitude", "optimal"])
+    def test_sweep_with_too_many_points_exits_2(self, tmp_path, capsys, argv):
+        # A finite count past the limit fails as the scenario loads, before
+        # any grid is allocated, whatever the command.
+        cfg = write_scenario(tmp_path, **snr_keys(sweep_stop=1.0e300,
+                                                  sweep_step=1.0))
+        out = tmp_path / "curve.csv"
+        if argv[-1] == "--out":
+            argv = argv + [str(out)]
+        assert main(argv + ["--config", cfg]) == 2
+        assert not out.exists()
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == ("error: sweep: step 1.0 yields too many points to "
+                       "count over [0.0, 1e+300]; a sweep has at most 1000000 "
+                       "points\n")
+
     def test_bad_override_exits_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"

@@ -330,6 +330,64 @@ def mixed_chunks(draw):
     return np.stack(hs)
 
 
+def ill_conditioned_chunk():
+    """Seven 9 x 2 matrices at 0 dB and one at 84.4 dB, drawn as
+    mixed_chunks draws regular ones.  The last has cond(G) = 6.35e8, and its
+    q_0 from the first-stream kernel is off by 1.47e-7 relative."""
+    rng = np.random.default_rng(27993980)
+    hs = []
+    for kappa_db in [0.0] * 7 + [84.4189320139]:
+        hs.append(rician(rng, 9, 2, kappa_db))
+        rng.choice(2, size=2, replace=False)
+    return np.stack(hs)
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    u = EPS / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def q0_error_bound(h, ref):
+    """Bound on the relative error of the first-stream kernel's q_0 for a
+    float64 matrix h (r x c), ref being every exact q_k of h.
+
+    Backward error.  The kernel forms G = H^H H and factors it with column 0
+    last; q_0 is the last pivot before its square root.  Let L~ be the
+    computed factor with that diagonal entry replaced by sqrt(q_0) exactly.
+    Then L~ L~^H = G + D, and q_0 = 1 / [(G + D)^{-1}]_00 exactly.
+    - The real and imaginary parts of conj(a) b are each two real products
+      and one sum, at most r + 1 roundings per term once r terms are added
+      up, so the computed Gram is G + F with |F| <= sqrt(2) gamma_{r+1}
+      |H|^H |H| entrywise and ||F||_2 <= sqrt(2) gamma_{r+1} tr(G).  On
+      the diagonal the imaginary parts cancel exactly and the real parts
+      are sums of squares, so tr(G + F) <= (1 + gamma_{r+1}) tr(G).
+    - Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      Thm 10.3) bounds a completed real Cholesky by
+      |E| <= gamma_{c+1} |L||L^T|.  Counted as above for the complex
+      recurrence (products of two parts, a sum, the subtraction, the
+      division), each entry takes at most c + 3 roundings per part, so
+      L~ L~^H = G + F + E with |E| <= sqrt(2) gamma_{c+3} |L~||L~|^H and
+      ||E||_2 <= sqrt(2) gamma_{c+3} tr(L~ L~^H)
+              <= sqrt(2) gamma_{c+3} tr(G + F) / (1 - sqrt(2) gamma_{c+3}).
+    Forward error.  With delta = ||D||_2 / lambda_min(G) < 1, x = e^T G^{-1} e
+    moves by |e^T G^{-1} D (G + D)^{-1} e| <= delta' sqrt(x x'), where
+    delta' = delta / sqrt(1 - delta), so q_0 = 1/x moves by at most
+    delta' / (1 - delta' / 2) relative.  1/lambda_min(G) <= tr(G^{-1}) =
+    sum_k 1/q_k, taken from ref; the reference's own rounding, a few ulps,
+    is far inside the slack of these bounds.
+    """
+    r, c = h.shape
+    g_trace = float(np.vdot(h, h).real)
+    e_gram = math.sqrt(2.0) * gamma(r + 1)
+    e_factor = math.sqrt(2.0) * gamma(c + 3)
+    backward = e_gram + e_factor * (1.0 + gamma(r + 1)) / (1.0 - e_factor)
+    delta = backward * g_trace * sum(1.0 / q for q in ref)
+    assert delta < 1.0
+    delta = delta / math.sqrt(1.0 - delta)
+    return delta / (1.0 - delta / 2.0)
+
+
 class TestScreenedGate:
     """The kernels skip eigenvalues where the Cholesky factor clears G."""
 
@@ -338,6 +396,8 @@ class TestScreenedGate:
     # A zero 1x1 Gram: a factor that wrote into the kernel's own Gram stack
     # would hand the eigenvalue test a pivot replaced by one.
     @example(np.array([[[0.9 - 0.3j]], [[0.0]]]))
+    # q_0 off by 1.47e-7 at cond(G) 6.35e8, above (cond(G) + rows) eps.
+    @example(ill_conditioned_chunk())
     def test_flags_equal_the_plain_gate(self, hs):
         q, singular = all_stream_quadforms(*kernel_inputs(hs))
         np.testing.assert_array_equal(singular[:, 0], plain_gate(hs))
@@ -347,13 +407,12 @@ class TestScreenedGate:
         np.testing.assert_array_equal(singular0, singular)
         assert (q0[singular0] == 0.0).all()
         # q0 is the last pivot, not column 0 of the inverse: it rounds
-        # differently, so check it against the 50-digit reference.  Forming
-        # G alone rounds a lone column's squared norm by up to rows * eps.
-        cond = gram_condition(hs)
-        for h, got, flag, cond_h in zip(hs, q0[:, 0], singular0[:, 0], cond):
+        # differently, so check it against the 50-digit reference, within
+        # the bound that the factor's backward error implies.
+        for h, got, flag in zip(hs, q0[:, 0], singular0[:, 0]):
             if not flag:
-                ref = mp_quadforms(h)[0]
-                assert abs(got - ref) / ref <= (cond_h + h.shape[0]) * EPS
+                ref = mp_quadforms(h)
+                assert abs(got - ref[0]) / ref[0] <= q0_error_bound(h, ref)
 
     @settings(max_examples=300, deadline=None)
     @given(mixed_chunks())

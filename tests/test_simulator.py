@@ -81,12 +81,24 @@ class TestSweepSpec:
         (dict(start=-1e308, stop=1e308, step=1.0),
          r"^step 1.0 yields too many points to count over "
          r"\[-1e\+308, 1e\+308\]"),
+        (dict(start=0.0, stop=1e300, step=1.0),
+         r"^step 1.0 yields too many points to count over \[0.0, 1e\+300\]; "
+         r"a sweep has at most 1000000 points$"),
+        (dict(start=-2.5, stop=float(simulator.MAX_SWEEP_POINTS) - 2.5,
+              step=1.0), "a sweep has at most 1000000 points"),
     ])
     def test_validation(self, kwargs, msg):
         base = dict(variable=SNR_DB, start=0.0, stop=30.0, step=2.5)
         base.update(kwargs)
         with pytest.raises(ValueError, match=msg):
             SweepSpec(**base)
+
+    def test_largest_grid_is_counted_not_built(self, monkeypatch):
+        # One point fewer than the rejected count above passes; its grid is
+        # never built here.
+        monkeypatch.setattr(SweepSpec, "grid", None)
+        spec = SweepSpec(SNR_DB, -2.5, simulator.MAX_SWEEP_POINTS - 3.5, 1.0)
+        assert spec.num_points == simulator.MAX_SWEEP_POINTS
 
 
 class TestTrialRng:
@@ -581,30 +593,77 @@ class TestChunking:
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 64 * draw_width(cfg))
         assert self.stored(TrialEnsemble(cfg, 129, 3)) == self.stored(whole)
 
-    @pytest.mark.parametrize("cfg,baseline", [
-        (load_scenario("scenarios/snr_sweep.yaml").network, True),
+    @pytest.mark.parametrize("cfg,baseline,groups", [
+        (load_scenario("scenarios/snr_sweep.yaml").network, True,
+         [("first_stream_quadforms", 6), ("all_stream_quadforms", 9)]),
         (make_cfg(num_haps=4, num_gs=4, antennas_per_node=9,
-                  relay_antennas=9, all_streams=True), False),
-    ], ids=["snr-scenario", "9x9-all-streams"])
+                  relay_antennas=9, all_streams=True), False,
+         [("all_stream_quadforms", 8)]),
+        (make_cfg(all_streams=True), True, [("all_stream_quadforms", 15)]),
+    ], ids=["snr-scenario", "9x9-all-streams", "3x3-all-streams-baseline"])
     def test_kernel_calls_stay_within_the_budget(self, monkeypatch, cfg,
-                                                 baseline):
-        # Two full chunks and a one-trial tail.
+                                                 baseline, groups):
+        # Two full chunks and a one-trial tail.  Each chunk makes one call
+        # per group of consecutive hops that share a shape and a kernel:
+        # the relay hops join, and with all streams the direct links too.
         trials = 2 * (simulator._CHUNK_DRAWS // draw_width(cfg, baseline)) + 1
         calls = []
         for name in ("first_stream_quadforms", "all_stream_quadforms"):
-            def spy(los, nlos, a, b, kernel=getattr(kernels, name)):
-                calls.append(nlos.shape)
+            def spy(los, nlos, a, b, kernel=getattr(kernels, name), name=name):
+                calls.append((name, nlos.shape))
                 return kernel(los, nlos, a, b)
             monkeypatch.setattr(kernels, name, spy)
-        hops = simulator._hops(cfg, baseline)
         TrialEnsemble(cfg, trials, 5, include_baseline=baseline)
-        assert len(calls) == 3 * len(hops)
-        for i, hop in enumerate(hops):
-            shapes = calls[i::len(hops)]
-            assert {shape[1:] for shape in shapes} == {(hop.links, *hop.shape)}
-            assert sum(shape[0] for shape in shapes) == trials
-        assert max(math.prod(shape) for shape in calls) <= (
+        assert len(calls) == 3 * len(groups)
+        shape = (cfg.antennas_per_node, cfg.antennas_per_node)
+        for i, (name, links) in enumerate(groups):
+            group = calls[i::len(groups)]
+            assert {call for call, _ in group} == {name}
+            assert {nlos[1:] for _, nlos in group} == {(links, *shape)}
+            assert sum(nlos[0] for _, nlos in group) == trials
+        assert max(math.prod(nlos) for _, nlos in calls) <= (
             simulator._CHUNK_DRAWS // 2)
+
+    def test_joined_calls_equal_one_call_per_hop(self):
+        # One all-stream call serves all three hops of CFG; each hop's
+        # forms and flags are the bits of a call on that hop alone.
+        cfg = make_cfg(**self.CFG)
+        ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
+        assert len(simulator._runs(ens._hops)) == 1
+        x = np.empty((150, ens._hops[-1].span.stop))
+        streams.fill_trials(3, 0, x)
+        for hop, q, failed in zip(ens._hops, ens._q, ens._failed):
+            z = x[:, hop.span].reshape(150, hop.links, 2, *hop.shape)
+            nlos = np.empty(z[:, :, 0].shape, dtype=np.complex128)
+            nlos.real = z[:, :, 0] * simulator._INV_SQRT2
+            nlos.imag = z[:, :, 1] * simulator._INV_SQRT2
+            q_hop, singular = kernels.all_stream_quadforms(
+                hop.los, nlos, hop.a, hop.b)
+            assert q_hop.reshape(150, -1).T.tobytes() == q.tobytes()
+            assert singular.any(axis=1).tobytes() == failed.tobytes()
+        assert ens._failed[0].any() and ens._failed[2].any()
+
+    @pytest.mark.parametrize("cfg,baseline", [
+        (load_scenario("scenarios/snr_sweep.yaml").network, True),
+        (load_scenario("scenarios/altitude_sweep.yaml").network, False),
+        (make_cfg(num_haps=4, num_gs=4, antennas_per_node=9,
+                  relay_antennas=9, all_streams=True), False),
+    ], ids=["snr-baseline", "altitude", "9x9-all-streams"])
+    def test_build_working_set_is_a_few_chunks(self, cfg, baseline):
+        # Beyond the stored forms and flags, a build holds one chunk's
+        # draws and its kernel temporaries: at most four chunk budgets of
+        # float64, over two full chunks and a tail.
+        trials = 2 * (simulator._CHUNK_DRAWS // draw_width(cfg, baseline)) + 1
+        TrialEnsemble(cfg, 1, 5, include_baseline=baseline)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = TrialEnsemble(cfg, trials, 5, include_baseline=baseline)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in ens._q + ens._failed)
+        assert peak - kept <= 4 * 8 * simulator._CHUNK_DRAWS
 
     @pytest.mark.parametrize("hop", [0, 1, 2], ids=["up", "down", "direct"])
     def test_rate_blocks_match_the_whole(self, hop):
