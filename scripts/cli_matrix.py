@@ -21,8 +21,11 @@ optimal-altitude on altitude_sweep_symmetric.yaml, each at 1, 999 and 5000
 trials with seeds 7 and 0; snr-sweep and altitude-sweep --cross-check at
 20000 trials, which take several sweep passes; an snr-sweep on
 snr_sweep.yaml with all_streams on, where the uplink, downlink and direct
-links share one kernel call per chunk; and an snr-sweep whose hops are all
-singular (Rician factor 200 dB on both), which exits 3.
+links share one kernel call per chunk; an snr-sweep whose hops are all
+singular (Rician factor 200 dB on both), which exits 3; and an
+altitude-sweep --cross-check on altitude_sweep.yaml with the second
+platform's uplink at 90 dB, where 57 of 999 trials are singular, so both
+the grid means and the golden-section search drop failed trials.
 """
 
 from __future__ import annotations
@@ -45,22 +48,26 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario and two variants of
-    snr_sweep.yaml: all streams (baseline on, as shipped) and all-singular."""
+    """The shipped scenarios, the array scenario, two variants of
+    snr_sweep.yaml, all streams (baseline on, as shipped) and all-singular,
+    and one of altitude_sweep.yaml with some singular trials."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
     with open(os.path.join(inputs, "array.yaml"), "w", encoding="utf-8") as fh:
         fh.write(array_scenario_text())
-    with open(os.path.join(ROOT, "scenarios", "snr_sweep.yaml"),
-              encoding="utf-8") as fh:
-        snr = yaml.safe_load(fh)
-    for name, changes in (("all_streams", dict(all_streams=True)),
-                          ("singular", dict(kappa_up_db=200.0,
-                                            kappa_down_db=200.0))):
+    for name, base, changes in (
+            ("all_streams", "snr_sweep", dict(all_streams=True)),
+            ("singular", "snr_sweep", dict(kappa_up_db=200.0,
+                                           kappa_down_db=200.0)),
+            ("partly_singular", "altitude_sweep",
+             dict(kappa_up_db=[30.0, 90.0, 30.0]))):
+        with open(os.path.join(ROOT, "scenarios", f"{base}.yaml"),
+                  encoding="utf-8") as fh:
+            mapping = yaml.safe_load(fh)
         with open(os.path.join(inputs, f"{name}.yaml"), "w",
                   encoding="utf-8") as fh:
-            yaml.safe_dump({**snr, **changes}, fh, sort_keys=False)
+            yaml.safe_dump({**mapping, **changes}, fh, sort_keys=False)
 
 
 def runs() -> list[tuple[str, list[str], bool]]:
@@ -87,6 +94,9 @@ def runs() -> list[tuple[str, list[str], bool]]:
     out.append(("singular-t200-s1",
                 ["snr-sweep", "--config", "inputs/singular.yaml",
                  "--trials", "200", "--seed", "1"], True))
+    out.append(("partly-singular-t999-s7",
+                ["altitude-sweep", "--config", "inputs/partly_singular.yaml",
+                 "--cross-check", "--trials", "999", "--seed", "7"], True))
     return out
 
 

@@ -2,9 +2,10 @@
 
 M aerial platforms serve N ground stations through a multi-antenna
 decode-and-forward relay.  Channels are Rician (steering-vector
-line-of-sight plus Rayleigh scattering) with inverse-square path loss;
-receivers zero-force, and network capacity follows the two-hop min-cut with
-the interference-alignment prefactor M*N/(M+N-1).
+line-of-sight plus Rayleigh scattering) with path loss gain/d^2 on the
+amplitude, so received power falls as d^-4; receivers zero-force, and
+network capacity follows the two-hop min-cut with the interference-alignment
+prefactor M*N/(M+N-1).
 """
 
 from .kernels import CONDITION_LIMIT
@@ -36,8 +37,8 @@ from .simulator import (
     find_optimal_altitude,
     run_altitude_sweep,
     run_snr_sweep,
-    trial_rng,
 )
+from .streams import trial_rng
 
 __version__ = "0.1.0"
 

@@ -34,13 +34,16 @@ _M_MMAP_THRESHOLD = -3
 def _keep_chunk_memory() -> bool:
     """Keep freed chunk-sized arrays in the heap; whether glibc took it.
 
-    By default glibc returns each chunk's work arrays (about 1 MiB each) to
-    the kernel when they are freed and faults them in again, page by page,
-    for the next chunk.  An mmap threshold of four chunk budgets and a trim
-    threshold twice that (glibc's own ratio) serve them from resident heap
-    pages instead; the stored forms, which grow with the trials, stay above
-    the mmap threshold.  A no-op where the C library has no mallopt or
-    rejects it.
+    By default glibc returns each chunk's work arrays (about 1 MiB each:
+    draws, mixed channels and their copy, Gram rows, factors, inverses and
+    rate rows) to the kernel when they are freed and faults them in again,
+    page by page, for the next chunk.  An mmap threshold of four chunk
+    budgets and a trim threshold twice that (glibc's own ratio) serve them
+    from resident heap pages instead; the stored forms, which grow with the
+    trials, stay above the mmap threshold.  On a 2-core x86 host a fresh
+    page cost 2.7-3.1 us against 0.02-0.04 us to re-touch a resident one,
+    and a 10^5-trial snr-sweep fell from 158k faults to 14k at the same
+    peak RSS.  A no-op where the C library has no mallopt or rejects it.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -18,8 +18,9 @@ the kernel's order, and frees the mix.  On that copy one loop, _factor,
 forms the lower triangle of G, G[i, j] = sum_r conj(H[r, i]) H[r, j]
 added up in index order of r, and factors G = L L^H (Cholesky), all as
 whole-array numpy operations over the whole call: no BLAS or LAPACK call
-per matrix.  A pivot that is not positive is replaced by one, so the
-factorization never raises.
+per matrix.  At 4x4 that replaces one zgemm call per matrix; at 9x9 the
+triangle's 405 complex products cost about as much as that call.  A pivot
+that is not positive is replaced by one, so the factorization never raises.
 - The all-stream kernel factors G in natural order, inverts L by forward
   substitution one diagonal of L^{-1} at a time, on contiguous copies of
   L's diagonals, and reads [G^{-1}]_kk as the k-th column sum of
@@ -48,6 +49,8 @@ G is regular when every pivot is positive and its bound is below
 _SCREEN_LIMIT.  Conversely every G the eigenvalue test passes meets
 Demmel's condition for Cholesky to complete, c(c+1) u cond(G) < 1
 (Higham, section 10.1), for c up to about 90.  Flagged matrices get q = 0.
+On the shipped scenarios (seed 12345, 1000 trials) neither screen sends a
+single matrix to the eigenvalue test.
 """
 
 from __future__ import annotations

@@ -15,23 +15,23 @@ the same per ground station on the downlink; simulator.TrialEnsemble
 evaluates it per trial over the kernels' quadratic forms.  The config also
 owns the far-field rule (far_field_m, the shortest admissible link, and
 check_far_field(), the one test of a distance: past that limit, and short
-enough that its square fits a float64) and wide_hop(),
-the one test that zero forcing can serve both hops.  dof() returns the
-high-SNR slope M*N*A / (M + N - 1), which carries the per-node antenna count
-and is deliberately a separate quantity from the capacity prefactor.
+enough that its square fits a float64) and wide_hop(), the one test that
+zero forcing can serve both hops.  dof() returns the high-SNR slope
+M*N*A / (M + N - 1), which carries the per-node antenna count and is
+deliberately a separate quantity from the capacity prefactor.
 
 Every link mixes a deterministic line-of-sight matrix with an i.i.d.
 Rayleigh scattering matrix,
 
     H = sqrt(kappa / (1 + kappa)) * H_los + sqrt(1 / (1 + kappa)) * H_nlos,
 
-then applies a scalar path gain ref_gain / distance^2.  This module holds
-the dB conversion and the line-of-sight part.  The trial ensemble draws
-the scattering part from each trial's stream, the kernels mix the two and
-the ensemble applies the path gain.  The line-of-sight part is the outer
-product of receive and transmit steering vectors, so its rank is one
-regardless of the array sizes, and it depends on the configured
-wavelength, spacings and angles only, never on the link distance.
+then scales it by the path gain ref_gain / distance^2, so received power
+falls as distance^-4.  This module holds the dB conversion and the
+line-of-sight part; the trial ensemble draws the scattering part from each
+trial's stream, the kernels mix the two and the ensemble applies the path
+gain.  The line-of-sight part is the outer product of receive and transmit
+steering vectors: rank one at any array size, and set by the wavelength,
+spacings and angles alone, never by the link distance.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 # rejected.
 FAR_FIELD_FACTOR = 100.0
 
-# Whether the configured SNR scale applies before or after the 1/d^2 path factor.
+# Whether the configured SNR scale applies before or after the path loss.
 SNR_REFERENCE_CHOICES = ("pre_path_loss", "post_path_loss")
 
 

@@ -4,10 +4,9 @@ Seeding contract: every trial owns an independent random stream derived
 from (master_seed, trial index) alone, so the same scattering draws are
 reused at every sweep point (common random numbers).  Comparisons along a
 sweep are therefore pathwise: per-trial rates are monotone in power, curve
-argmaxes are stable, and results are independent of evaluation order or
-parallel scheduling.  Each trial takes one standard-normal fill from its
-stream, laid out in _hops() order; streams defines the streams (trial_rng)
-and fills a chunk's rows with them.
+argmaxes are stable, and results do not depend on evaluation order.  Each
+trial takes one standard-normal fill from its stream (streams.trial_rng),
+laid out in _hops() order; streams fills a chunk's rows at once.
 
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of as many trials as fit _CHUNK_DRAWS draws, with one kernel call
@@ -15,25 +14,22 @@ per chunk for each run of hops that share a matrix shape and a kernel
 (_runs), and keeps only the singular flags and the quadratic forms,
 trial-last: one row of T forms per link and stream.  The forms are
 invariant under uniform scaling of a channel matrix, so transmit power and
-the 1/d^2 path factors multiply in afterwards.  A sweep therefore evaluates
-its grid in passes of as many points as fit _CHUNK_DRAWS rates: one rate
-call per pass scales each stored row by every point's factor at once and
-sums the rows into one row of per-trial rates per point.  One pass loop
-(_curves) serves every curve: it reduces each pass's rows to that pass's
-slice of the curve's columns, mean rate and standard error per point, and
-frees them before the next call.  Memory grows with the stored forms alone.
-Neither the draws nor the line-of-sight part (network.los_channel, built
-from the config's wavelength, spacings and angles) depend on a link
-distance, so the ensemble never sees one.  Operating points reach the hop
-rates along one checked path, TrialEnsemble._checked_rates: it tests each
-scale, each distance (network.check_far_field) where it enters a rate, and
-float64 overflow, for relay_rates and baseline_rates alike.
+path loss (amplitude gain/d^2, so an SNR falls as d^-4) multiply in
+afterwards; neither the draws nor network.los_channel see a distance.  A
+sweep evaluates its grid in passes of as many points as fit _CHUNK_DRAWS
+rates, one rate call per pass giving one row of per-trial rates per
+point.  One pass loop, _curves, serves every curve and frees each pass's
+rows before the next call, so memory grows with the stored forms alone.
+Operating points reach the hop rates along one checked path,
+TrialEnsemble._checked_rates, which tests each scale, each distance
+(network.check_far_field) and float64 overflow.
 
-The altitude functions take their ensemble as an argument, so one command
-draws its trials once: altitude-sweep --cross-check passes the grid's
-ensemble to the golden-section search, which then refines the grid argmax
-on the same draws.  Both take their rates from one altitude map,
-_altitude_rates.
+One reduction, _valid_trials, cuts rows of per-trial rates to their valid
+trials for _curves and for the golden-section objective (_mean_relay_rate)
+alike, so the search's value at a grid point is that point's curve mean,
+bit for bit.  The altitude functions take their ensemble as an argument
+and their rates from one altitude map, _altitude_rates, so
+altitude-sweep --cross-check refines the grid argmax on the grid's draws.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import numpy as np
 from . import kernels, streams
 from .network import (NetworkConfig, _number, _text, check_far_field,
                       db_to_linear, los_channel)
-from .streams import trial_budget, trial_rng
+from .streams import trial_budget
 
 _LN2 = math.log(2.0)
 # Scales two standard normals to the planes of a CN(0, 1) entry.  numpy
@@ -192,27 +188,34 @@ def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
              for a in arrays])
 
 
+def _valid_trials(rates: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows (points, trials) of rates, NaN on the same (failed) trials, cut
+    to their valid trials, and how many: a C-contiguous copy, which numpy
+    sums per row as it would sum that row alone, or as given when none or
+    all are valid."""
+    finite = np.isfinite(rates[0])
+    n = int(np.count_nonzero(finite))
+    if 0 < n < finite.size:
+        rates = np.compress(finite, rates, axis=1)
+    return rates, n
+
+
 def _curves(grid: np.ndarray, trials: int,
             *rates_of: Callable[[slice], np.ndarray]) -> list[SumRateCurve]:
     """One SumRateCurve over grid per rates_of, in a single pass loop.
 
     rates_of[i](part) returns curve i's rows (points, trials) of per-trial
-    rates at grid[part]; each pass calls them in order.  Every row is NaN on
-    the same (failed) trials.  The row-wise mean and std run over a
-    C-contiguous copy of the other trials, which numpy sums per row as it
-    would sum that row alone.  Each call's rows are freed before the next.
+    rates at grid[part]; each pass calls them in order and reduces their
+    _valid_trials to a mean and std per row.  Each call's rows are freed
+    before the next.
     """
     means = np.empty((len(rates_of), len(grid)))
     std_errs = np.zeros_like(means)
     failed = [0] * len(rates_of)
     for part in _passes(len(grid), trials):
         for i, rates_at in enumerate(rates_of):
-            rates = rates_at(part)
-            finite = np.isfinite(rates[0])
-            n = int(np.count_nonzero(finite))
-            failed[i] = finite.size - n
-            if 0 < n < finite.size:
-                rates = np.compress(finite, rates, axis=1)
+            rates, n = _valid_trials(rates_at(part))
+            failed[i] = trials - n
             means[i, part] = rates.mean(axis=1) if n else math.nan
             if n > 1:
                 std_errs[i, part] = rates.std(axis=1, ddof=1) / math.sqrt(n)
@@ -275,9 +278,10 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
 
 
 class _Run(NamedTuple):
-    """Consecutive hops that share a matrix shape and a kernel.  A chunk
-    makes one kernel call for the whole run, its hops' links joined in hop
-    order; their draws are already adjacent in a trial's fill."""
+    """Consecutive hops that share a matrix shape and a kernel, as the relay
+    hops do in every CLI sweep, with the baseline under all_streams.  A
+    chunk makes one kernel call for the whole run, its hops' links joined
+    in hop order; their draws are already adjacent in a trial's fill."""
 
     links: tuple[int, ...]        # each hop's link count, in hop order
     span: slice                   # the run's columns of a trial's fill
@@ -338,12 +342,9 @@ def _draw_chunk(runs: tuple[_Run, ...], master_seed: int, lo: int,
 class TrialEnsemble:
     """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
-    Construction runs _draw_chunk on chunks of as many trials as fit
-    _CHUNK_DRAWS standard normals and keeps only q (float64, one row of T
-    per link and stream, link-major) and the per-trial flags, so results are
-    the same at any chunk size.  relay_rates and baseline_rates evaluate
-    operating points as whole-row arithmetic over the stored forms; failed
-    (singular) trials surface as NaN rates.
+    Construction runs _draw_chunk chunk by chunk and keeps only q (float64,
+    one row of T per link and stream, link-major) and the per-trial flags;
+    relay_rates and baseline_rates give failed (singular) trials NaN rates.
     """
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
@@ -463,12 +464,11 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
     """The relay altitude bracket [lo, hi] and resolution tol as floats;
     ValueError unless they are numbers and usable.
 
-    It needs lo < hi and a positive resolution tol (the golden-section
-    stopping width or the grid step).  It must lie strictly between the
-    ground stations and the platforms, and leave each hop longer than the
-    far-field limit and short enough that its square fits a float64, and
-    each hop's snr scale must be positive and finite.  Callers that build a
-    trial ensemble check first, so that bad input costs no draws.
+    It needs lo < hi, a positive tol (the golden-section stopping width or
+    the grid step), a bracket strictly between the ground stations and the
+    platforms that leaves each hop past the far-field limit and its square
+    within float64, and a positive, finite snr scale on each hop.  Callers
+    that build a trial ensemble check first, so bad input costs no draws.
     """
     lo, hi, tol = _number("lo", lo), _number("hi", hi), _number("tol", tol)
     if not lo < hi:
@@ -513,19 +513,14 @@ def _altitude_rates(ens: TrialEnsemble) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
-    """The mean relay rate at one altitude, as run_altitude_sweep reports it.
-
-    One relay_rates call per altitude; its row is averaged over the valid
-    trials, which _curves' mean does in the same order, so the value is the
-    same bits without a pass loop or a standard error.  NaN when no trial is
-    valid.
-    """
+    """The mean relay rate at one altitude, the bits run_altitude_sweep
+    reports there: one relay_rates call, cut by _valid_trials as _curves
+    cuts a pass.  NaN when no trial is valid."""
     rates = _altitude_rates(ens)
-    valid = ~ens._relay_failed
-    any_valid = valid.any()
 
     def mean_rate(alt: float) -> float:
-        return float(rates(alt)[valid].mean()) if any_valid else math.nan
+        rows, n = _valid_trials(rates(alt)[None])
+        return float(rows[0].mean()) if n else math.nan
     return mean_rate
 
 
@@ -586,14 +581,12 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
                           tol: float) -> float:
     """Golden-section search for the relay altitude maximizing mean sum-rate.
 
-    Every evaluation reuses the given trial ensemble, so the objective is
-    deterministic in altitude and the search result is reproducible; given
-    the ensemble of an altitude sweep, the search refines that sweep's
-    argmax on the same draws.  Returns the interval midpoint once the
-    bracket is narrower than tol or a probe reaches its ends (it can then
-    shrink no further in float64), or NaN when no trial of the ensemble is
-    valid (singular trials do not depend on altitude, so the objective is
-    then NaN everywhere).
+    Every evaluation reuses the ensemble's draws, so the objective is
+    deterministic in altitude; given an altitude sweep's ensemble, the
+    search refines that sweep's argmax.  Returns the bracket's midpoint once
+    it is narrower than tol or a probe reaches its ends (it can then shrink
+    no further in float64), or NaN when no trial is valid (singular trials
+    do not depend on altitude, so the objective is then NaN everywhere).
     """
     lo, hi, tol = check_altitude_bracket(ens.cfg, lo, hi, tol)
     objective = _mean_relay_rate(ens)

@@ -88,6 +88,26 @@ def trial_links(cfg, seed, trial, d_sr_m, d_rd_m, d_sd_m=None):
     return up, down, direct
 
 
+def trial_hop_rates(cfg, seed, trials, scale_up, scale_dn, d_sr_m, d_rd_m,
+                    scale_direct=None, d_sd_m=None):
+    """Per-trial uplink, downlink and (when d_sd_m is given) direct hop rates.
+
+    Trials 0..trials-1 of seed, each built by trial_links.  The relay hops
+    count the first stream of each link, or every stream when
+    cfg.all_streams is set; the direct links count every stream.  Returns
+    three arrays of length trials, the last None without d_sd_m.
+    """
+    rates = []
+    for t in range(trials):
+        up, down, direct = trial_links(cfg, seed, t, d_sr_m, d_rd_m, d_sd_m)
+        rates.append((hop_rate(up, scale_up, cfg.all_streams),
+                      hop_rate(down, scale_dn, cfg.all_streams),
+                      math.nan if direct is None
+                      else hop_rate(direct, scale_direct, all_streams=True)))
+    c_up, c_down, c_direct = np.array(rates).T
+    return c_up, c_down, None if d_sd_m is None else c_direct
+
+
 def zf_snr(h, k, scale):
     """Zero-forcing SNR of stream k: scale * |R[-1, -1]|^2.
 
@@ -111,13 +131,14 @@ def hop_rate(channels, scale, all_streams=False):
 
 
 def relay_rate(m, n, c_up, c_down):
-    """Min-cut with the interference-alignment prefactor M*N/(M+N-1)."""
-    return m * n / (m + n - 1) * min(c_up, c_down)
+    """Min-cut with the interference-alignment prefactor M*N/(M+N-1), of
+    one trial's hop rates or elementwise over arrays of them."""
+    return m * n / (m + n - 1) * np.minimum(c_up, c_down)
 
 
-def baseline_rate(m, n, direct, scale):
-    """Every stream of the M*N direct links, each active 1/(M*N) of the time."""
-    return hop_rate(direct, scale, all_streams=True) / (m * n)
+def baseline_rate(m, n, c_direct):
+    """The direct hop rate, each of the M*N links active 1/(M*N) of the time."""
+    return c_direct / (m * n)
 
 
 def zf_mean_log_rate(L, rho):

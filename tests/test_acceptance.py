@@ -113,11 +113,11 @@ def test_network_capacity_matches_transliteration_oracle(capsys):
         lay = cfg.layout
         got = TrialEnsemble(cfg, trials, i).relay_rates(
             scale_up, scale_dn, lay.d_sr_m, lay.d_rd_m)
-        for t in range(trials):
-            up, dn, _ = oracles.trial_links(cfg, i, t, lay.d_sr_m, lay.d_rd_m)
-            expected = oracles.relay_rate(m, 3, oracles.hop_rate(up, scale_up),
-                                          oracles.hop_rate(dn, scale_dn))
-            worst = max(worst, abs(got[t] - expected) / expected)
+        c_up, c_dn, _ = oracles.trial_hop_rates(cfg, i, trials, scale_up,
+                                                scale_dn, lay.d_sr_m,
+                                                lay.d_rd_m)
+        expected = oracles.relay_rate(m, 3, c_up, c_dn)
+        worst = max(worst, float(np.max(abs(got - expected) / expected)))
     ok = worst < 1e-9
     with capsys.disabled():
         _report("trial ensemble matches a one-shot transliteration oracle "

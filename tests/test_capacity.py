@@ -54,15 +54,10 @@ def oracle_relay_rates(cfg: NetworkConfig, ens: TrialEnsemble
     scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
     scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
     got = ens.relay_rates(scale_up, scale_dn, lay.d_sr_m, lay.d_rd_m)
-    expected = []
-    for t in range(ens.trials):
-        up, dn, _ = oracles.trial_links(cfg, ens.master_seed, t, lay.d_sr_m,
-                                        lay.d_rd_m)
-        expected.append(oracles.relay_rate(
-            cfg.num_haps, cfg.num_gs,
-            oracles.hop_rate(up, scale_up, cfg.all_streams),
-            oracles.hop_rate(dn, scale_dn, cfg.all_streams)))
-    return got, np.array(expected)
+    c_up, c_dn, _ = oracles.trial_hop_rates(
+        cfg, ens.master_seed, ens.trials, scale_up, scale_dn, lay.d_sr_m,
+        lay.d_rd_m)
+    return got, oracles.relay_rate(cfg.num_haps, cfg.num_gs, c_up, c_dn)
 
 
 def unit_los_network(m: int, n: int) -> NetworkConfig:
@@ -71,26 +66,14 @@ def unit_los_network(m: int, n: int) -> NetworkConfig:
                     snr_reference="post_path_loss")
 
 
-def oracle_hops(cfg: NetworkConfig, ens: TrialEnsemble, scale_up: float,
-                scale_dn: float) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle uplink and downlink sum rates of every trial of ens."""
-    lay = cfg.layout
-    c_up, c_dn = [], []
-    for t in range(ens.trials):
-        up, dn, _ = oracles.trial_links(cfg, ens.master_seed, t, lay.d_sr_m,
-                                        lay.d_rd_m)
-        c_up.append(oracles.hop_rate(up, scale_up, cfg.all_streams))
-        c_dn.append(oracles.hop_rate(dn, scale_dn, cfg.all_streams))
-    return np.array(c_up), np.array(c_dn)
-
-
 class TestRelayRates:
     def test_total_derived_from_min(self):
         # Per trial the weaker hop sets the rate, and both hops bind somewhere.
         cfg = make_cfg(2, 3, kappa_up_db=5.0, kappa_down_db=5.0,
                        snr_reference="post_path_loss")
         ens = TrialEnsemble(cfg, trials=40, master_seed=40)
-        c_up, c_dn = oracle_hops(cfg, ens, 8.0, 2.0)
+        c_up, c_dn, _ = oracles.trial_hop_rates(cfg, 40, 40, 8.0, 2.0,
+                                                LAYOUT.d_sr_m, LAYOUT.d_rd_m)
         got = ens.relay_rates(8.0, 2.0, LAYOUT.d_sr_m, LAYOUT.d_rd_m)
         np.testing.assert_allclose(
             got, cfg.dof_prefactor * np.minimum(c_up, c_dn), rtol=1e-9)
@@ -115,7 +98,8 @@ class TestRelayRates:
         cfg = make_cfg(3, 2, antennas=2, kappa_up_db=5.0, kappa_down_db=5.0,
                        snr_reference="post_path_loss")
         ens = TrialEnsemble(cfg, trials=30, master_seed=41)
-        c_up, c_dn = oracle_hops(cfg, ens, 2.0, 2e12)
+        c_up, c_dn, _ = oracles.trial_hop_rates(cfg, 41, 30, 2.0, 2e12,
+                                                LAYOUT.d_sr_m, LAYOUT.d_rd_m)
         assert (c_up < c_dn).all()
         got = ens.relay_rates(2.0, 2e12, LAYOUT.d_sr_m, LAYOUT.d_rd_m)
         np.testing.assert_allclose(got, cfg.dof_prefactor * c_up, rtol=1e-9)
@@ -207,11 +191,11 @@ class TestBaselineRates:
         scale = 4.0 / (0.5 * 3)
         got = ens.baseline_rates(scale)
         lay = cfg.layout
-        for t in range(ens.trials):
-            _, _, direct = oracles.trial_links(cfg, 47, t, lay.d_sr_m,
-                                               lay.d_rd_m, lay.d_sd_m)
-            assert math.isclose(got[t], oracles.baseline_rate(2, 3, direct,
-                                                              scale),
+        *_, c_direct = oracles.trial_hop_rates(cfg, 47, ens.trials, scale,
+                                               scale, lay.d_sr_m, lay.d_rd_m,
+                                               scale, lay.d_sd_m)
+        for got_t, c_t in zip(got, c_direct):
+            assert math.isclose(got_t, oracles.baseline_rate(2, 3, c_t),
                                 rel_tol=1e-9)
 
 

@@ -1,11 +1,11 @@
 """Channel parts, and the Rician mix and path loss as the ensemble applies them.
 
-hapsim builds line-of-sight matrices here; the trial ensemble draws the
-scattering matrices, mixes the two through the kernels and applies
-gain / d^2 to the SNR.
-The mix and the path factor are checked through the ensemble's rates, on
-single-antenna links where a rate gives |h|^2 back as 2**rate - 1, and
-against the independent oracle in oracles.py.
+network builds the line-of-sight matrices (los_channel); the trial ensemble
+draws the scattering matrices, mixes the two through the kernels and
+scales each link's SNR by its amplitude factor gain / d^2, squared.
+The draws, the mix and the path factor are checked through the ensemble's
+rates, on single-antenna links where a rate gives |h|^2 back as
+2**rate - 1, and against the independent oracle in oracles.py.
 """
 
 import math
@@ -66,7 +66,7 @@ class TestLosChannel:
             los_channel(network(), 0, 2)
 
 
-class TestRayleighChannel:
+class TestScatteringDraws:
     def test_trial_draw_moments(self):
         # |h|^2 of a CN(0, 1) entry is Exp(1): E|h|^2 = 1, E|h|^4 = 2.  The
         # fourth moment would read 3 with all the power in the real part.
@@ -140,7 +140,7 @@ class TestRicianMix:
         assert np.mean(power) == pytest.approx(1.0, abs=0.05)
 
 
-class TestApplyPathLoss:
+class TestPathFactor:
     """gain / d^2 before the SNR equals the SNR set after path loss."""
 
     @staticmethod
@@ -203,7 +203,7 @@ class TestApplyPathLoss:
                                    rtol=1e-9)
 
 
-class TestSynthLink:
+class TestLinkComposition:
     def test_kappa_zero_unit_gain_is_rayleigh(self):
         # The direct link is each trial's third draw, after the two relay hops.
         cfg = network(kappa_db=-4000.0, snr_reference="post_path_loss")
@@ -221,11 +221,10 @@ class TestSynthLink:
                       ref_gain_up=2.5, ref_gain_down=2.5)
         ens = TrialEnsemble(cfg, 10, 28)
         got = ens.relay_rates(1e6, 1e6, 750.0, 750.0)
-        for t in range(10):
-            up, down, _ = oracles.trial_links(cfg, 28, t, 750.0, 750.0)
-            expected = oracles.relay_rate(2, 2, oracles.hop_rate(up, 1e6),
-                                          oracles.hop_rate(down, 1e6))
-            assert math.isclose(got[t], expected, rel_tol=1e-9)
+        c_up, c_down, _ = oracles.trial_hop_rates(cfg, 28, 10, 1e6, 1e6,
+                                                  750.0, 750.0)
+        for got_t, expected in zip(got, oracles.relay_rate(2, 2, c_up, c_down)):
+            assert math.isclose(got_t, expected, rel_tol=1e-9)
 
     def test_fixed_seed_reproducible(self):
         cfg = network(2, 2, antennas=2, kappa_db=3.0)

@@ -26,8 +26,8 @@ from hapsim.simulator import (
     find_optimal_altitude,
     run_altitude_sweep,
     run_snr_sweep,
-    trial_rng,
 )
+from hapsim.streams import trial_rng
 
 
 def ensemble_for(cfg: NetworkConfig, spec: SweepSpec) -> TrialEnsemble:
@@ -326,23 +326,18 @@ class TestHarnessTransparency:
         result = run_snr_sweep(cfg, spec, include_baseline=True)
         lay = cfg.layout
         m, n = cfg.num_haps, cfg.num_gs
-        links = [oracles.trial_links(cfg, 777, t, lay.d_sr_m, lay.d_rd_m,
-                                     lay.d_sd_m)
-                 for t in range(self.TRIALS)]
         for x, mean_rate, base_rate in zip(result.relay.xs,
                                            result.relay.mean_rates,
                                            result.baseline.mean_rates):
             gamma = db_to_linear(x)
-            hops = [(oracles.hop_rate(up, gamma), oracles.hop_rate(dn, gamma))
-                    for up, dn, _ in links]
-            expected = np.mean([oracles.relay_rate(m, n, *h) for h in hops])
+            c_up, c_down, c_direct = oracles.trial_hop_rates(
+                cfg, 777, self.TRIALS, gamma, gamma, lay.d_sr_m, lay.d_rd_m,
+                gamma, lay.d_sd_m)
+            expected = np.mean(oracles.relay_rate(m, n, c_up, c_down))
             assert mean_rate == pytest.approx(expected, rel=1e-9)
             if binding is not None:
-                for c_up, c_down in hops:
-                    assert (c_up < c_down) == (binding == "uplink")
-            base_expected = np.mean([
-                oracles.baseline_rate(m, n, direct, gamma)
-                for _, _, direct in links])
+                assert ((c_up < c_down) == (binding == "uplink")).all()
+            base_expected = np.mean(oracles.baseline_rate(m, n, c_direct))
             assert base_rate == pytest.approx(base_expected, rel=1e-9)
 
     def test_altitude_point_matches_direct_capacity(self):
@@ -355,12 +350,10 @@ class TestHarnessTransparency:
         for x, mean_rate in zip(curve.xs, curve.mean_rates):
             d_sr = cfg.layout.hap_altitude_m - x
             d_rd = x - cfg.layout.gs_altitude_m
-            expected = []
-            for t in range(self.TRIALS):
-                up, dn, _ = oracles.trial_links(cfg, 778, t, d_sr, d_rd)
-                expected.append(oracles.relay_rate(
-                    cfg.num_haps, cfg.num_gs, oracles.hop_rate(up, scale_up),
-                    oracles.hop_rate(dn, scale_dn)))
+            c_up, c_down, _ = oracles.trial_hop_rates(
+                cfg, 778, self.TRIALS, scale_up, scale_dn, d_sr, d_rd)
+            expected = oracles.relay_rate(cfg.num_haps, cfg.num_gs, c_up,
+                                          c_down)
             assert mean_rate == pytest.approx(np.mean(expected), rel=1e-9)
 
 
