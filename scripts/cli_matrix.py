@@ -8,8 +8,9 @@ Each run calls ``python -m hapsim.cli`` with hapsim imported from this
 checkout's src/, in OUTDIR as working directory, so that every path the
 CLI prints is relative and the same for any checkout.  OUTDIR/<run>/ then
 holds the run's out.csv (when it wrote one), stdout, stderr and exit code.
-Two checkouts give the same behaviour when ``diff -r`` finds nothing
-between their OUTDIRs:
+Each run also has the exit code it should give; the script exits 1 when
+any run gives another, else 0.  Two checkouts give the same behaviour
+when ``diff -r`` finds nothing between their OUTDIRs:
 
     python3 old/scripts/cli_matrix.py /tmp/old-matrix
     python3 new/scripts/cli_matrix.py /tmp/new-matrix
@@ -25,7 +26,12 @@ links share one kernel call per chunk; an snr-sweep whose hops are all
 singular (Rician factor 200 dB on both), which exits 3; and an
 altitude-sweep --cross-check on altitude_sweep.yaml with the second
 platform's uplink at 90 dB, where 57 of 999 trials are singular, so both
-the grid means and the golden-section search drop failed trials.
+the grid means and the golden-section search drop failed trials.  It
+also runs geometry on the three shipped scenarios and the array scenario,
+and two input errors that exit 2: an snr-sweep on snr_sweep.yaml with
+relay_antennas 5, a downlink wider than tall, and an altitude-sweep
+--cross-check on altitude_sweep.yaml with sweep_stop 17999.9, whose
+search bracket ends 0.1 m below the platforms, inside the far field.
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario, two variants of
-    snr_sweep.yaml, all streams (baseline on, as shipped) and all-singular,
-    and one of altitude_sweep.yaml with some singular trials."""
+    """The shipped scenarios, the array scenario, three variants of
+    snr_sweep.yaml, all streams (baseline on, as shipped), all-singular and
+    a wide downlink, and two of altitude_sweep.yaml, one with some singular
+    trials and one whose sweep stops inside the platforms' far field."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
@@ -60,8 +67,11 @@ def write_inputs(inputs: str) -> None:
             ("all_streams", "snr_sweep", dict(all_streams=True)),
             ("singular", "snr_sweep", dict(kappa_up_db=200.0,
                                            kappa_down_db=200.0)),
+            ("wide_downlink", "snr_sweep", dict(relay_antennas=5)),
             ("partly_singular", "altitude_sweep",
-             dict(kappa_up_db=[30.0, 90.0, 30.0]))):
+             dict(kappa_up_db=[30.0, 90.0, 30.0])),
+            ("stop_in_far_field", "altitude_sweep",
+             dict(sweep_stop=17999.9))):
         with open(os.path.join(ROOT, "scenarios", f"{base}.yaml"),
                   encoding="utf-8") as fh:
             mapping = yaml.safe_load(fh)
@@ -70,33 +80,42 @@ def write_inputs(inputs: str) -> None:
             yaml.safe_dump({**mapping, **changes}, fh, sort_keys=False)
 
 
-def runs() -> list[tuple[str, list[str], bool]]:
-    """(name, CLI arguments, whether it writes a CSV) of every run."""
-    cases = [("snr", ["snr-sweep", "--config", "inputs/snr_sweep.yaml"], True),
-             ("array", ["snr-sweep", "--config", "inputs/array.yaml"], True),
+def runs() -> list[tuple[str, list[str], int]]:
+    """(name, CLI arguments, exit code it should give) of every run."""
+    cases = [("snr", ["snr-sweep", "--config", "inputs/snr_sweep.yaml"]),
+             ("array", ["snr-sweep", "--config", "inputs/array.yaml"]),
              ("altitude", ["altitude-sweep", "--config",
-                           "inputs/altitude_sweep.yaml", "--cross-check"], True),
+                           "inputs/altitude_sweep.yaml", "--cross-check"]),
              ("optimal", ["optimal-altitude", "--config",
-                          "inputs/altitude_sweep_symmetric.yaml"], False)]
+                          "inputs/altitude_sweep_symmetric.yaml"])]
     out = []
-    for name, argv, csv in cases:
+    for name, argv in cases:
         for trials in (1, 999, 5000):
             for seed in (7, 0):
                 out.append((f"{name}-t{trials}-s{seed}",
                             [*argv, "--trials", str(trials), "--seed",
-                             str(seed)], csv))
-    for name, argv, csv in cases[0], cases[2]:
+                             str(seed)], 0))
+    for name, argv in cases[0], cases[2]:
         out.append((f"{name}-t20000-s5",
-                    [*argv, "--trials", "20000", "--seed", "5"], csv))
+                    [*argv, "--trials", "20000", "--seed", "5"], 0))
     out.append(("all-streams-t999-s7",
                 ["snr-sweep", "--config", "inputs/all_streams.yaml",
-                 "--trials", "999", "--seed", "7"], True))
+                 "--trials", "999", "--seed", "7"], 0))
     out.append(("singular-t200-s1",
                 ["snr-sweep", "--config", "inputs/singular.yaml",
-                 "--trials", "200", "--seed", "1"], True))
+                 "--trials", "200", "--seed", "1"], 3))
     out.append(("partly-singular-t999-s7",
                 ["altitude-sweep", "--config", "inputs/partly_singular.yaml",
-                 "--cross-check", "--trials", "999", "--seed", "7"], True))
+                 "--cross-check", "--trials", "999", "--seed", "7"], 0))
+    for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric",
+                 "array"):
+        out.append((f"geometry-{name.replace('_', '-')}",
+                    ["geometry", "--config", f"inputs/{name}.yaml"], 0))
+    out.append(("wide-downlink",
+                ["snr-sweep", "--config", "inputs/wide_downlink.yaml"], 2))
+    out.append(("stop-in-far-field",
+                ["altitude-sweep", "--config", "inputs/stop_in_far_field.yaml",
+                 "--cross-check"], 2))
     return out
 
 
@@ -110,10 +129,11 @@ def main(argv: list[str]) -> int:
         return 2
     write_inputs(os.path.join(outdir, "inputs"))
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    for name, args, csv in runs():
+    mismatches = 0
+    for name, args, want in runs():
         run_dir = os.path.join(outdir, name)
         os.makedirs(run_dir)
-        if csv:
+        if args[0] in ("snr-sweep", "altitude-sweep"):
             args = [*args, "--out", os.path.join(name, "out.csv")]
         proc = subprocess.run([sys.executable, "-m", "hapsim.cli", *args],
                               cwd=outdir, env=env, capture_output=True)
@@ -122,7 +142,11 @@ def main(argv: list[str]) -> int:
             with open(os.path.join(run_dir, key), "wb") as fh:
                 fh.write(data)
         print(f"{name}: exit {proc.returncode}")
-    return 0
+        if proc.returncode != want:
+            print(f"{name}: exit {proc.returncode}, expected {want}",
+                  file=sys.stderr)
+            mismatches += 1
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

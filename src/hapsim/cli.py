@@ -10,7 +10,8 @@ import sys
 from collections.abc import Iterable
 from itertools import repeat
 
-from .network import dof, min_hap_separation, wide_hop
+from .network import (NetworkConfig, check_far_field, dof, min_hap_separation,
+                      wide_hop)
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     _CHUNK_DRAWS,
@@ -126,10 +127,21 @@ def _cmd_geometry(scenario: Scenario) -> int:
         f"relay_antennas_ok={_verdict(net.relay_antennas >= net.required_relay_antennas)}",
         f"dof_total={_fmt(dof(net.num_haps, net.num_gs, net.antennas_per_node))}",
         f"zero_forcing_feasible={_verdict(wide_hop(net) is None)}",
-        f"far_field_ok={_verdict(min(lay.d_sr_m, lay.d_rd_m) > net.far_field_m)}",
+        f"far_field_ok={_verdict(_relay_hops_pass_far_field(net))}",
     ]
     print("\n".join(lines))
     return 0
+
+
+def _relay_hops_pass_far_field(net: NetworkConfig) -> bool:
+    """Whether both relay hops of the layout pass check_far_field, the test
+    snr-sweep applies to them before its first draw."""
+    try:
+        for name in ("d_sr_m", "d_rd_m"):
+            check_far_field(net, name, getattr(net.layout, name))
+    except ValueError:
+        return False
+    return True
 
 
 def _all_singular() -> int:

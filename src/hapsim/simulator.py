@@ -18,7 +18,8 @@ path loss (amplitude gain/d^2, so an SNR falls as d^-4) multiply in
 afterwards; neither the draws nor network.los_channel see a distance.  A
 sweep evaluates its grid in passes of as many points as fit _CHUNK_DRAWS
 rates, one rate call per pass giving one row of per-trial rates per
-point.  One pass loop, _curves, serves every curve and frees each pass's
+point; one rule, _budget_slices, cuts both the chunks and the passes.
+One pass loop, _curves, serves every curve and frees each pass's
 rows before the next call, so memory grows with the stored forms alone.
 Operating points reach the hop rates along one checked path,
 TrialEnsemble._checked_rates, which tests each scale, each distance
@@ -158,10 +159,12 @@ class SnrSweepResult:
     baseline: SumRateCurve | None = None
 
 
-def _passes(points: int, trials: int) -> Iterator[slice]:
-    """Slices of a grid of points, each holding at most _CHUNK_DRAWS rates."""
-    step = max(1, _CHUNK_DRAWS // trials)
-    return (slice(lo, lo + step) for lo in range(0, points, step))
+def _budget_slices(count: int, per_item: int) -> Iterator[slice]:
+    """Consecutive slices of count items, each at least one item and at most
+    _CHUNK_DRAWS values at per_item values an item: an ensemble's chunks of
+    trials and a sweep's passes of grid points."""
+    step = max(1, _CHUNK_DRAWS // per_item)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
@@ -212,7 +215,7 @@ def _curves(grid: np.ndarray, trials: int,
     means = np.empty((len(rates_of), len(grid)))
     std_errs = np.zeros_like(means)
     failed = [0] * len(rates_of)
-    for part in _passes(len(grid), trials):
+    for part in _budget_slices(len(grid), trials):
         for i, rates_at in enumerate(rates_of):
             rates, n = _valid_trials(rates_at(part))
             failed[i] = trials - n
@@ -357,10 +360,8 @@ class TrialEnsemble:
         self._q = [np.empty((h.links * (h.shape[1] if h.all_streams else 1),
                              self.trials)) for h in self._hops]
         self._failed = [np.empty(self.trials, dtype=bool) for _ in self._hops]
-        chunk = max(1, _CHUNK_DRAWS // self._hops[-1].span.stop)
-        for lo in range(0, self.trials, chunk):
-            part = slice(lo, lo + chunk)
-            _draw_chunk(runs, self.master_seed, lo,
+        for part in _budget_slices(self.trials, self._hops[-1].span.stop):
+            _draw_chunk(runs, self.master_seed, part.start,
                         [q[:, part] for q in self._q],
                         [failed[part] for failed in self._failed])
         self._relay_failed = self._failed[_UP] | self._failed[_DOWN]

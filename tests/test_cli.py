@@ -94,6 +94,17 @@ class TestGeometryCommand:
         for key in ("d_sd_m", "d_sr_m", "d_rd_m"):
             assert got[key] == format(getattr(lay, key), ".12g")
 
+    def test_far_field_report_agrees_with_the_sweeps(self, tmp_path, capsys):
+        # Both relay hops lie past the far field, but their squares overflow
+        # float64, so snr-sweep rejects the layout.
+        cfg = write_scenario(tmp_path, hap_altitude_m=1.0e200,
+                             relay_altitude_m=5.0e199)
+        assert main(["geometry", "--config", cfg]) == 0
+        assert parsed_lines(capsys.readouterr().out)["far_field_ok"] == "no"
+        assert main(["snr-sweep", "--config", cfg,
+                     "--out", str(tmp_path / "curve.csv")]) == 2
+        assert "d_sr_m = 5e+199 m is too long" in capsys.readouterr().err
+
 
 class TestSnrSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):

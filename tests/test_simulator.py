@@ -1,3 +1,13 @@
+"""Trial ensembles, sweeps and the optimal-altitude search (hapsim.simulator).
+
+Sweep points are checked against the independent oracle in oracles.py on
+the same draws.  The other tests check what must not depend on how the
+work is cut (trials per chunk, points per pass), the memory a build or a
+sweep holds, the input rules for budgets and operating points, and the
+golden-section search against the grid.  The streams the ensemble draws
+from are tested in test_streams.py.
+"""
+
 import math
 import tracemalloc
 
@@ -6,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import bootstrap_mean_ci
 
 from hapsim import kernels, simulator, streams
 from hapsim.network import (
@@ -49,6 +58,22 @@ def make_cfg(**kwargs) -> NetworkConfig:
         ref_gain_up=8.1e7, ref_gain_down=8.1e7)
     base.update(kwargs)
     return NetworkConfig(**base)
+
+
+# 2 platforms, 3 ground stations: every link has its own Rician factor
+# and gain, so a hop whose links are permuted or mis-broadcast (the
+# direct links follow their platform) changes the rates.
+PER_LINK = dict(
+    num_haps=2, num_gs=3, relay_antennas=4,
+    kappa_up_db=[12.0, 25.0], kappa_down_db=[3.0, 9.0, 16.0],
+    kappa_direct_db=[6.0, 18.0],
+    ref_gain_up=[2.4e8, 3.6e8], ref_gain_down=[1.2e8, 1.6e8, 2.0e8],
+    ref_gain_direct=[2.5e8, 3.5e8])
+
+# Per-link factors and gains with all streams and the baseline; 90 dB on
+# the second platform's links makes a few trials singular.
+PARTLY_SINGULAR = dict(PER_LINK, all_streams=True,
+                       kappa_up_db=[12.0, 90.0], kappa_direct_db=[6.0, 90.0])
 
 
 class TestSweepSpec:
@@ -101,135 +126,9 @@ class TestSweepSpec:
         assert spec.num_points == simulator.MAX_SWEEP_POINTS
 
 
-class TestTrialRng:
-    def test_repeatable(self):
-        a = trial_rng(123, 7).standard_normal(5)
-        b = trial_rng(123, 7).standard_normal(5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_trials_are_distinct(self):
-        a = trial_rng(123, 0).standard_normal(5)
-        b = trial_rng(123, 1).standard_normal(5)
-        assert not np.array_equal(a, b)
-
-    def test_seeds_are_distinct(self):
-        a = trial_rng(123, 0).standard_normal(5)
-        b = trial_rng(124, 0).standard_normal(5)
-        assert not np.array_equal(a, b)
-
-
-class TestChunkSeeding:
-    """An ensemble seeds each chunk's streams in one pass; every row must
-    equal trial_rng's fill bit for bit."""
-
-    ROWS = 64
-
-    @settings(max_examples=25, deadline=None, database=None)
-    @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**32 - ROWS))
-    @example(seed=0, lo=0)
-    @example(seed=2**32 - 1, lo=992)         # trials 1023 and 1024
-    @example(seed=2**32, lo=2**32 - ROWS)    # the last trial, 2**32 - 1
-    @example(seed=2**64 - 1, lo=992)
-    @example(seed=2**64 - 1, lo=2**32 - ROWS)
-    def test_rows_equal_trial_rng(self, seed, lo):
-        got = np.empty((self.ROWS, 13))
-        streams.fill_trials(seed, lo, got)
-        want = np.empty_like(got)
-        for t, row in enumerate(want, lo):
-            trial_rng(seed, t).standard_normal(out=row)
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      want.view(np.uint64))
-
-    def test_seeding_dtypes_are_explicit(self, monkeypatch):
-        # The hash and mix run on uint32 words and PCG64's seeding on
-        # uint64 words under any promotion rules for Python ints (numpy
-        # 1.24's value-based casting or NEP 50), and no numpy scalar
-        # overflows.
-        dtypes = {"hash": set(), "mix": set(), "words": set()}
-        hasher, mix = streams._hasher, streams._mix
-        prestep_words = streams._prestep_words
-
-        def spy_hasher(init, mult):
-            hash_words = hasher(init, mult)
-
-            def spied(value):
-                out = hash_words(value)
-                dtypes["hash"].update((value.dtype, out.dtype))
-                return out
-            return spied
-
-        def spy_mix(x, y):
-            out = mix(x, y)
-            dtypes["mix"].update((x.dtype, y.dtype, out.dtype))
-            return out
-
-        def spy_prestep_words(seed):
-            out = prestep_words(seed)
-            dtypes["words"].update((seed.dtype, out.dtype))
-            return out
-
-        monkeypatch.setattr(streams, "_hasher", spy_hasher)
-        monkeypatch.setattr(streams, "_mix", spy_mix)
-        monkeypatch.setattr(streams, "_prestep_words", spy_prestep_words)
-        pool = np.random.SeedSequence(2**64 - 1).pool
-        with np.errstate(all="raise"):
-            words = streams._trial_states(pool, 2**32 - 8, 2**32)
-        assert dtypes == {"hash": {np.dtype(np.uint32)},
-                          "mix": {np.dtype(np.uint32)},
-                          "words": {np.dtype(np.uint64)}}
-        assert words.shape == (8, 4)
-        assert (words[:, 3] % 2 == 1).all()
-        bit_gen = np.random.PCG64(0)
-        streams._state_pair(bit_gen)[:] = words[-1, streams._pair_order()]
-        bit_gen.random_raw()
-        assert (bit_gen.state
-                == trial_rng(2**64 - 1, 2**32 - 1).bit_generator.state)
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(seeds=st.lists(st.tuples(*[st.one_of(
-        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
-        st.integers(0, 2**64 - 1))] * 4), min_size=1, max_size=8))
-    @example(seeds=[(0, 0, 0, 0)])
-    @example(seeds=[(2**64 - 1,) * 4])
-    @example(seeds=[(0, 2**64 - 1, 0, 2**64 - 1), (2**64 - 1, 0, 2**64 - 1, 0)])
-    def test_prestep_words_match_python_ints(self, seeds):
-        # inc = initseq << 1 | 1 and state = initstate + inc on uint64
-        # words equal the same arithmetic on Python ints mod 2**128, the
-        # carries out of the low words included.
-        with np.errstate(all="raise"):
-            got = streams._prestep_words(np.array(seeds, dtype=np.uint64))
-        mask = 2**128 - 1
-        for (s_hi, s_lo, q_hi, q_lo), row in zip(seeds, got.tolist()):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
-            state = ((s_hi << 64 | s_lo) + inc) & mask
-            assert row == [state >> 64, state & 2**64 - 1,
-                           inc >> 64, inc & 2**64 - 1]
-
-    @settings(max_examples=25, deadline=None, database=None)
-    @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**32 - 4))
-    @example(seed=2**64 - 1, lo=2**32 - 4)
-    def test_written_words_set_the_public_state(self, seed, lo):
-        # Writing trial t's words into the pair and taking one step with
-        # random_raw() leaves the generator in trial_rng(seed, t)'s state,
-        # as the public state dict reads it.
-        rng = trial_rng(seed, lo)
-        pair = streams._state_pair(rng.bit_generator)
-        pool = np.random.SeedSequence(seed).pool
-        words = streams._trial_states(pool, lo, lo + 4)
-        for t, trial_words in enumerate(words[:, streams._pair_order()], lo):
-            rng.standard_normal(3)
-            pair[:] = trial_words
-            rng.bit_generator.random_raw()
-            state = rng.bit_generator.state
-            assert state == trial_rng(seed, t).bit_generator.state
-            assert state["has_uint32"] == 0
-
-    def test_unknown_state_layout_raises(self, monkeypatch):
-        assert sorted(streams._pair_order().tolist()) == [0, 1, 2, 3]
-        monkeypatch.setattr(streams, "_state_pair",
-                            lambda bit_gen: np.array([1, 2, 3, 5], np.uint64))
-        with pytest.raises(RuntimeError, match="unknown PCG64 state layout"):
-            streams._pair_order.__wrapped__()
+class TestEnsembleSeeding:
+    """An ensemble checks its trial budget and the chunk seeding before its
+    first draw, and makes at most one SeedSequence per chunk."""
 
     def test_at_most_one_seed_sequence_per_chunk(self, monkeypatch):
         made = []
@@ -299,20 +198,10 @@ class TestChunkSeeding:
         assert drawn == [2**64 - 1]
 
 
-class TestHarnessTransparency:
+class TestSweepPointsMatchOracle:
     """Sweep points must reproduce the oracle on the same draws."""
 
     TRIALS = 4
-
-    # 2 platforms, 3 ground stations: every link has its own Rician factor
-    # and gain, so a hop whose links are permuted or mis-broadcast (the
-    # direct links follow their platform) changes the rates.
-    PER_LINK = dict(
-        num_haps=2, num_gs=3, relay_antennas=4,
-        kappa_up_db=[12.0, 25.0], kappa_down_db=[3.0, 9.0, 16.0],
-        kappa_direct_db=[6.0, 18.0],
-        ref_gain_up=[2.4e8, 3.6e8], ref_gain_down=[1.2e8, 1.6e8, 2.0e8],
-        ref_gain_direct=[2.5e8, 3.5e8])
 
     @pytest.mark.parametrize("overrides,binding", [
         (dict(noise_power=2.0, ref_gain_down=1.62e8), None),
@@ -507,11 +396,6 @@ class TestTrialEnsemble:
         with pytest.raises(ValueError, match="snr scale must be positive"):
             ens.baseline_rates(scale)
 
-    def test_short_distance_rejected(self):
-        ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
-        with pytest.raises(ValueError, match="far-field"):
-            ens.relay_rates(1.0, 1.0, 0.05, 9000.0)
-
     def test_far_field_enforced(self):
         # A 40 m hop is well inside the far field of a 0.5 m array.
         cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
@@ -553,11 +437,6 @@ class TestChunking:
     """Trials are drawn and reduced in chunks; neither results nor memory
     may depend on how many trials there are per chunk."""
 
-    # Per-link factors and gains with all streams and the baseline; 90 dB on
-    # the second platform's links makes a few trials singular.
-    CFG = dict(TestHarnessTransparency.PER_LINK, all_streams=True,
-               kappa_up_db=[12.0, 90.0], kappa_direct_db=[6.0, 90.0])
-
     @staticmethod
     def stored(ens: TrialEnsemble) -> list[bytes]:
         return [a.tobytes() for a in ens._q + ens._failed]
@@ -568,7 +447,7 @@ class TestChunking:
     @example(chunk=7, trials=150, seed=3)
     @example(chunk=64, trials=130, seed=3)
     def test_forms_do_not_depend_on_chunk_size(self, chunk, trials, seed):
-        cfg = make_cfg(**self.CFG)
+        cfg = make_cfg(**PARTLY_SINGULAR)
         whole = TrialEnsemble(cfg, trials, seed, include_baseline=True)
         width = draw_width(cfg, include_baseline=True)
         assert simulator._CHUNK_DRAWS // width >= trials
@@ -618,9 +497,9 @@ class TestChunking:
             simulator._CHUNK_DRAWS // 2)
 
     def test_joined_calls_equal_one_call_per_hop(self):
-        # One all-stream call serves all three hops of CFG; each hop's
-        # forms and flags are the bits of a call on that hop alone.
-        cfg = make_cfg(**self.CFG)
+        # One all-stream call serves all three hops of PARTLY_SINGULAR; each
+        # hop's forms and flags are the bits of a call on that hop alone.
+        cfg = make_cfg(**PARTLY_SINGULAR)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
         assert len(simulator._runs(ens._hops)) == 1
         x = np.empty((150, ens._hops[-1].span.stop))
@@ -658,14 +537,49 @@ class TestChunking:
         kept = sum(a.nbytes for a in ens._q + ens._failed)
         assert peak - kept <= 4 * 8 * simulator._CHUNK_DRAWS
 
+    def test_example_has_singular_and_regular_trials(self):
+        ens = TrialEnsemble(make_cfg(**PARTLY_SINGULAR), 150, 3,
+                            include_baseline=True)
+        failed = ens._failed[0] | ens._failed[2]
+        assert 0 < failed.sum() < failed.size
+
+    def test_memory_grows_with_stored_forms_only(self, monkeypatch):
+        # Four times the trials may only add about what the stored q and
+        # flags add; the draws of a chunk are freed before the next one.
+        # A smaller chunk keeps the traced runs short.
+        cfg = load_scenario("scenarios/snr_sweep.yaml").network
+        chunk = 256
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
+                            chunk * draw_width(cfg, include_baseline=True))
+        n = 2 * chunk
+
+        def traced(trials):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ens = TrialEnsemble(cfg, trials, 7, include_baseline=True)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return peak, sum(a.nbytes for a in ens._q + ens._failed)
+
+        (peak_1, kept_1), (peak_4, kept_4) = traced(n), traced(4 * n)
+        assert peak_4 - peak_1 <= 2 * (kept_4 - kept_1)
+
+
+class TestHopRates:
+    """A hop's per-trial rates come from its stored forms: the whole's bits
+    for any block of points or leading trials, each trial's sum of
+    log2(1 + f q) over its forms, and one hop-sized buffer a point."""
+
     @pytest.mark.parametrize("hop", [0, 1, 2], ids=["up", "down", "direct"])
     def test_rate_blocks_match_the_whole(self, hop):
         # Forms are stored trial-last, one row per link and stream.  Any
         # block of points, and any leading block of trials, must give the
         # whole's bits: 150 trials against 149 and a one-trial ensemble.
-        cfg = make_cfg(**self.CFG)
+        cfg = make_cfg(**PARTLY_SINGULAR)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
-        # Every hop of CFG counts all streams.
+        # Every hop of PARTLY_SINGULAR counts all streams.
         kind = ens._hops[hop]
         assert ens._q[hop].shape == (kind.links * kind.shape[1], 150)
         scales = np.geomspace(1.0, 1e4, 7)
@@ -706,35 +620,6 @@ class TestChunking:
             else:
                 np.testing.assert_allclose(got[0], want, rtol=1e-14, atol=0)
 
-    def test_example_has_singular_and_regular_trials(self):
-        ens = TrialEnsemble(make_cfg(**self.CFG), 150, 3,
-                            include_baseline=True)
-        failed = ens._failed[0] | ens._failed[2]
-        assert 0 < failed.sum() < failed.size
-
-    def test_memory_grows_with_stored_forms_only(self, monkeypatch):
-        # Four times the trials may only add about what the stored q and
-        # flags add; the draws of a chunk are freed before the next one.
-        # A smaller chunk keeps the traced runs short.
-        cfg = load_scenario("scenarios/snr_sweep.yaml").network
-        chunk = 256
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
-                            chunk * draw_width(cfg, include_baseline=True))
-        n = 2 * chunk
-
-        def traced(trials):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                ens = TrialEnsemble(cfg, trials, 7, include_baseline=True)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            return peak, sum(a.nbytes for a in ens._q + ens._failed)
-
-        (peak_1, kept_1), (peak_4, kept_4) = traced(n), traced(4 * n)
-        assert peak_4 - peak_1 <= 2 * (kept_4 - kept_1)
-
     def test_rate_evaluation_allocates_one_hop_buffer(self):
         # One operating point may hold about one temporary as large as a
         # hop's stored (K, T) forms; its (1, T) buffers are far smaller.
@@ -755,37 +640,15 @@ class TestChunking:
             tracemalloc.stop()
         assert peak <= 1.5 * largest
 
-    def test_grid_pass_memory_is_bounded_by_the_pass(self):
-        # A 67-point altitude grid at 10^4 trials runs in passes of
-        # _CHUNK_DRAWS // 10^4 = 13 points.  A relay pass holds three
-        # (13, T) buffers at most: the uplink sums, the downlink sums and
-        # one form's scratch; the whole grid at once would need five times
-        # as much.
-        cfg = load_scenario("scenarios/altitude_sweep.yaml").network
-        trials = 10**4
-        spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 17500.0, 250.0,
-                         trials=trials, master_seed=7)
-        ens = ensemble_for(cfg, spec)
-        points = simulator._CHUNK_DRAWS // trials
-        assert spec.num_points == 67 and points == 13
-        one_pass = points * trials * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run_altitude_sweep(ens, spec)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * one_pass
-
 
 class TestGridPasses:
     """A sweep evaluates its grid in passes of many points; every pass must
-    give the bits of one call per point, at any number of points a pass."""
+    give the bits of one call per point, at any number of points a pass,
+    and a sweep's memory is bounded by one pass's buffers."""
 
     @pytest.mark.parametrize("reference", ["pre_path_loss", "post_path_loss"])
     def test_grid_equals_single_points(self, reference):
-        cfg = make_cfg(**TestChunking.CFG, snr_reference=reference)
+        cfg = make_cfg(**PARTLY_SINGULAR, snr_reference=reference)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
         failed = ens._failed[0] | ens._failed[1]
         assert 0 < failed.sum() < failed.size
@@ -829,13 +692,13 @@ class TestGridPasses:
     @pytest.mark.parametrize("points", [1, 2, 3, 7])
     def test_sweeps_do_not_depend_on_points_per_pass(self, monkeypatch,
                                                       points):
-        cfg = make_cfg(**TestChunking.CFG, hap_power=4000.0,
+        cfg = make_cfg(**PARTLY_SINGULAR, hap_power=4000.0,
                        relay_power=4000.0)
         whole = self.curves(cfg)
         assert simulator._CHUNK_DRAWS // 150 >= 41
         # Also splits the draws into chunks of a trial or a few.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", points * 150)
-        assert next(simulator._passes(13, 150)) == slice(0, points)
+        assert next(simulator._budget_slices(13, 150)) == slice(0, points)
         assert self.curves(cfg) == whole
 
     @pytest.mark.parametrize("trials", [2, 150, 9000])
@@ -858,6 +721,35 @@ class TestGridPasses:
             assert mean_rate == float(finite.mean())
             assert std_err == float(finite.std(ddof=1)
                                     / math.sqrt(finite.size))
+
+    def test_grid_pass_memory_is_bounded_by_the_pass(self):
+        # A 67-point altitude grid at 10^4 trials runs in passes of
+        # _CHUNK_DRAWS // 10^4 = 13 points.  A relay pass holds three
+        # (13, T) buffers at most: the uplink sums, the downlink sums and
+        # one form's scratch; the whole grid at once would need five times
+        # as much.
+        cfg = load_scenario("scenarios/altitude_sweep.yaml").network
+        trials = 10**4
+        spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 17500.0, 250.0,
+                         trials=trials, master_seed=7)
+        ens = ensemble_for(cfg, spec)
+        points = simulator._CHUNK_DRAWS // trials
+        assert spec.num_points == 67 and points == 13
+        one_pass = points * trials * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_altitude_sweep(ens, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * one_pass
+
+
+class TestOperatingPoints:
+    """Operating points reach the hop rates as numbers that broadcast as
+    numpy's do; each point's distance must pass the far-field and square
+    checks, and an overflow is named as one call per point names it."""
 
     def test_overflow_names_the_first_point_then_the_first_hop(self):
         # The downlink overflows from the second point on and the uplink
@@ -1010,7 +902,7 @@ class TestOptimalAltitude:
                                     4000.0, 14000.0, 250.0)
         assert math.isnan(alt)
 
-    @pytest.mark.parametrize("overrides", [{}, TestChunking.CFG])
+    @pytest.mark.parametrize("overrides", [{}, PARTLY_SINGULAR])
     def test_objective_is_the_curve_points_mean(self, overrides):
         # The search's value at an altitude carries the bits of the mean
         # an altitude sweep reports there, with or without failed trials.
@@ -1054,28 +946,3 @@ class TestOptimalAltitude:
         cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         objective = simulator._mean_relay_rate(TrialEnsemble(cfg, 20, 4))
         assert math.isnan(objective(9000.0))
-
-
-class TestBootstrapCi:
-    def test_deterministic(self):
-        x = np.random.default_rng(0).normal(size=200)
-        assert bootstrap_mean_ci(x) == bootstrap_mean_ci(x)
-
-    def test_brackets_the_mean(self):
-        x = np.random.default_rng(1).normal(loc=3.0, size=500)
-        lo, hi = bootstrap_mean_ci(x)
-        assert lo < x.mean() < hi
-        assert hi - lo < 0.5
-
-    def test_ignores_nan(self):
-        x = np.array([1.0, math.nan, 2.0, 3.0, math.nan, 4.0])
-        lo, hi = bootstrap_mean_ci(x)
-        assert lo <= 2.5 <= hi
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError, match="finite samples"):
-            bootstrap_mean_ci(np.array([1.0, math.nan]))
-
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(ValueError, match="confidence"):
-            bootstrap_mean_ci(np.arange(10.0), confidence=1.5)
