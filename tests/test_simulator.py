@@ -126,7 +126,7 @@ class TestSweepSpec:
         assert spec.num_points == simulator.MAX_SWEEP_POINTS
 
 
-class TestEnsembleSeeding:
+class TestChunkSeeding:
     """An ensemble checks its trial budget and the chunk seeding before its
     first draw, and makes at most one SeedSequence per chunk."""
 
@@ -198,8 +198,9 @@ class TestEnsembleSeeding:
         assert drawn == [2**64 - 1]
 
 
-class TestSweepPointsMatchOracle:
-    """Sweep points must reproduce the oracle on the same draws."""
+class TestHarnessTransparency:
+    """The sweep harness is transparent: sweep points must reproduce the
+    oracle on the same draws."""
 
     TRIALS = 4
 
@@ -395,6 +396,11 @@ class TestTrialEnsemble:
         ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
         with pytest.raises(ValueError, match="snr scale must be positive"):
             ens.baseline_rates(scale)
+
+    def test_short_distance_rejected(self):
+        ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
+        with pytest.raises(ValueError, match="far-field"):
+            ens.relay_rates(1.0, 1.0, 0.05, 9000.0)
 
     def test_far_field_enforced(self):
         # A 40 m hop is well inside the far field of a 0.5 m array.
