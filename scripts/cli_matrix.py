@@ -32,6 +32,10 @@ and two input errors that exit 2: an snr-sweep on snr_sweep.yaml with
 relay_antennas 5, a downlink wider than tall, and an altitude-sweep
 --cross-check on altitude_sweep.yaml with sweep_stop 17999.9, whose
 search bracket ends 0.1 m below the platforms, inside the far field.
+Last, geometry on snr_sweep.yaml (baseline on, as shipped) with the
+platforms at 1.9e154 m and the relay at 0.95e154 m, where only the direct
+link's square overflows float64, so snr-sweep rejects it and geometry
+reports far_field_ok=no.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario, three variants of
-    snr_sweep.yaml, all streams (baseline on, as shipped), all-singular and
-    a wide downlink, and two of altitude_sweep.yaml, one with some singular
-    trials and one whose sweep stops inside the platforms' far field."""
+    """The shipped scenarios, the array scenario, four variants of
+    snr_sweep.yaml, all streams (baseline on, as shipped), all-singular, a
+    wide downlink and a direct link whose square overflows, and two of
+    altitude_sweep.yaml, one with some singular trials and one whose sweep
+    stops inside the platforms' far field."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
@@ -68,6 +73,8 @@ def write_inputs(inputs: str) -> None:
             ("singular", "snr_sweep", dict(kappa_up_db=200.0,
                                            kappa_down_db=200.0)),
             ("wide_downlink", "snr_sweep", dict(relay_antennas=5)),
+            ("direct_overflow", "snr_sweep",
+             dict(hap_altitude_m=1.9e154, relay_altitude_m=0.95e154)),
             ("partly_singular", "altitude_sweep",
              dict(kappa_up_db=[30.0, 90.0, 30.0])),
             ("stop_in_far_field", "altitude_sweep",
@@ -116,6 +123,8 @@ def runs() -> list[tuple[str, list[str], int]]:
     out.append(("stop-in-far-field",
                 ["altitude-sweep", "--config", "inputs/stop_in_far_field.yaml",
                  "--cross-check"], 2))
+    out.append(("geometry-direct-overflow",
+                ["geometry", "--config", "inputs/direct_overflow.yaml"], 0))
     return out
 
 

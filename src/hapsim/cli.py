@@ -10,8 +10,7 @@ import sys
 from collections.abc import Iterable
 from itertools import repeat
 
-from .network import (NetworkConfig, check_far_field, dof, min_hap_separation,
-                      wide_hop)
+from .network import dof, min_hap_separation, wide_hop
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     _CHUNK_DRAWS,
@@ -19,6 +18,7 @@ from .simulator import (
     SumRateCurve,
     TrialEnsemble,
     check_altitude_bracket,
+    check_snr_hops,
     check_sweep_variable,
     find_optimal_altitude,
     run_altitude_sweep,
@@ -115,6 +115,11 @@ def _cmd_geometry(scenario: Scenario) -> int:
     lay = net.layout
     spacing = min_hap_separation(lay.d_sd_m, net.wavelength_m,
                                  scenario.spacing_dof_beta, lay.gs_spacing_m)
+    try:
+        check_snr_hops(net, scenario.include_baseline)
+        far_field_ok = True
+    except ValueError:
+        far_field_ok = False
     lines = [
         f"d_sd_m={_fmt(lay.d_sd_m)}",
         f"d_sr_m={_fmt(lay.d_sr_m)}",
@@ -127,21 +132,10 @@ def _cmd_geometry(scenario: Scenario) -> int:
         f"relay_antennas_ok={_verdict(net.relay_antennas >= net.required_relay_antennas)}",
         f"dof_total={_fmt(dof(net.num_haps, net.num_gs, net.antennas_per_node))}",
         f"zero_forcing_feasible={_verdict(wide_hop(net) is None)}",
-        f"far_field_ok={_verdict(_relay_hops_pass_far_field(net))}",
+        f"far_field_ok={_verdict(far_field_ok)}",
     ]
     print("\n".join(lines))
     return 0
-
-
-def _relay_hops_pass_far_field(net: NetworkConfig) -> bool:
-    """Whether both relay hops of the layout pass check_far_field, the test
-    snr-sweep applies to them before its first draw."""
-    try:
-        for name in ("d_sr_m", "d_rd_m"):
-            check_far_field(net, name, getattr(net.layout, name))
-    except ValueError:
-        return False
-    return True
 
 
 def _all_singular() -> int:

@@ -525,6 +525,14 @@ def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
     return mean_rate
 
 
+def check_snr_hops(cfg: NetworkConfig, include_baseline: bool) -> None:
+    """Raise ValueError unless every hop run_snr_sweep draws passes
+    check_far_field at the layout's distance, in _hops() order: d_sr_m and
+    d_rd_m, then d_sd_m with the baseline."""
+    for name in ("d_sr_m", "d_rd_m", "d_sd_m")[:3 if include_baseline else 2]:
+        check_far_field(cfg, name, getattr(cfg.layout, name))
+
+
 def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
                   include_baseline: bool = False) -> SnrSweepResult:
     """Mean sum-rate versus transmit SNR at the configured layout.
@@ -534,10 +542,9 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     place of it under snr_reference = "post_path_loss".
     """
     check_sweep_variable(spec, SNR_DB)
-    # Reject bad input before any draw, hop by hop in _hops() order; the hop
-    # table itself, line-of-sight stacks included, is the ensemble's to build.
-    for name in ("d_sr_m", "d_rd_m", "d_sd_m")[:3 if include_baseline else 2]:
-        check_far_field(cfg, name, getattr(cfg.layout, name))
+    # Reject bad input before any draw; the hop table itself, line-of-sight
+    # stacks included, is the ensemble's to build.
+    check_snr_hops(cfg, include_baseline)
     grid = spec.grid()
     gammas = np.array([db_to_linear(x) for x in grid])
     for x, gamma in zip(grid, gammas):

@@ -1,11 +1,12 @@
-"""Channel parts, and the Rician mix and path loss as the ensemble applies them.
+"""The trial ensemble's channels: scattering draws, Rician mix and path factor.
 
-network builds the line-of-sight matrices (los_channel); the trial ensemble
-draws the scattering matrices, mixes the two through the kernels and
+The trial ensemble draws the scattering matrices, mixes them with
+network.los_channel's line-of-sight matrices through the kernels and
 scales each link's SNR by its amplitude factor gain / d^2, squared.
 The draws, the mix and the path factor are checked through the ensemble's
 rates, on single-antenna links where a rate gives |h|^2 back as
-2**rate - 1, and against the independent oracle in oracles.py.
+2**rate - 1, and against the independent oracle in oracles.py.  The
+line-of-sight matrix and the dB conversion are checked in test_network.py.
 """
 
 import math
@@ -15,55 +16,10 @@ import pytest
 
 import oracles
 
-from hapsim.network import NetworkConfig, ScenarioLayout, db_to_linear, los_channel
+from hapsim.network import NetworkConfig, ScenarioLayout
 from hapsim.simulator import TrialEnsemble
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
-
-
-class TestDbToLinear:
-    def test_reference_points(self):
-        assert db_to_linear(0.0) == 1.0
-        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
-        assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_overflow_is_a_value_error(self):
-        with pytest.raises(ValueError, match="4000.0 dB"):
-            db_to_linear(4000.0)
-
-
-class TestLosChannel:
-    def test_single_element(self):
-        out = los_channel(network(), 1, 1)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 1.0 + 0.0j
-
-    def test_boresight_is_all_ones(self):
-        out = los_channel(network(aoa_deg=0.0, aod_deg=0.0), 3, 2)
-        np.testing.assert_allclose(out, np.ones((3, 2)), atol=1e-15)
-
-    def test_half_wavelength_endfire_phase(self):
-        # rx spacing of lambda/2 at 90 degrees arrival: phase step of pi.
-        cfg = network(wavelength_m=1.0, aoa_deg=90.0, rx_spacing_m=0.5,
-                      tx_spacing_m=0.5)
-        out = los_channel(cfg, 2, 1)
-        np.testing.assert_allclose(out, [[1.0], [-1.0]], atol=1e-12)
-
-    def test_unit_modulus_and_rank_one(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            cfg = network(aoa_deg=math.degrees(rng.uniform(-1.5, 1.5)),
-                          aod_deg=math.degrees(rng.uniform(-1.5, 1.5)))
-            rows, cols = rng.integers(1, 7, size=2)
-            out = los_channel(cfg, rows, cols)
-            np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-12)
-            s = np.linalg.svd(out, compute_uv=False)
-            if min(rows, cols) > 1:
-                assert s[1] <= 1e-10 * s[0]
-
-    def test_bad_sizes_rejected(self):
-        with pytest.raises(ValueError, match="array size"):
-            los_channel(network(), 0, 2)
 
 
 class TestScatteringDraws:

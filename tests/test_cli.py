@@ -94,16 +94,23 @@ class TestGeometryCommand:
         for key in ("d_sd_m", "d_sr_m", "d_rd_m"):
             assert got[key] == format(getattr(lay, key), ".12g")
 
-    def test_far_field_report_agrees_with_the_sweeps(self, tmp_path, capsys):
+    @pytest.mark.parametrize("hap,relay,too_long", [
         # Both relay hops lie past the far field, but their squares overflow
-        # float64, so snr-sweep rejects the layout.
-        cfg = write_scenario(tmp_path, hap_altitude_m=1.0e200,
-                             relay_altitude_m=5.0e199)
+        # float64.
+        (1.0e200, 5.0e199, "d_sr_m = 5e+199 m"),
+        # The relay hops' squares fit; the direct link's, which the baseline
+        # (on by default) draws, does not.
+        (1.9e154, 0.95e154, "d_sd_m = 1.9e+154 m"),
+    ], ids=["d_sr_m", "d_sd_m"])
+    def test_far_field_report_agrees_with_the_sweeps(self, tmp_path, capsys,
+                                                     hap, relay, too_long):
+        cfg = write_scenario(tmp_path, hap_altitude_m=hap,
+                             relay_altitude_m=relay)
         assert main(["geometry", "--config", cfg]) == 0
         assert parsed_lines(capsys.readouterr().out)["far_field_ok"] == "no"
         assert main(["snr-sweep", "--config", cfg,
                      "--out", str(tmp_path / "curve.csv")]) == 2
-        assert "d_sr_m = 5e+199 m is too long" in capsys.readouterr().err
+        assert f"{too_long} is too long" in capsys.readouterr().err
 
 
 class TestSnrSweepCommand:

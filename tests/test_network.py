@@ -1,3 +1,12 @@
+"""The network model in network.py, checked on its own.
+
+The layout's distances and the platform spacing rule, every value check of
+NetworkConfig and its derived fields, the far-field test of a distance,
+dof(), the dB conversion and the line-of-sight matrix.  Nothing here draws
+a trial: what the ensemble does with the config is checked in
+test_capacity.py, test_channel.py and test_simulator.py.
+"""
+
 import math
 from pathlib import Path
 
@@ -8,7 +17,9 @@ from hapsim.network import (
     NetworkConfig,
     ScenarioLayout,
     check_far_field,
+    db_to_linear,
     dof,
+    los_channel,
     min_hap_separation,
 )
 from hapsim.scenario import load_scenario
@@ -16,6 +27,20 @@ from hapsim.simulator import SNR_DB, SweepSpec
 
 SNR_SCENARIO = str(Path(__file__).resolve().parents[1] / "scenarios"
                    / "snr_sweep.yaml")
+
+LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
+NETWORK = dict(num_haps=3, num_gs=3, antennas_per_node=4, layout=LAYOUT)
+
+
+def make_cfg(m: int = 3, n: int = 3, antennas: int | None = None, **kwargs
+             ) -> NetworkConfig:
+    """M x N network over LAYOUT; its nodes default to the relay's
+    (M-1)(N-1) antennas, so make_cfg() is NETWORK."""
+    relay = max(1, (m - 1) * (n - 1))
+    return NetworkConfig(
+        num_haps=m, num_gs=n,
+        antennas_per_node=relay if antennas is None else antennas,
+        layout=LAYOUT, **kwargs)
 
 
 class TestScenarioLayout:
@@ -51,12 +76,73 @@ class TestScenarioLayout:
                                      relay_altitude_m=9000.0)
 
 
+class TestNetworkConfig:
+    def test_relay_antennas_default(self):
+        assert make_cfg(3, 3).relay_antennas == 4
+        assert make_cfg(2, 3).relay_antennas == 2
+        assert make_cfg(1, 1, antennas=1).relay_antennas == 1
+
+    def test_relay_antennas_floor_enforced(self):
+        with pytest.raises(ValueError, match="relay_antennas"):
+            make_cfg(3, 3, relay_antennas=3)
+
+    def test_scalar_kappa_broadcasts(self):
+        cfg = make_cfg(3, 2, kappa_up_db=12.0)
+        assert cfg.kappa_up_db == (12.0, 12.0, 12.0)
+
+    def test_per_link_length_checked(self):
+        with pytest.raises(ValueError, match="kappa_up_db"):
+            make_cfg(3, 3, kappa_up_db=[10.0, 20.0])
+
+    def test_direct_values_default_to_uplink(self):
+        cfg = make_cfg(2, 2, kappa_up_db=[10.0, 20.0], ref_gain_up=[2.0, 3.0])
+        assert cfg.kappa_direct_db == (10.0, 20.0)
+        assert cfg.ref_gain_direct == (2.0, 3.0)
+
+    def test_spacings_default_to_half_wavelength(self):
+        cfg = make_cfg(2, 2, wavelength_m=0.01)
+        assert cfg.rx_spacing_m == 0.005
+        assert cfg.tx_spacing_m == 0.005
+
+    def test_far_field_limit_uses_widest_spacing(self):
+        cfg = make_cfg(2, 2, rx_spacing_m=0.01, tx_spacing_m=0.02)
+        assert cfg.far_field_m == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("key", ["wavelength_m", "rx_spacing_m",
+                                     "tx_spacing_m"])
+    def test_non_positive_fields_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            make_cfg(2, 2, **{key: 0.0})
+
+    @pytest.mark.parametrize("key", ["aoa_deg", "aod_deg", "wavelength_m",
+                                     "rx_spacing_m", "tx_spacing_m",
+                                     "kappa_up_db"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, key, value):
+        # A non-finite angle would make the line-of-sight matrix NaN.
+        with pytest.raises(ValueError, match=key):
+            make_cfg(2, 2, **{key: value})
+
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(m=0), "num_haps, num_gs, antennas_per_node must be >= 1"),
+        (dict(streams_per_tx=0), "streams_per_tx must be >= 1"),
+    ], ids=["num_haps", "streams_per_tx"])
+    def test_counts_below_one_rejected(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            make_cfg(**kwargs)
+
+    def test_bad_snr_reference_rejected(self):
+        with pytest.raises(ValueError, match="snr_reference"):
+            make_cfg(2, 2, snr_reference="mid")
+
+    def test_non_positive_power_rejected(self):
+        with pytest.raises(ValueError, match="noise_power"):
+            make_cfg(2, 2, noise_power=0.0)
+
+
 class TestStrictFields:
     """A library caller's values get the checks a scenario file's get:
     nothing is truncated, counted as a flag or parsed from a string."""
-
-    LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
-    NETWORK = dict(num_haps=3, num_gs=3, antennas_per_node=4, layout=LAYOUT)
 
     @pytest.mark.parametrize("field,value,msg", [
         ("num_haps", 3.7, "an integer"),
@@ -68,7 +154,7 @@ class TestStrictFields:
     ])
     def test_network_config_rejects(self, field, value, msg):
         with pytest.raises(ValueError, match=f"^{field} must be {msg}, got "):
-            NetworkConfig(**{**self.NETWORK, field: value})
+            NetworkConfig(**{**NETWORK, field: value})
 
     def test_layout_rejects_a_string(self):
         with pytest.raises(ValueError, match="^hap_altitude_m must be a number"):
@@ -85,9 +171,9 @@ class TestStrictFields:
     def test_numpy_values_keep_their_stored_values(self):
         cfg = NetworkConfig(
             num_haps=np.int64(3), num_gs=np.int64(3),
-            antennas_per_node=np.int64(4), layout=self.LAYOUT,
+            antennas_per_node=np.int64(4), layout=LAYOUT,
             hap_power=np.float32(2.5), kappa_up_db=np.array([10.0, 20.0, 30.0]))
-        assert cfg == NetworkConfig(**self.NETWORK, hap_power=2.5,
+        assert cfg == NetworkConfig(**NETWORK, hap_power=2.5,
                                     kappa_up_db=(10.0, 20.0, 30.0))
         assert type(cfg.num_haps) is int and type(cfg.hap_power) is float
         assert all(type(v) is float for v in cfg.kappa_up_db)
@@ -150,3 +236,60 @@ class TestMinHapSeparation:
                 base / c, rel=1e-12)
             assert min_hap_separation(dist, wl, beta, c * gs) == pytest.approx(
                 base / c, rel=1e-12)
+
+
+class TestDof:
+    @pytest.mark.parametrize("m,n,a,expected", [
+        (1, 1, 1, 1.0), (3, 3, 1, 1.8), (2, 3, 2, 3.0),
+    ])
+    def test_reference_values(self, m, n, a, expected):
+        assert dof(m, n, a) == pytest.approx(expected, rel=1e-15)
+
+    def test_invalid_counts(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            dof(0, 3, 1)
+
+
+class TestDbToLinear:
+    def test_reference_points(self):
+        assert db_to_linear(0.0) == 1.0
+        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
+        assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-12)
+
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            db_to_linear(4000.0)
+
+
+class TestLosChannel:
+    def test_single_element(self):
+        out = los_channel(make_cfg(), 1, 1)
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 1.0 + 0.0j
+
+    def test_boresight_is_all_ones(self):
+        out = los_channel(make_cfg(aoa_deg=0.0, aod_deg=0.0), 3, 2)
+        np.testing.assert_allclose(out, np.ones((3, 2)), atol=1e-15)
+
+    def test_half_wavelength_endfire_phase(self):
+        # rx spacing of lambda/2 at 90 degrees arrival: phase step of pi.
+        cfg = make_cfg(wavelength_m=1.0, aoa_deg=90.0, rx_spacing_m=0.5,
+                      tx_spacing_m=0.5)
+        out = los_channel(cfg, 2, 1)
+        np.testing.assert_allclose(out, [[1.0], [-1.0]], atol=1e-12)
+
+    def test_unit_modulus_and_rank_one(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            cfg = make_cfg(aoa_deg=math.degrees(rng.uniform(-1.5, 1.5)),
+                          aod_deg=math.degrees(rng.uniform(-1.5, 1.5)))
+            rows, cols = rng.integers(1, 7, size=2)
+            out = los_channel(cfg, rows, cols)
+            np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-12)
+            s = np.linalg.svd(out, compute_uv=False)
+            if min(rows, cols) > 1:
+                assert s[1] <= 1e-10 * s[0]
+
+    def test_bad_sizes_rejected(self):
+        with pytest.raises(ValueError, match="array size"):
+            los_channel(make_cfg(), 0, 2)
