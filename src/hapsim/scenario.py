@@ -14,6 +14,7 @@ the relay antenna count), so a dumped scenario re-parses identically.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
@@ -118,6 +119,13 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 
 _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+# YAML 1.1 reads a float only with a dot and a signed exponent, so 8.1e7 and
+# 1e-3 would be strings; YAML 1.2 and Python read them as floats.
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9][0-9_]*(?:\.[0-9_]*)?)"
+               r"[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 def load_scenario(path: str) -> Scenario:

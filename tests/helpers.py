@@ -1,13 +1,29 @@
 """Shared test utilities.
 
-Seeded random matrices with conditioning control, kernel inputs that carry
-given matrices unchanged, the eigenvalue condition number the kernels' gate
+The one network builder the tests use (make_cfg over LAYOUT), seeded
+random matrices with conditioning control, kernel inputs that carry given
+matrices unchanged, the eigenvalue condition number the kernels' gate
 computes, and a bootstrap interval the tests use on the simulator's output.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hapsim.network import NetworkConfig, ScenarioLayout
+
+LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
+
+
+def make_cfg(m: int = 3, n: int = 3, antennas: int | None = None, **kwargs
+             ) -> NetworkConfig:
+    """M x N network over LAYOUT; its nodes default to the relay's
+    (M-1)(N-1) antennas, so make_cfg() is 3 x 3 with A = 4."""
+    relay = max(1, (m - 1) * (n - 1))
+    return NetworkConfig(
+        num_haps=m, num_gs=n,
+        antennas_per_node=relay if antennas is None else antennas,
+        layout=LAYOUT, **kwargs)
 
 
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

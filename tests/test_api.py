@@ -53,3 +53,13 @@ def test_folded_modules_are_gone(module):
     assert not (SRC / f"{module}.py").exists()
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(f"hapsim.{module}")
+
+
+def test_test_files_mirror_the_modules():
+    # Each module's tests live in test_<module>.py; only the end-to-end
+    # suite, this file and the test helpers' own tests stand apart.
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    allowed = {f"test_{name}.py" for name in modules} | {
+        "test_acceptance.py", "test_api.py", "test_helpers.py"}
+    files = {path.name for path in Path(__file__).parent.glob("test_*.py")}
+    assert files <= allowed, sorted(files - allowed)

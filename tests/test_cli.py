@@ -582,6 +582,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and names in captured.err
 
+    @pytest.mark.parametrize("command,keys,spelled,message", [
+        ("altitude-sweep", altitude_keys(),
+         "hap_power: 1e308\nnoise_power: 1e-300\n",
+         "error: SNR scale on d_sr_m overflows float64: "
+         "lower hap_power/noise_power\n"),
+        ("snr-sweep", snr_keys(), "ref_gain_up: 1e200\n",
+         "error: SNR on d_sr_m overflows float64: lower "
+         "hap_power/noise_power, ref_gain_up or the swept SNR\n"),
+    ], ids=["powers", "gain"])
+    def test_readme_overflow_examples_exit_2(self, tmp_path, capsys, command,
+                                             keys, spelled, message):
+        # The README's examples, spelled as there: exponent floats with
+        # neither a dot nor an exponent sign.
+        spelled_keys = [line.split(":")[0] for line in spelled.splitlines()]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({k: v for k, v in keys.items()
+                                        if k not in spelled_keys}) + spelled,
+                        encoding="utf-8")
+        out = tmp_path / "curve.csv"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("gains,hop,keys", [
         (dict(ref_gain_up=8.1e8, ref_gain_down=8.1e5), "d_sr_m",
          "hap_power/noise_power, ref_gain_up"),

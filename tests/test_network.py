@@ -4,7 +4,7 @@ The layout's distances and the platform spacing rule, every value check of
 NetworkConfig and its derived fields, the far-field test of a distance,
 dof(), the dB conversion and the line-of-sight matrix.  Nothing here draws
 a trial: what the ensemble does with the config is checked in
-test_capacity.py, test_channel.py and test_simulator.py.
+test_simulator.py.
 """
 
 import math
@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import LAYOUT, make_cfg
 
 from hapsim.network import (
     NetworkConfig,
@@ -28,19 +30,8 @@ from hapsim.simulator import SNR_DB, SweepSpec
 SNR_SCENARIO = str(Path(__file__).resolve().parents[1] / "scenarios"
                    / "snr_sweep.yaml")
 
-LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
+# The constructor tests' keywords; NetworkConfig(**NETWORK) is make_cfg().
 NETWORK = dict(num_haps=3, num_gs=3, antennas_per_node=4, layout=LAYOUT)
-
-
-def make_cfg(m: int = 3, n: int = 3, antennas: int | None = None, **kwargs
-             ) -> NetworkConfig:
-    """M x N network over LAYOUT; its nodes default to the relay's
-    (M-1)(N-1) antennas, so make_cfg() is NETWORK."""
-    relay = max(1, (m - 1) * (n - 1))
-    return NetworkConfig(
-        num_haps=m, num_gs=n,
-        antennas_per_node=relay if antennas is None else antennas,
-        layout=LAYOUT, **kwargs)
 
 
 class TestScenarioLayout:
@@ -138,6 +129,13 @@ class TestNetworkConfig:
     def test_non_positive_power_rejected(self):
         with pytest.raises(ValueError, match="noise_power"):
             make_cfg(2, 2, noise_power=0.0)
+
+    @pytest.mark.parametrize("gain", [0.0, -1.0])
+    def test_non_positive_ref_gain_rejected(self, gain):
+        for name in ("ref_gain_up", "ref_gain_down", "ref_gain_direct"):
+            with pytest.raises(ValueError,
+                               match=f"{name} entries must be positive"):
+                make_cfg(2, 2, antennas=1, **{name: gain})
 
 
 class TestStrictFields:

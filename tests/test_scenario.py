@@ -11,6 +11,7 @@ from hapsim.scenario import (
     DEFAULTS,
     Scenario,
     ScenarioError,
+    _Loader,
     dump_scenario,
     effective_mapping,
     load_scenario,
@@ -193,6 +194,50 @@ class TestLoading:
         assert isinstance(ScenarioError("x"), ValueError)
 
 
+class TestExponentFloats:
+    """A float with an exponent but no dot or no exponent sign is a number,
+    as in YAML 1.2 and Python; YAML 1.1's resolver alone reads a string."""
+
+    @staticmethod
+    def load(tmp_path, text: str) -> Scenario:
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text, encoding="utf-8")
+        return load_scenario(str(path))
+
+    @pytest.mark.parametrize("key,text,value", [
+        ("ref_gain_up", "8.1e7", 8.1e7),
+        ("ref_gain_up", "1.0e8", 1.0e8),
+        ("noise_power", "1e-3", 1e-3),
+        ("ref_gain_up", "1E+8", 1e8),
+        ("sweep_start", "-2e5", -2e5),
+    ])
+    def test_spelling_reads_as_a_float(self, tmp_path, key, text, value):
+        mapping = effective_mapping(self.load(tmp_path, f"{key}: {text}\n"))
+        assert mapping[key] in (value, [value] * 3)
+
+    def test_per_link_list(self, tmp_path):
+        s = self.load(tmp_path, "ref_gain_down: [6e7, 8.1e7, 1e8]\n")
+        assert s.network.ref_gain_down == (6e7, 8.1e7, 1e8)
+
+    def test_quoted_value_stays_a_string(self, tmp_path):
+        with pytest.raises(ScenarioError, match="^ref_gain_up must be a number "
+                           "or a per-link list, got '8.1e7'$"):
+            self.load(tmp_path, "ref_gain_up: '8.1e7'\n")
+
+    def test_exponent_count_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError,
+                           match="^sweep: trials must be an integer"):
+            self.load(tmp_path, "trials: 1e3\n")
+
+    def test_dump_config_round_trip(self, tmp_path):
+        # dump_scenario is the text --dump-config prints.
+        s = self.load(tmp_path, "ref_gain_up: 8.1e7\nnoise_power: 1e-3\n"
+                                "hap_power: 1E+8\n")
+        text = dump_scenario(s)
+        assert yaml.safe_load(text)["ref_gain_up"] == [8.1e7] * 3
+        assert self.load(tmp_path, text) == s
+
+
 class TestShippedScenarios:
     SCENARIO_DIR = REPO / "scenarios"
 
@@ -208,13 +253,15 @@ class TestShippedScenarios:
     def test_libyaml_reads_the_python_parsers_mapping(self):
         # load_scenario parses with libyaml where PyYAML has it; every
         # shipped file must give the pure-Python parser's keys, values and
-        # value types.
+        # value types, with load_scenario's resolvers on both.
+        python_loader = type("PythonLoader", (yaml.SafeLoader,), {
+            "yaml_implicit_resolvers": _Loader.yaml_implicit_resolvers})
         paths = sorted(self.SCENARIO_DIR.glob("*.yaml"))
         assert len(paths) >= 3
         for path in paths:
             text = path.read_text(encoding="utf-8")
-            pure = yaml.load(text, Loader=yaml.SafeLoader)
-            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            pure = yaml.load(text, Loader=python_loader)
+            fast = yaml.load(text, Loader=_Loader)
             assert fast == pure, path.name
             assert {k: type(v) for k, v in fast.items()} == (
                 {k: type(v) for k, v in pure.items()}), path.name

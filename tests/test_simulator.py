@@ -1,29 +1,32 @@
 """Trial ensembles, sweeps and the optimal-altitude search (hapsim.simulator).
 
-Sweep points are checked against the independent oracle in oracles.py on
-the same draws.  The other tests check what must not depend on how the
-work is cut (trials per chunk, points per pass), the memory a build or a
-sweep holds, the input rules for budgets and operating points, and the
-golden-section search against the grid.  The streams the ensemble draws
-from are tested in test_streams.py.
+The trial ensemble is the one place hapsim evaluates the relay rate
+C = [M*N/(M+N-1)] * min(C1, C2) and the time-sharing baseline.  Its relay
+and baseline rates, its scattering draws, the Rician mix with the
+line-of-sight matrices and the path factor (gain / d^2 on the amplitude,
+squared on the SNR) are checked against exact values and the independent
+oracle in oracles.py: on single-antenna links a rate gives |h|^2 back as
+2**rate - 1.  Sweep points are checked against the oracle on the same
+draws.  The other tests check what must not depend on how the work is cut
+(trials per chunk, points per pass), the memory a build or a sweep holds,
+the input rules for budgets and operating points, and the golden-section
+search against the grid.  The streams the ensemble draws from are tested
+in test_streams.py, the config it reads in test_network.py.
 """
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from helpers import LAYOUT, gram_condition, make_cfg, random_complex
 
 from hapsim import kernels, simulator, streams
-from hapsim.network import (
-    FAR_FIELD_FACTOR,
-    NetworkConfig,
-    ScenarioLayout,
-    db_to_linear,
-)
+from hapsim.network import FAR_FIELD_FACTOR, NetworkConfig, db_to_linear
 from hapsim.scenario import load_scenario
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
@@ -50,21 +53,57 @@ def draw_width(cfg: NetworkConfig, include_baseline: bool = False) -> int:
                for hop in simulator._hops(cfg, include_baseline))
 
 
-def make_cfg(**kwargs) -> NetworkConfig:
-    base = dict(
-        num_haps=3, num_gs=3, antennas_per_node=4,
-        layout=ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0),
-        kappa_up_db=10.0, kappa_down_db=10.0,
-        ref_gain_up=8.1e7, ref_gain_down=8.1e7)
-    base.update(kwargs)
-    return NetworkConfig(**base)
+def oracle_relay_rates(cfg: NetworkConfig, ens: TrialEnsemble
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble and oracle relay rates per trial, at the configured powers."""
+    lay = cfg.layout
+    scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
+    scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+    got = ens.relay_rates(scale_up, scale_dn, lay.d_sr_m, lay.d_rd_m)
+    c_up, c_dn, _ = oracles.trial_hop_rates(
+        cfg, ens.master_seed, ens.trials, scale_up, scale_dn, lay.d_sr_m,
+        lay.d_rd_m)
+    return got, oracles.relay_rate(cfg.num_haps, cfg.num_gs, c_up, c_dn)
+
+
+def direct_power(cfg: NetworkConfig, trials: int, seed: int,
+                 scale: float) -> np.ndarray:
+    """|h|^2 of each trial's direct link in a 1x1 single-antenna network."""
+    ens = TrialEnsemble(cfg, trials, seed, include_baseline=True)
+    return (2.0 ** ens.baseline_rates(scale) - 1.0) / scale
+
+
+def oracle_rates(cfg: NetworkConfig, seed: int, trials: int, scale: float,
+                 make_link) -> np.ndarray:
+    """Relay rates with every channel built by make_link(rng, rows, cols)."""
+    m, n = cfg.num_haps, cfg.num_gs
+    a, r = cfg.antennas_per_node, cfg.relay_antennas
+    out = []
+    for t in range(trials):
+        rng = oracles.trial_stream(seed, t)
+        up = [make_link(rng, r, a) for _ in range(m)]
+        down = [make_link(rng, a, r) for _ in range(n)]
+        out.append(oracles.relay_rate(m, n, oracles.hop_rate(up, scale),
+                                      oracles.hop_rate(down, scale)))
+    return np.array(out)
+
+
+# Named presets on make_cfg; a call's keywords override a preset's.
+# The sweep tests' network: 3 x 3 with A = 4, 10 dB Rician factors and
+# gains of 8.1e7 on both hops.
+sweep_cfg = partial(make_cfg, kappa_up_db=10.0, kappa_down_db=10.0,
+                    ref_gain_up=8.1e7, ref_gain_down=8.1e7)
+# M x N single-antenna nodes, 400 dB Rician factor: every h is 1.
+unit_los_network = partial(make_cfg, antennas=1, kappa_up_db=400.0,
+                           kappa_down_db=400.0,
+                           snr_reference="post_path_loss")
 
 
 # 2 platforms, 3 ground stations: every link has its own Rician factor
 # and gain, so a hop whose links are permuted or mis-broadcast (the
 # direct links follow their platform) changes the rates.
 PER_LINK = dict(
-    num_haps=2, num_gs=3, relay_antennas=4,
+    m=2, n=3, antennas=4, relay_antennas=4,
     kappa_up_db=[12.0, 25.0], kappa_down_db=[3.0, 9.0, 16.0],
     kappa_direct_db=[6.0, 18.0],
     ref_gain_up=[2.4e8, 3.6e8], ref_gain_down=[1.2e8, 1.6e8, 2.0e8],
@@ -145,8 +184,8 @@ class TestChunkSeeding:
         made.clear()
         trials, chunk = 2048, 1024
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS",
-                            chunk * draw_width(make_cfg()))
-        TrialEnsemble(make_cfg(), trials, 5)
+                            chunk * draw_width(sweep_cfg()))
+        TrialEnsemble(sweep_cfg(), trials, 5)
         assert len(made) <= -(-trials // chunk)
 
     @pytest.mark.parametrize("trials,seed,msg", [
@@ -166,13 +205,13 @@ class TestChunkSeeding:
 
         monkeypatch.setattr(streams, "fill_trials", draw)
         with pytest.raises(ValueError, match=msg):
-            TrialEnsemble(make_cfg(), trials, seed)
+            TrialEnsemble(sweep_cfg(), trials, seed)
 
     def test_largest_trial_count_accepted(self):
         assert SweepSpec(SNR_DB, 0.0, 30.0, 2.5, trials=2**32).trials == 2**32
 
     def test_numpy_integers_accepted(self):
-        ens = TrialEnsemble(make_cfg(), np.int64(3), np.uint64(2**64 - 1))
+        ens = TrialEnsemble(sweep_cfg(), np.int64(3), np.uint64(2**64 - 1))
         assert (ens.trials, ens.master_seed) == (3, 2**64 - 1)
         assert type(ens.trials) is int and type(ens.master_seed) is int
 
@@ -192,7 +231,7 @@ class TestChunkSeeding:
         streams._pair_order.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="disagrees with trial_rng"):
-                TrialEnsemble(make_cfg(), 4, 5)
+                TrialEnsemble(sweep_cfg(), 4, 5)
         finally:
             streams._pair_order.cache_clear()
         assert drawn == [2**64 - 1]
@@ -210,7 +249,7 @@ class TestHarnessTransparency:
         (dict(PER_LINK, ref_gain_down=[1.2e7, 1.6e7, 2.0e7]), "downlink"),
     ], ids=["3x3-scalar", "per-link-uplink-binds", "per-link-downlink-binds"])
     def test_snr_points_match_direct_capacity(self, overrides, binding):
-        cfg = make_cfg(**overrides)
+        cfg = sweep_cfg(**overrides)
         spec = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=self.TRIALS,
                          master_seed=777)
         result = run_snr_sweep(cfg, spec, include_baseline=True)
@@ -231,7 +270,7 @@ class TestHarnessTransparency:
             assert base_rate == pytest.approx(base_expected, rel=1e-9)
 
     def test_altitude_point_matches_direct_capacity(self):
-        cfg = make_cfg(hap_power=50.0, relay_power=80.0, noise_power=2.0)
+        cfg = sweep_cfg(hap_power=50.0, relay_power=80.0, noise_power=2.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0,
                          trials=self.TRIALS, master_seed=778)
         curve = run_altitude_sweep(ensemble_for(cfg, spec), spec)
@@ -249,7 +288,7 @@ class TestHarnessTransparency:
 
 class TestSnrSweep:
     def test_deterministic_rerun(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=50, master_seed=5)
         r1 = run_snr_sweep(cfg, spec, include_baseline=True)
         r2 = run_snr_sweep(cfg, spec, include_baseline=True)
@@ -258,7 +297,7 @@ class TestSnrSweep:
                                       r2.baseline.mean_rates)
 
     def test_common_draws_across_overlapping_sweeps(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         lo = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=40, master_seed=9)
         hi = SweepSpec(SNR_DB, 5.0, 15.0, 5.0, trials=40, master_seed=9)
         r_lo = run_snr_sweep(cfg, lo).relay
@@ -267,15 +306,14 @@ class TestSnrSweep:
         assert r_lo.mean_rates[2] == r_hi.mean_rates[1]
 
     def test_mean_rate_monotone_in_snr(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         spec = SweepSpec(SNR_DB, 0.0, 30.0, 5.0, trials=60, master_seed=11)
         curve = run_snr_sweep(cfg, spec).relay
         diffs = np.diff(curve.mean_rates)
         assert (diffs > -1e-9).all()
 
     def test_std_err_shrinks_with_trials(self):
-        cfg = make_cfg(num_haps=2, num_gs=2, antennas_per_node=1,
-                       kappa_up_db=5.0, kappa_down_db=5.0)
+        cfg = sweep_cfg(2, 2, antennas=1, kappa_up_db=5.0, kappa_down_db=5.0)
         small = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=600, master_seed=3)
         big = SweepSpec(SNR_DB, 10.0, 20.0, 10.0, trials=2400, master_seed=3)
         se_small = run_snr_sweep(cfg, small).relay.std_errs[0]
@@ -283,7 +321,7 @@ class TestSnrSweep:
         assert 1.6 < se_small / se_big < 2.4
 
     def test_relay_curve_ignores_baseline_flag(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=30, master_seed=21)
         alone = run_snr_sweep(cfg, spec, include_baseline=False)
         paired = run_snr_sweep(cfg, spec, include_baseline=True)
@@ -292,7 +330,7 @@ class TestSnrSweep:
         assert alone.baseline is None
 
     def test_one_finite_trial_has_zero_std_err(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=1, master_seed=2)
         ens = TrialEnsemble(cfg, 1, 2)
         curve = run_snr_sweep(cfg, spec).relay
@@ -304,7 +342,7 @@ class TestSnrSweep:
         assert curve.trials_failed == 0
 
     def test_all_singular_point_reports_nan(self):
-        cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
+        cfg = sweep_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=5, master_seed=2)
         curve = run_snr_sweep(cfg, spec).relay
         assert np.isnan(curve.mean_rates).all()
@@ -314,12 +352,12 @@ class TestSnrSweep:
     def test_wrong_variable_rejected(self):
         spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 2000.0, 500.0, trials=2)
         with pytest.raises(ValueError, match="snr_db"):
-            run_snr_sweep(make_cfg(), spec)
+            run_snr_sweep(sweep_cfg(), spec)
 
     @pytest.mark.parametrize("key", ["ref_gain_up", "ref_gain_down",
                                      "ref_gain_direct"])
     def test_overflowing_gain_is_an_input_error(self, key):
-        cfg = make_cfg(**{key: 1e200})
+        cfg = sweep_cfg(**{key: 1e200})
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 10.0, trials=3, master_seed=2)
         with pytest.raises(ValueError, match=f"overflows.*{key}"):
             run_snr_sweep(cfg, spec, include_baseline=True)
@@ -327,8 +365,8 @@ class TestSnrSweep:
 
 class TestAltitudeSweep:
     def test_grid_and_symmetric_peak(self):
-        cfg = make_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
-                       hap_power=4000.0, relay_power=4000.0)
+        cfg = sweep_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
+                        hap_power=4000.0, relay_power=4000.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 4000.0, 14000.0, 500.0,
                          trials=300, master_seed=12345)
         curve = run_altitude_sweep(ensemble_for(cfg, spec), spec)
@@ -336,13 +374,13 @@ class TestAltitudeSweep:
         assert abs(curve.argmax_x - 9000.0) <= 500.0
 
     def test_band_outside_layout_rejected(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         spec = SweepSpec(RELAY_ALTITUDE_M, 1000.0, 18000.0, 1000.0, trials=2)
         with pytest.raises(ValueError, match="strictly inside"):
             run_altitude_sweep(ensemble_for(cfg, spec), spec)
 
     def test_band_violating_far_field_rejected(self):
-        cfg = make_cfg()
+        cfg = sweep_cfg()
         spec = SweepSpec(RELAY_ALTITUDE_M, 0.1, 0.2, 0.1, trials=2)
         with pytest.raises(ValueError, match="far-field"):
             run_altitude_sweep(ensemble_for(cfg, spec), spec)
@@ -350,10 +388,10 @@ class TestAltitudeSweep:
     def test_wrong_variable_rejected(self):
         spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=2)
         with pytest.raises(ValueError, match="relay_altitude_m"):
-            run_altitude_sweep(ensemble_for(make_cfg(), spec), spec)
+            run_altitude_sweep(ensemble_for(sweep_cfg(), spec), spec)
 
     def test_overflowing_power_is_an_input_error(self):
-        cfg = make_cfg(hap_power=1e308, relay_power=1e308, noise_power=1e-300)
+        cfg = sweep_cfg(hap_power=1e308, relay_power=1e308, noise_power=1e-300)
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0, trials=3)
         with pytest.raises(ValueError, match="overflows.*hap_power"):
             run_altitude_sweep(ensemble_for(cfg, spec), spec)
@@ -361,7 +399,7 @@ class TestAltitudeSweep:
     @pytest.mark.parametrize("trials,seed", [(4, 12345), (3, 12346)])
     def test_spec_must_match_the_ensemble(self, trials, seed):
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0, trials=3)
-        ens = TrialEnsemble(make_cfg(), trials, seed)
+        ens = TrialEnsemble(sweep_cfg(), trials, seed)
         with pytest.raises(ValueError, match="ensemble holds"):
             run_altitude_sweep(ens, spec)
 
@@ -382,29 +420,29 @@ class TestSumRateCurve:
 
 class TestTrialEnsemble:
     def test_baseline_requires_flag(self):
-        ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
+        ens = TrialEnsemble(sweep_cfg(), trials=3, master_seed=1)
         with pytest.raises(RuntimeError, match="baseline"):
             ens.baseline_rates(10.0)
 
     def test_non_positive_scale_rejected(self):
-        ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
+        ens = TrialEnsemble(sweep_cfg(), trials=3, master_seed=1)
         with pytest.raises(ValueError, match="positive"):
             ens.relay_rates(0.0, 1.0, 9000.0, 9000.0)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
     def test_non_positive_baseline_scale_rejected(self, scale):
-        ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
+        ens = TrialEnsemble(sweep_cfg(), 3, 1, include_baseline=True)
         with pytest.raises(ValueError, match="snr scale must be positive"):
             ens.baseline_rates(scale)
 
     def test_short_distance_rejected(self):
-        ens = TrialEnsemble(make_cfg(), trials=3, master_seed=1)
+        ens = TrialEnsemble(sweep_cfg(), trials=3, master_seed=1)
         with pytest.raises(ValueError, match="far-field"):
             ens.relay_rates(1.0, 1.0, 0.05, 9000.0)
 
     def test_far_field_enforced(self):
         # A 40 m hop is well inside the far field of a 0.5 m array.
-        cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
+        cfg = sweep_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
         ens = TrialEnsemble(cfg, trials=3, master_seed=1)
         with pytest.raises(ValueError, match="d_sr_m .* far-field"):
             ens.relay_rates(1.0, 1.0, 40.0, 9000.0)
@@ -413,7 +451,7 @@ class TestTrialEnsemble:
 
     def test_far_field_boundary(self):
         # Exactly at 100x the widest spacing is still too close, on either hop.
-        cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.1)
+        cfg = sweep_cfg(rx_spacing_m=0.5, tx_spacing_m=0.1)
         ens = TrialEnsemble(cfg, trials=3, master_seed=1)
         edge = FAR_FIELD_FACTOR * 0.5
         with pytest.raises(ValueError, match="d_sr_m .* far-field"):
@@ -432,11 +470,328 @@ class TestTrialEnsemble:
             ens.relay_rates(1.0, 1.0, up, down)
 
     def test_post_path_loss_ignores_distance(self):
-        cfg = make_cfg(snr_reference="post_path_loss")
+        cfg = sweep_cfg(snr_reference="post_path_loss")
         ens = TrialEnsemble(cfg, trials=10, master_seed=6)
         a = ens.relay_rates(10.0, 10.0, 9000.0, 9000.0)
         b = ens.relay_rates(10.0, 10.0, 4000.0, 14000.0)
         np.testing.assert_array_equal(a, b)
+
+
+class TestRelayRates:
+    def test_total_derived_from_min(self):
+        # Per trial the weaker hop sets the rate, and both hops bind somewhere.
+        cfg = make_cfg(2, 3, kappa_up_db=5.0, kappa_down_db=5.0,
+                       snr_reference="post_path_loss")
+        ens = TrialEnsemble(cfg, trials=40, master_seed=40)
+        c_up, c_dn, _ = oracles.trial_hop_rates(cfg, 40, 40, 8.0, 2.0,
+                                                LAYOUT.d_sr_m, LAYOUT.d_rd_m)
+        got = ens.relay_rates(8.0, 2.0, LAYOUT.d_sr_m, LAYOUT.d_rd_m)
+        np.testing.assert_allclose(
+            got, cfg.dof_prefactor * np.minimum(c_up, c_dn), rtol=1e-9)
+        assert (c_up < c_dn).any() and (c_dn < c_up).any()
+
+    def test_scalar_channel(self):
+        # Every trial of the unit channel carries log2(1 + snr) bits.
+        ens = TrialEnsemble(unit_los_network(1, 1), trials=3, master_seed=1)
+        for snr, bits in ((1.0, 1.0), (3.0, 2.0), (15.0, 4.0)):
+            rates = ens.relay_rates(snr, snr, 9000.0, 9000.0)
+            assert rates.tolist() == pytest.approx([bits] * 3, rel=1e-15)
+
+    def test_two_identity_channels(self):
+        # Two unit links per hop carry one bit each at unit SNR.
+        cfg = unit_los_network(2, 2)
+        ens = TrialEnsemble(cfg, trials=2, master_seed=1)
+        rates = ens.relay_rates(1.0, 1.0, 9000.0, 9000.0)
+        assert rates.tolist() == pytest.approx(
+            [cfg.dof_prefactor * 2.0] * 2, rel=1e-15)
+
+    def test_matches_inverse_oracle(self):
+        # A downlink 120 dB stronger leaves the uplink sum as the rate.
+        cfg = make_cfg(3, 2, antennas=2, kappa_up_db=5.0, kappa_down_db=5.0,
+                       snr_reference="post_path_loss")
+        ens = TrialEnsemble(cfg, trials=30, master_seed=41)
+        c_up, c_dn, _ = oracles.trial_hop_rates(cfg, 41, 30, 2.0, 2e12,
+                                                LAYOUT.d_sr_m, LAYOUT.d_rd_m)
+        assert (c_up < c_dn).all()
+        got = ens.relay_rates(2.0, 2e12, LAYOUT.d_sr_m, LAYOUT.d_rd_m)
+        np.testing.assert_allclose(got, cfg.dof_prefactor * c_up, rtol=1e-9)
+
+    def test_all_streams_counts_every_column(self):
+        cfg = make_cfg(2, 3, all_streams=True, kappa_up_db=[3.0, 8.0],
+                       kappa_down_db=[0.0, 4.0, 9.0], ref_gain_up=8.1e7,
+                       ref_gain_down=[6e7, 8.1e7, 1e8], hap_power=3.0)
+        got, expected = oracle_relay_rates(cfg, TrialEnsemble(cfg, 20, 41))
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+    def test_symmetric_hops_are_tight(self):
+        # Equal hops both bind: raising either one alone changes nothing.
+        cfg = unit_los_network(2, 2)
+        ens = TrialEnsemble(cfg, trials=2, master_seed=42)
+        tight = ens.relay_rates(3.0, 3.0, 9000.0, 9000.0)
+        np.testing.assert_allclose(tight, cfg.dof_prefactor * 2.0 * 2.0,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(ens.relay_rates(30.0, 3.0, 9000.0,
+                                                      9000.0), tight)
+        np.testing.assert_array_equal(ens.relay_rates(3.0, 30.0, 9000.0,
+                                                      9000.0), tight)
+
+    def test_matches_transliteration_oracle(self):
+        # Per-link factors and gains, both SNR references and N_T overrides.
+        rng = np.random.default_rng(43)
+        for i in range(40):
+            cfg = make_cfg(
+                2, 3, hap_power=float(rng.uniform(0.5, 5.0)),
+                relay_power=float(rng.uniform(0.5, 5.0)),
+                noise_power=float(rng.uniform(0.5, 2.0)),
+                kappa_up_db=rng.uniform(0.0, 10.0, 2).tolist(),
+                kappa_down_db=rng.uniform(0.0, 10.0, 3).tolist(),
+                ref_gain_up=rng.uniform(4e7, 1.6e8, 2).tolist(),
+                ref_gain_down=rng.uniform(4e7, 1.6e8, 3).tolist(),
+                streams_per_tx=[None, 1, 3][i % 3],
+                snr_reference=["pre_path_loss", "post_path_loss"][i % 2])
+            got, expected = oracle_relay_rates(cfg, TrialEnsemble(cfg, 2, i))
+            np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), kappa_db=st.floats(0.0, 40.0))
+    def test_monotone_in_power(self, seed, kappa_db):
+        # Common random numbers: every trial's rate is monotone in SNR.
+        ens = TrialEnsemble(make_cfg(kappa_up_db=kappa_db,
+                                     kappa_down_db=kappa_db),
+                            trials=20, master_seed=seed)
+        rates = np.array([ens.relay_rates(g, g, 9000.0, 9000.0)
+                          for g in 10.0 ** np.arange(0.0, 4.5, 0.5)])
+        valid = np.isfinite(rates).all(axis=0)
+        assert valid.any()
+        assert (np.diff(rates[:, valid], axis=0) >= 0.0).all()
+
+    def test_high_snr_slope(self):
+        cfg = make_cfg(kappa_up_db=10.0, kappa_down_db=10.0,
+                       ref_gain_up=8.1e7, ref_gain_down=8.1e7)
+        ens = TrialEnsemble(cfg, trials=200, master_seed=46)
+        r1 = ens.relay_rates(1e12, 1e12, 9000.0, 9000.0)
+        r2 = ens.relay_rates(1e16, 1e16, 9000.0, 9000.0)
+        slope = (r2 - r1) / math.log2(1e4)
+        # One summed stream per node on each hop: prefactor times 3.
+        np.testing.assert_allclose(slope, cfg.dof_prefactor * 3.0,
+                                   rtol=4e-9, atol=0.0)
+
+
+class TestBaselineRates:
+    def test_point_to_point(self):
+        ens = TrialEnsemble(unit_los_network(1, 1), trials=3, master_seed=1,
+                            include_baseline=True)
+        np.testing.assert_allclose(ens.baseline_rates(3.0), 2.0, rtol=1e-12)
+
+    def test_identity_grid(self):
+        # Four unit direct links, one bit each, each active a quarter of the time.
+        ens = TrialEnsemble(unit_los_network(2, 2), trials=2, master_seed=1,
+                            include_baseline=True)
+        np.testing.assert_allclose(ens.baseline_rates(1.0), 1.0, rtol=1e-12)
+
+    def test_matches_loop_oracle(self):
+        cfg = make_cfg(2, 3, antennas=3, hap_power=4.0, noise_power=0.5,
+                       kappa_up_db=[2.0, 7.0], ref_gain_up=[8.1e7, 6e7])
+        ens = TrialEnsemble(cfg, trials=10, master_seed=47,
+                            include_baseline=True)
+        scale = 4.0 / (0.5 * 3)
+        got = ens.baseline_rates(scale)
+        lay = cfg.layout
+        *_, c_direct = oracles.trial_hop_rates(cfg, 47, ens.trials, scale,
+                                               scale, lay.d_sr_m, lay.d_rd_m,
+                                               scale, lay.d_sd_m)
+        for got_t, c_t in zip(got, c_direct):
+            assert math.isclose(got_t, oracles.baseline_rate(2, 3, c_t),
+                                rel_tol=1e-9)
+
+
+class TestCorrelatedColumnsDegradation:
+    """Rate falls and the Gram matrix degenerates as kappa grows."""
+
+    def test_condition_number_grows_with_kappa(self):
+        # cond(H^H H) of Rician channels as the rank-one part takes over.
+        rng = np.random.default_rng(48)
+        cfg = make_cfg(aoa_deg=math.degrees(0.5), aod_deg=math.degrees(0.3))
+        los = oracles.line_of_sight(cfg, 4, 4)
+        draws = [random_complex(rng, 4, 4) for _ in range(150)]
+        conds = [np.mean(gram_condition(np.stack(
+            [oracles.rician(kappa_db, los, w) for w in draws])))
+            for kappa_db in (0.0, 20.0, 40.0, 60.0)]
+        assert all(b > a for a, b in zip(conds, conds[1:]))
+
+    def test_rate_non_increasing_in_kappa(self):
+        def mean_rate(kappa_db):
+            cfg = make_cfg(kappa_up_db=kappa_db, kappa_down_db=kappa_db,
+                           aoa_deg=math.degrees(0.5),
+                           aod_deg=math.degrees(0.3),
+                           snr_reference="post_path_loss")
+            rates = TrialEnsemble(cfg, 150, 48).relay_rates(
+                10.0, 10.0, 9000.0, 9000.0)
+            assert np.isfinite(rates).all()
+            return float(np.mean(rates))
+        rates = [mean_rate(k) for k in (0.0, 10.0, 20.0)]
+        assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+    def test_huge_kappa_raises_singularity(self):
+        # 130 dB leaves a rank-one channel: every trial is singular.
+        cfg = make_cfg(kappa_up_db=130.0, kappa_down_db=130.0,
+                       aoa_deg=math.degrees(0.5), aod_deg=math.degrees(0.3))
+        rates = TrialEnsemble(cfg, 5, 48).relay_rates(1.0, 1.0, 9000.0, 9000.0)
+        assert np.isnan(rates).all()
+
+
+class TestScatteringDraws:
+    def test_trial_draw_moments(self):
+        # |h|^2 of a CN(0, 1) entry is Exp(1): E|h|^2 = 1, E|h|^4 = 2.  The
+        # fourth moment would read 3 with all the power in the real part.
+        cfg = make_cfg(1, 1, antennas=1, kappa_up_db=-4000.0,
+                       kappa_down_db=-4000.0, snr_reference="post_path_loss")
+        power = direct_power(cfg, 10000, 22, 1.0)
+        assert np.mean(power) == pytest.approx(1.0, abs=0.04)
+        assert np.mean(power ** 2) == pytest.approx(2.0, abs=0.2)
+
+
+class TestRicianMix:
+    def test_kappa_zero_is_pure_scattering(self):
+        # -4000 dB is kappa = 0: no line-of-sight weight at all.
+        cfg = make_cfg(2, 2, antennas=2, relay_antennas=2,
+                       kappa_up_db=-4000.0, kappa_down_db=-4000.0,
+                       snr_reference="post_path_loss")
+        got = TrialEnsemble(cfg, 10, 24).relay_rates(3.0, 3.0, 9000.0, 9000.0)
+        np.testing.assert_allclose(
+            got, oracle_rates(cfg, 24, 10, 3.0, oracles.scattering), rtol=1e-9)
+
+    def test_kappa_huge_is_pure_los(self):
+        power = direct_power(make_cfg(1, 1, antennas=1, kappa_up_db=120.0,
+                                      kappa_down_db=120.0,
+                                      snr_reference="post_path_loss"),
+                             50, 24, 1.0)
+        assert np.max(np.abs(power - 1.0)) < 1e-5
+
+    def test_kappa_one_is_equal_weights(self):
+        cfg = make_cfg(2, 2, antennas=2, relay_antennas=2, kappa_up_db=0.0,
+                       kappa_down_db=0.0, aoa_deg=math.degrees(0.4),
+                       aod_deg=math.degrees(0.7),
+                       snr_reference="post_path_loss")
+
+        def link(rng, rows, cols):
+            los = oracles.line_of_sight(cfg, rows, cols)
+            return (los + oracles.scattering(rng, rows, cols)) / math.sqrt(2.0)
+        got = TrialEnsemble(cfg, 10, 24).relay_rates(3.0, 3.0, 9000.0, 9000.0)
+        np.testing.assert_allclose(got, oracle_rates(cfg, 24, 10, 3.0, link),
+                                   rtol=1e-9)
+
+    def test_per_entry_power_preserved(self):
+        cfg = make_cfg(1, 1, antennas=1, kappa_up_db=10.0 * math.log10(4.0),
+                       kappa_down_db=10.0 * math.log10(4.0),
+                       snr_reference="post_path_loss")
+        power = direct_power(cfg, 4800, 25, 1.0)
+        assert np.mean(power) == pytest.approx(1.0, abs=0.05)
+
+
+class TestPathFactor:
+    """gain / d^2 before the SNR equals the SNR set after path loss."""
+
+    @staticmethod
+    def pair(gain: float, seed: int = 26) -> tuple[TrialEnsemble, ...]:
+        pre, post = (TrialEnsemble(make_cfg(2, 2, antennas=2,
+                                            relay_antennas=2, kappa_up_db=5.0,
+                                            kappa_down_db=5.0,
+                                            ref_gain_up=gain,
+                                            ref_gain_down=gain,
+                                            snr_reference=ref), 10, seed)
+                     for ref in ("pre_path_loss", "post_path_loss"))
+        return pre, post
+
+    def test_unit_reference(self):
+        pre, post = self.pair(1.0)
+        np.testing.assert_array_equal(pre.relay_rates(5.0, 5.0, 1.0, 1.0),
+                                      post.relay_rates(5.0, 5.0, 1.0, 1.0))
+
+    def test_gain_four_distance_two(self):
+        pre, post = self.pair(4.0)
+        np.testing.assert_array_equal(pre.relay_rates(5.0, 5.0, 2.0, 2.0),
+                                      post.relay_rates(5.0, 5.0, 2.0, 2.0))
+
+    def test_scale_factor_value(self):
+        # alpha / d^2 = 2 / 1000^2 on the amplitude, squared on the SNR.
+        pre, post = self.pair(2.0)
+        scale = 1e12
+        np.testing.assert_allclose(
+            pre.relay_rates(scale, scale, 1000.0, 1000.0),
+            post.relay_rates(scale * 2e-6**2, scale * 2e-6**2, 1000.0, 1000.0),
+            rtol=1e-15)
+
+    @pytest.mark.parametrize("dist", [0.0, -2.0])
+    def test_non_positive_rejected(self, dist):
+        # A positive ref gain is NetworkConfig's rule, in test_network.py.
+        ens = TrialEnsemble(make_cfg(1, 1, antennas=1, kappa_up_db=0.0,
+                                     kappa_down_db=0.0), 2, 26)
+        with pytest.raises(ValueError, match="d_sr_m must be positive"):
+            ens.relay_rates(1.0, 1.0, dist, 9000.0)
+        with pytest.raises(ValueError, match="d_rd_m must be positive"):
+            ens.relay_rates(1.0, 1.0, 9000.0, dist)
+
+    def test_commutes_with_rician_mix(self):
+        cfg = make_cfg(2, 2, antennas=2, relay_antennas=2,
+                       kappa_up_db=10.0 * math.log10(3.0),
+                       kappa_down_db=10.0 * math.log10(3.0),
+                       ref_gain_up=7.0, ref_gain_down=7.0,
+                       aoa_deg=math.degrees(0.9))
+        factor = 7.0 / 321.0**2
+
+        def link(rng, rows, cols):
+            los = oracles.line_of_sight(cfg, rows, cols) * factor
+            nlos = oracles.scattering(rng, rows, cols) * factor
+            return oracles.rician(cfg.kappa_up_db[0], los, nlos)
+        got = TrialEnsemble(cfg, 10, 26).relay_rates(1e9, 1e9, 321.0, 321.0)
+        np.testing.assert_allclose(got, oracle_rates(cfg, 26, 10, 1e9, link),
+                                   rtol=1e-9)
+
+
+class TestLinkComposition:
+    def test_kappa_zero_unit_gain_is_rayleigh(self):
+        # The direct link is each trial's third draw, after the two relay hops.
+        cfg = make_cfg(1, 1, antennas=1, kappa_up_db=-4000.0,
+                       kappa_down_db=-4000.0, snr_reference="post_path_loss")
+        power = direct_power(cfg, 20, 27, 1.0)
+        expected = []
+        for t in range(20):
+            rng = oracles.trial_stream(27, t)
+            for _ in range(2):
+                oracles.scattering(rng, 1, 1)
+            expected.append(abs(oracles.scattering(rng, 1, 1)[0, 0]) ** 2)
+        np.testing.assert_allclose(power, expected, rtol=1e-12)
+
+    def test_equals_explicit_composition(self):
+        cfg = make_cfg(2, 2, antennas=2, relay_antennas=2,
+                       kappa_up_db=10.0 * math.log10(6.0),
+                       kappa_down_db=10.0 * math.log10(6.0),
+                       ref_gain_up=2.5, ref_gain_down=2.5)
+        ens = TrialEnsemble(cfg, 10, 28)
+        got = ens.relay_rates(1e6, 1e6, 750.0, 750.0)
+        c_up, c_down, _ = oracles.trial_hop_rates(cfg, 28, 10, 1e6, 1e6,
+                                                  750.0, 750.0)
+        for got_t, expected in zip(got, oracles.relay_rate(2, 2, c_up, c_down)):
+            assert math.isclose(got_t, expected, rel_tol=1e-9)
+
+    def test_fixed_seed_reproducible(self):
+        cfg = make_cfg(2, 2, antennas=2, relay_antennas=2, kappa_up_db=3.0,
+                       kappa_down_db=3.0)
+        a, b = (TrialEnsemble(cfg, 10, 29, include_baseline=True)
+                for _ in range(2))
+        np.testing.assert_array_equal(a.relay_rates(5.0, 5.0, 9000.0, 9000.0),
+                                      b.relay_rates(5.0, 5.0, 9000.0, 9000.0))
+        np.testing.assert_array_equal(a.baseline_rates(5.0),
+                                      b.baseline_rates(5.0))
+
+    def test_mean_frobenius_power(self):
+        # E |h|^2 = (g/d^2)^2 for unit-power fading.
+        cfg = make_cfg(1, 1, antennas=1, kappa_up_db=10.0 * math.log10(5.0),
+                       kappa_down_db=10.0 * math.log10(5.0), ref_gain_up=3.0)
+        path = (3.0 / LAYOUT.d_sd_m**2) ** 2
+        power = direct_power(cfg, 10000, 30, 1.0 / path)
+        assert np.mean(power) == pytest.approx(path, rel=0.02)
 
 
 class TestChunking:
@@ -453,7 +808,7 @@ class TestChunking:
     @example(chunk=7, trials=150, seed=3)
     @example(chunk=64, trials=130, seed=3)
     def test_forms_do_not_depend_on_chunk_size(self, chunk, trials, seed):
-        cfg = make_cfg(**PARTLY_SINGULAR)
+        cfg = sweep_cfg(**PARTLY_SINGULAR)
         whole = TrialEnsemble(cfg, trials, seed, include_baseline=True)
         width = draw_width(cfg, include_baseline=True)
         assert simulator._CHUNK_DRAWS // width >= trials
@@ -465,8 +820,7 @@ class TestChunking:
     def test_one_matrix_chunk_matches_the_whole(self, monkeypatch):
         # One 9 x 9 link per hop and trials = 2 * chunk + 1, so the last
         # chunk hands each kernel call a single matrix.
-        cfg = make_cfg(num_haps=1, num_gs=1, antennas_per_node=9,
-                       relay_antennas=9, all_streams=True)
+        cfg = sweep_cfg(1, 1, antennas=9, relay_antennas=9, all_streams=True)
         whole = TrialEnsemble(cfg, 129, 3)
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 64 * draw_width(cfg))
         assert self.stored(TrialEnsemble(cfg, 129, 3)) == self.stored(whole)
@@ -474,10 +828,9 @@ class TestChunking:
     @pytest.mark.parametrize("cfg,baseline,groups", [
         (load_scenario("scenarios/snr_sweep.yaml").network, True,
          [("first_stream_quadforms", 6), ("all_stream_quadforms", 9)]),
-        (make_cfg(num_haps=4, num_gs=4, antennas_per_node=9,
-                  relay_antennas=9, all_streams=True), False,
-         [("all_stream_quadforms", 8)]),
-        (make_cfg(all_streams=True), True, [("all_stream_quadforms", 15)]),
+        (sweep_cfg(4, 4, antennas=9, relay_antennas=9, all_streams=True),
+         False, [("all_stream_quadforms", 8)]),
+        (sweep_cfg(all_streams=True), True, [("all_stream_quadforms", 15)]),
     ], ids=["snr-scenario", "9x9-all-streams", "3x3-all-streams-baseline"])
     def test_kernel_calls_stay_within_the_budget(self, monkeypatch, cfg,
                                                  baseline, groups):
@@ -505,7 +858,7 @@ class TestChunking:
     def test_joined_calls_equal_one_call_per_hop(self):
         # One all-stream call serves all three hops of PARTLY_SINGULAR; each
         # hop's forms and flags are the bits of a call on that hop alone.
-        cfg = make_cfg(**PARTLY_SINGULAR)
+        cfg = sweep_cfg(**PARTLY_SINGULAR)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
         assert len(simulator._runs(ens._hops)) == 1
         x = np.empty((150, ens._hops[-1].span.stop))
@@ -524,8 +877,8 @@ class TestChunking:
     @pytest.mark.parametrize("cfg,baseline", [
         (load_scenario("scenarios/snr_sweep.yaml").network, True),
         (load_scenario("scenarios/altitude_sweep.yaml").network, False),
-        (make_cfg(num_haps=4, num_gs=4, antennas_per_node=9,
-                  relay_antennas=9, all_streams=True), False),
+        (sweep_cfg(4, 4, antennas=9, relay_antennas=9, all_streams=True),
+         False),
     ], ids=["snr-baseline", "altitude", "9x9-all-streams"])
     def test_build_working_set_is_a_few_chunks(self, cfg, baseline):
         # Beyond the stored forms and flags, a build holds one chunk's
@@ -544,7 +897,7 @@ class TestChunking:
         assert peak - kept <= 4 * 8 * simulator._CHUNK_DRAWS
 
     def test_example_has_singular_and_regular_trials(self):
-        ens = TrialEnsemble(make_cfg(**PARTLY_SINGULAR), 150, 3,
+        ens = TrialEnsemble(sweep_cfg(**PARTLY_SINGULAR), 150, 3,
                             include_baseline=True)
         failed = ens._failed[0] | ens._failed[2]
         assert 0 < failed.sum() < failed.size
@@ -583,7 +936,7 @@ class TestHopRates:
         # Forms are stored trial-last, one row per link and stream.  Any
         # block of points, and any leading block of trials, must give the
         # whole's bits: 150 trials against 149 and a one-trial ensemble.
-        cfg = make_cfg(**PARTLY_SINGULAR)
+        cfg = sweep_cfg(**PARTLY_SINGULAR)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
         # Every hop of PARTLY_SINGULAR counts all streams.
         kind = ens._hops[hop]
@@ -654,7 +1007,7 @@ class TestGridPasses:
 
     @pytest.mark.parametrize("reference", ["pre_path_loss", "post_path_loss"])
     def test_grid_equals_single_points(self, reference):
-        cfg = make_cfg(**PARTLY_SINGULAR, snr_reference=reference)
+        cfg = sweep_cfg(**PARTLY_SINGULAR, snr_reference=reference)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
         failed = ens._failed[0] | ens._failed[1]
         assert 0 < failed.sum() < failed.size
@@ -698,8 +1051,8 @@ class TestGridPasses:
     @pytest.mark.parametrize("points", [1, 2, 3, 7])
     def test_sweeps_do_not_depend_on_points_per_pass(self, monkeypatch,
                                                       points):
-        cfg = make_cfg(**PARTLY_SINGULAR, hap_power=4000.0,
-                       relay_power=4000.0)
+        cfg = sweep_cfg(**PARTLY_SINGULAR, hap_power=4000.0,
+                        relay_power=4000.0)
         whole = self.curves(cfg)
         assert simulator._CHUNK_DRAWS // 150 >= 41
         # Also splits the draws into chunks of a trial or a few.
@@ -761,7 +1114,7 @@ class TestOperatingPoints:
         # The downlink overflows from the second point on and the uplink
         # only at the last, as one call per point would find.
         # Path factors 1e6 and 1e10; the largest forms lie in (0.1, 100).
-        cfg = make_cfg(ref_gain_up=8.1e10, ref_gain_down=8.1e12)
+        cfg = sweep_cfg(ref_gain_up=8.1e10, ref_gain_down=8.1e12)
         ens = TrialEnsemble(cfg, 20, 4)
         assert all(0.1 < q.max() < 100.0 for q in ens._q)
         gammas = np.array([1e290, 1e300, 1e305])
@@ -780,7 +1133,7 @@ class TestOperatingPoints:
     def test_baseline_raises_as_its_first_bad_point(self, gammas, bad):
         # Path factor 6.25e8 on the 18 km direct links; with the largest
         # form in (0.3, 100) the SNR overflows at 1e300 but not at 1e290.
-        cfg = make_cfg(ref_gain_direct=8.1e12)
+        cfg = sweep_cfg(ref_gain_direct=8.1e12)
         ens = TrialEnsemble(cfg, 20, 4, include_baseline=True)
         assert 0.3 < ens._q[simulator._DIRECT].max() < 100.0
         with pytest.raises(ValueError) as one:
@@ -791,7 +1144,7 @@ class TestOperatingPoints:
         ens.baseline_rates(np.array(gammas[:bad]))
 
     def test_far_field_checked_at_every_point(self):
-        cfg = make_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
+        cfg = sweep_cfg(rx_spacing_m=0.5, tx_spacing_m=0.5)
         ens = TrialEnsemble(cfg, 3, 1)
         d = np.array([9000.0, 40.0, 9000.0])
         with pytest.raises(ValueError, match="d_rd_m = 40 m .* far-field"):
@@ -800,7 +1153,7 @@ class TestOperatingPoints:
             ens.relay_rates(1.0, 1.0, d, d)
 
     def test_distance_whose_square_overflows_rejected(self):
-        ens = TrialEnsemble(make_cfg(), 3, 1)
+        ens = TrialEnsemble(sweep_cfg(), 3, 1)
         d = np.array([9000.0, 1e200])
         with pytest.raises(ValueError, match="d_rd_m = 1e.200 m is too long"):
             ens.relay_rates(1.0, 1.0, 9000.0, d)
@@ -808,7 +1161,7 @@ class TestOperatingPoints:
             ens.relay_rates(1.0, 1.0, d, 9000.0)
 
     def test_two_dimensional_points_rejected(self):
-        ens = TrialEnsemble(make_cfg(), 3, 1)
+        ens = TrialEnsemble(sweep_cfg(), 3, 1)
         with pytest.raises(ValueError, match="1-D"):
             ens.relay_rates(np.ones((2, 2)), 1.0, 9000.0, 9000.0)
 
@@ -832,7 +1185,7 @@ class TestOperatingPoints:
                              ids=["bool", "numpy-bool", "str", "str-array",
                                   "none", "mixed-list", "complex"])
     def test_points_that_are_not_numbers_rejected(self, bad):
-        ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
+        ens = TrialEnsemble(sweep_cfg(), 3, 1, include_baseline=True)
         good = (2.0, 3.0, 9000.0, 9000.0)
         for i in range(4):
             args = good[:i] + (bad,) + good[i + 1:]
@@ -842,7 +1195,7 @@ class TestOperatingPoints:
             ens.baseline_rates(bad)
 
     def test_numpy_number_points_equal_python_floats(self):
-        ens = TrialEnsemble(make_cfg(), 3, 1, include_baseline=True)
+        ens = TrialEnsemble(sweep_cfg(), 3, 1, include_baseline=True)
         want = ens.relay_rates(2.0, 3.0, 9000.0, 9000.0).tobytes()
         for got in (ens.relay_rates(np.float32(2.0), np.int64(3),
                                     np.float32(9000.0), np.int64(9000)),
@@ -857,23 +1210,23 @@ class TestOperatingPoints:
     def test_points_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="broadcast"):
             simulator._operating_points(np.ones(2), 1.0, np.ones(3))
-        ens = TrialEnsemble(make_cfg(), 3, 1)
+        ens = TrialEnsemble(sweep_cfg(), 3, 1)
         with pytest.raises(ValueError, match="broadcast"):
             ens.relay_rates(np.ones(2), 1.0, np.full(3, 9000.0), 9000.0)
 
 
 class TestOptimalAltitude:
     def test_symmetric_network_peaks_at_midpoint(self):
-        cfg = make_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
-                       hap_power=4000.0, relay_power=4000.0)
+        cfg = sweep_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
+                        hap_power=4000.0, relay_power=4000.0)
         alt = find_optimal_altitude(TrialEnsemble(cfg, 300, 12345),
                                     4000.0, 14000.0, 50.0)
         assert abs(alt - 9000.0) <= 150.0
 
     def test_matches_exhaustive_grid(self):
-        cfg = make_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
-                       ref_gain_down=3.24e8,
-                       hap_power=4000.0, relay_power=4000.0)
+        cfg = sweep_cfg(kappa_up_db=20.0, kappa_down_db=20.0,
+                        ref_gain_down=3.24e8,
+                        hap_power=4000.0, relay_power=4000.0)
         spec = SweepSpec(RELAY_ALTITUDE_M, 4000.0, 14000.0, 250.0,
                          trials=300, master_seed=99)
         ens = TrialEnsemble(cfg, 300, 99)
@@ -883,13 +1236,13 @@ class TestOptimalAltitude:
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError, match="lo must be"):
-            find_optimal_altitude(TrialEnsemble(make_cfg(), 2, 12345),
+            find_optimal_altitude(TrialEnsemble(sweep_cfg(), 2, 12345),
                                   9000.0, 9000.0, 10.0)
 
     @pytest.mark.parametrize("bad", ["4000", True])
     @pytest.mark.parametrize("key", ["lo", "hi", "tol"])
     def test_non_number_bracket_rejected(self, key, bad):
-        ens = TrialEnsemble(make_cfg(), 2, 12345)
+        ens = TrialEnsemble(sweep_cfg(), 2, 12345)
         bracket = {"lo": 4000.0, "hi": 14000.0, "tol": 500.0, key: bad}
         with pytest.raises(ValueError, match=f"^{key} must be a number"):
             check_altitude_bracket(ens.cfg, *bracket.values())
@@ -897,13 +1250,13 @@ class TestOptimalAltitude:
             find_optimal_altitude(ens, *bracket.values())
 
     def test_bracket_returned_as_floats(self):
-        got = check_altitude_bracket(make_cfg(), np.float64(4000.0), 14000,
+        got = check_altitude_bracket(sweep_cfg(), np.float64(4000.0), 14000,
                                      np.float32(500.0))
         assert got == (4000.0, 14000.0, 500.0)
         assert all(type(v) is float for v in got)
 
     def test_all_singular_returns_nan(self):
-        cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
+        cfg = sweep_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         alt = find_optimal_altitude(TrialEnsemble(cfg, 20, 4),
                                     4000.0, 14000.0, 250.0)
         assert math.isnan(alt)
@@ -912,7 +1265,7 @@ class TestOptimalAltitude:
     def test_objective_is_the_curve_points_mean(self, overrides):
         # The search's value at an altitude carries the bits of the mean
         # an altitude sweep reports there, with or without failed trials.
-        ens = TrialEnsemble(make_cfg(**overrides), 150, 3)
+        ens = TrialEnsemble(sweep_cfg(**overrides), 150, 3)
         assert ens._relay_failed.any() == bool(overrides)
         objective = simulator._mean_relay_rate(ens)
         for alt in (4000.0, 7321.5, 9000.0, 13999.0):
@@ -940,8 +1293,8 @@ class TestOptimalAltitude:
             return bounded
 
         monkeypatch.setattr(simulator, "_mean_relay_rate", capped)
-        cfg = make_cfg(kappa_up_db=30.0, kappa_down_db=15.0,
-                       hap_power=400.0, relay_power=400.0)
+        cfg = sweep_cfg(kappa_up_db=30.0, kappa_down_db=15.0,
+                        hap_power=400.0, relay_power=400.0)
         ens = TrialEnsemble(cfg, 20, 7)
         coarse = find_optimal_altitude(ens, 1000.0, 17500.0, 1e-9)
         assert coarse > 8192.0  # where the float64 step exceeds 1e-12
@@ -949,6 +1302,6 @@ class TestOptimalAltitude:
                    - coarse) <= 1e-9
 
     def test_objective_is_nan_without_valid_trials(self):
-        cfg = make_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
+        cfg = sweep_cfg(kappa_up_db=200.0, kappa_down_db=200.0)
         objective = simulator._mean_relay_rate(TrialEnsemble(cfg, 20, 4))
         assert math.isnan(objective(9000.0))
