@@ -35,7 +35,8 @@ search bracket ends 0.1 m below the platforms, inside the far field.
 Last, geometry on snr_sweep.yaml (baseline on, as shipped) with the
 platforms at 1.9e154 m and the relay at 0.95e154 m, where only the direct
 link's square overflows float64, so snr-sweep rejects it and geometry
-reports far_field_ok=no.
+reports far_field_ok=no.  And an snr-sweep on snr_sweep.yaml with a
+second trials line appended, a key given twice, which exits 2.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def write_inputs(inputs: str) -> None:
     snr_sweep.yaml, all streams (baseline on, as shipped), all-singular, a
     wide downlink and a direct link whose square overflows, and two of
     altitude_sweep.yaml, one with some singular trials and one whose sweep
-    stops inside the platforms' far field."""
+    stops inside the platforms' far field, and snr_sweep.yaml with its
+    trials key given twice."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
@@ -85,6 +87,12 @@ def write_inputs(inputs: str) -> None:
         with open(os.path.join(inputs, f"{name}.yaml"), "w",
                   encoding="utf-8") as fh:
             yaml.safe_dump({**mapping, **changes}, fh, sort_keys=False)
+    # yaml.safe_dump cannot write a key twice, so the line goes in as text.
+    shutil.copy(os.path.join(ROOT, "scenarios", "snr_sweep.yaml"),
+                os.path.join(inputs, "duplicate_key.yaml"))
+    with open(os.path.join(inputs, "duplicate_key.yaml"), "a",
+              encoding="utf-8") as fh:
+        fh.write("trials: 7\n")
 
 
 def runs() -> list[tuple[str, list[str], int]]:
@@ -125,6 +133,8 @@ def runs() -> list[tuple[str, list[str], int]]:
                  "--cross-check"], 2))
     out.append(("geometry-direct-overflow",
                 ["geometry", "--config", "inputs/direct_overflow.yaml"], 0))
+    out.append(("duplicate-key",
+                ["snr-sweep", "--config", "inputs/duplicate_key.yaml"], 2))
     return out
 
 

@@ -117,6 +117,23 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 None, None, "integer has too many digits", node.start_mark
             ) from None
 
+    def construct_mapping(self, node, deep=False):
+        """The mapping, or a ConstructorError at the second mark of a key
+        given twice, where PyYAML would keep the last value.  Merged keys
+        are not checked, and an unhashable key is left to the parent."""
+        seen = []
+        pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+        for key_node, _ in pairs:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}",
+                    key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
 
 _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
 # YAML 1.1 reads a float only with a dot and a signed exponent, so 8.1e7 and

@@ -280,36 +280,17 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     return tuple(hops)
 
 
-class _Run(NamedTuple):
-    """Consecutive hops that share a matrix shape and a kernel, as the relay
-    hops do in every CLI sweep, with the baseline under all_streams.  A
-    chunk makes one kernel call for the whole run, its hops' links joined
-    in hop order; their draws are already adjacent in a trial's fill."""
-
-    links: tuple[int, ...]        # each hop's link count, in hop order
-    span: slice                   # the run's columns of a trial's fill
-    los: np.ndarray               # the hops' line-of-sight stacks, joined
-    a: np.ndarray
-    b: np.ndarray
-    all_streams: bool
+def _runs(hops: tuple[_Hop, ...]) -> tuple[tuple[_Hop, ...], ...]:
+    """The hops grouped, in hop order, into runs of consecutive hops that
+    share a matrix shape and a kernel, as the relay hops do in every CLI
+    sweep, with the baseline under all_streams.  A chunk makes one kernel
+    call for the whole run, its hops' links joined in hop order; their
+    draws are already adjacent in a trial's fill."""
+    return tuple(tuple(run) for _, run in itertools.groupby(
+        hops, key=lambda hop: (hop.shape, hop.all_streams)))
 
 
-def _runs(hops: tuple[_Hop, ...]) -> tuple[_Run, ...]:
-    """The hops grouped into runs, in hop order."""
-    runs = []
-    for (_, all_streams), group in itertools.groupby(
-            hops, key=lambda hop: (hop.shape, hop.all_streams)):
-        group = list(group)
-        runs.append(_Run(tuple(hop.links for hop in group),
-                         slice(group[0].span.start, group[-1].span.stop),
-                         np.concatenate([hop.los for hop in group]),
-                         np.concatenate([hop.a for hop in group]),
-                         np.concatenate([hop.b for hop in group]),
-                         all_streams))
-    return tuple(runs)
-
-
-def _draw_chunk(runs: tuple[_Run, ...], master_seed: int, lo: int,
+def _draw_chunk(runs: tuple[tuple[_Hop, ...], ...], master_seed: int, lo: int,
                 q_out: list[np.ndarray], failed_out: list[np.ndarray]) -> None:
     """Draw trials lo..lo+n-1 and reduce them into hop i's views: q_out[i]
     (forms, n) takes its forms trial-last and failed_out[i] (n,) whether any
@@ -319,22 +300,24 @@ def _draw_chunk(runs: tuple[_Run, ...], master_seed: int, lo: int,
     is kept past its call, so the kernel can free them once it has mixed H
     (where the interpreter hands the argument over, as CPython 3.11 does)."""
     n = len(failed_out[0])
-    x = np.empty((n, runs[-1].span.stop))
+    x = np.empty((n, runs[-1][-1].span.stop))
     streams.fill_trials(master_seed, lo, x)
     nlos = []
     for run in runs:
-        shape = (n, sum(run.links), 2, *run.los.shape[1:])
-        z = x[:, run.span].reshape(shape)
+        shape = (n, sum(hop.links for hop in run), 2, *run[0].shape)
+        z = x[:, run[0].span.start:run[-1].span.stop].reshape(shape)
         nlos.append(np.empty(z[:, :, 0].shape, dtype=np.complex128))
         np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos[-1].real)
         np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos[-1].imag)
     del x, z
     views = zip(q_out, failed_out)
     for run in runs:
-        kernel = (kernels.all_stream_quadforms if run.all_streams
+        kernel = (kernels.all_stream_quadforms if run[0].all_streams
                   else kernels.first_stream_quadforms)
-        q, singular = kernel(run.los, nlos.pop(0), run.a, run.b)
-        bounds = np.cumsum(run.links)[:-1]
+        los, a, b = (np.concatenate(parts)
+                     for parts in zip(*((hop.los, hop.a, hop.b) for hop in run)))
+        q, singular = kernel(los, nlos.pop(0), a, b)
+        bounds = np.cumsum([hop.links for hop in run])[:-1]
         for q_hop, singular_hop, (q_view, failed_view) in zip(
                 np.split(q, bounds, axis=1), np.split(singular, bounds, axis=1),
                 views):

@@ -533,6 +533,19 @@ class TestExitCodes:
         assert "line 1," in err
         assert "set_int_max_str_digits" not in err
 
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(yaml.safe_dump(snr_keys(trials=50)) + "trials: 7\n",
+                       encoding="utf-8")
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert not out.exists()
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"error: invalid YAML in {cfg}: found "
+                              "duplicate key 'trials'\n")
+
     def test_trials_beyond_one_spawn_word_exit_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"

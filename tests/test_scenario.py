@@ -185,6 +185,27 @@ class TestLoading:
         assert str(err.value).startswith(f"invalid YAML in {path}: ")
         assert f'in "{path}", line 2' in str(err.value)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # PyYAML alone keeps the last value of a repeated key.
+        path = tmp_path / "twice.yaml"
+        path.write_text("trials: 50\nnum_haps: 2\ntrials: 7\n",
+                        encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == (f"invalid YAML in {path}: found duplicate "
+                                  f"key 'trials'\n  in \"{path}\", line 3, "
+                                  "column 1")
+
+    def test_repeated_per_link_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.yaml"
+        path.write_text("kappa_up_db: [30.0, 20.0, 10.0]\n"
+                        "kappa_up_db: [5.0, 5.0, 5.0]\n", encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == (f"invalid YAML in {path}: found duplicate "
+                                  f"key 'kappa_up_db'\n  in \"{path}\", "
+                                  "line 2, column 1")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(str(tmp_path / "nope.yaml"))

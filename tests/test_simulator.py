@@ -827,16 +827,24 @@ class TestChunking:
 
     @pytest.mark.parametrize("cfg,baseline,groups", [
         (load_scenario("scenarios/snr_sweep.yaml").network, True,
-         [("first_stream_quadforms", 6), ("all_stream_quadforms", 9)]),
+         [("first_stream_quadforms", 6, (4, 4)),
+          ("all_stream_quadforms", 9, (4, 4))]),
         (sweep_cfg(4, 4, antennas=9, relay_antennas=9, all_streams=True),
-         False, [("all_stream_quadforms", 8)]),
-        (sweep_cfg(all_streams=True), True, [("all_stream_quadforms", 15)]),
-    ], ids=["snr-scenario", "9x9-all-streams", "3x3-all-streams-baseline"])
+         False, [("all_stream_quadforms", 8, (9, 9))]),
+        (sweep_cfg(all_streams=True), True,
+         [("all_stream_quadforms", 15, (4, 4))]),
+        (sweep_cfg(relay_antennas=5), True,
+         [("first_stream_quadforms", 3, (5, 4)),
+          ("first_stream_quadforms", 3, (4, 5)),
+          ("all_stream_quadforms", 9, (4, 4))]),
+    ], ids=["snr-scenario", "9x9-all-streams", "3x3-all-streams-baseline",
+            "3x3-wide-relay-baseline"])
     def test_kernel_calls_stay_within_the_budget(self, monkeypatch, cfg,
                                                  baseline, groups):
         # Two full chunks and a one-trial tail.  Each chunk makes one call
         # per group of consecutive hops that share a shape and a kernel:
-        # the relay hops join, and with all streams the direct links too.
+        # the relay hops join, and with all streams the direct links too,
+        # but hops of one kernel and different shapes do not.
         trials = 2 * (simulator._CHUNK_DRAWS // draw_width(cfg, baseline)) + 1
         calls = []
         for name in ("first_stream_quadforms", "all_stream_quadforms"):
@@ -846,8 +854,7 @@ class TestChunking:
             monkeypatch.setattr(kernels, name, spy)
         TrialEnsemble(cfg, trials, 5, include_baseline=baseline)
         assert len(calls) == 3 * len(groups)
-        shape = (cfg.antennas_per_node, cfg.antennas_per_node)
-        for i, (name, links) in enumerate(groups):
+        for i, (name, links, shape) in enumerate(groups):
             group = calls[i::len(groups)]
             assert {call for call, _ in group} == {name}
             assert {nlos[1:] for _, nlos in group} == {(links, *shape)}
