@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import functools
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterable
 from itertools import repeat
@@ -144,6 +147,22 @@ def _all_singular() -> int:
     return 3
 
 
+def _check_out(path: str) -> None:
+    """Raise, before any draw and without creating the file, the OSError
+    that writing the CSV to path would: path is a directory, or its
+    directory is missing or not a directory."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            if stat.S_ISDIR(os.stat(os.path.dirname(path) or os.curdir).st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_csv(path: str, header: str, curve: SumRateCurve,
                *extra: Iterable[str]) -> None:
     """header, then one row per point of curve: x, mean rate, std err,
@@ -157,6 +176,7 @@ def _write_csv(path: str, header: str, curve: SumRateCurve,
 
 
 def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
+    _check_out(out_path)
     result = run_snr_sweep(scenario.network, scenario.sweep,
                            include_baseline=scenario.include_baseline)
     base = (repeat("") if result.baseline is None
@@ -184,6 +204,7 @@ def _cmd_altitude_sweep(scenario: Scenario, out_path: str,
     check_altitude_bracket(scenario.network, sweep.start,
                            sweep.stop if cross_check else sweep.grid()[-1],
                            sweep.step)
+    _check_out(out_path)
     ens = _ensemble(scenario)
     curve = run_altitude_sweep(ens, sweep)
     _write_csv(out_path, "relay_altitude_m,mean_rate_bps_hz,std_err,trials_failed",

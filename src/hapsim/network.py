@@ -16,9 +16,9 @@ evaluates it per trial over the kernels' quadratic forms.  The config also
 owns the far-field rule (far_field_m, the shortest admissible link, and
 check_far_field(), the one test of a distance: past that limit, and short
 enough that its square fits a float64) and wide_hop(), the one test that
-zero forcing can serve both hops.  dof() returns the high-SNR slope
-M*N*A / (M + N - 1), which carries the per-node antenna count and is
-deliberately a separate quantity from the capacity prefactor.
+zero forcing can serve both hops.  dof() returns M*N*A / (M + N - 1), the
+degrees of freedom of the M x N MIMO X network without a relay, a quantity
+separate from the capacity prefactor and from the relay curve's slope.
 
 Every link mixes a deterministic line-of-sight matrix with an i.i.d.
 Rayleigh scattering matrix,
@@ -321,7 +321,7 @@ def wide_hop(cfg: NetworkConfig) -> str | None:
 
 
 def dof(num_tx: int, num_rx: int, antennas: int) -> float:
-    """Degrees of freedom M*N*A / (M + N - 1) of the M x N network."""
+    """Degrees of freedom M*N*A / (M + N - 1) of the M x N X network, no relay."""
     m, n, a = map(_integer, ("num_tx", "num_rx", "antennas"), (num_tx, num_rx, antennas))
     if m < 1 or n < 1 or a < 1:
         raise ValueError(f"counts must be >= 1, got ({m}, {n}, {a})")

@@ -168,27 +168,21 @@ def _budget_slices(count: int, per_item: int) -> Iterator[slice]:
 
 
 def _operating_points(*values) -> tuple[bool, list[np.ndarray]]:
-    """values broadcast to 1-D float64 arrays, and whether all were scalars.
+    """values broadcast to 1-D float64 arrays by np.broadcast_arrays, and
+    whether all were scalars.
 
     Each value must hold integers or floats: a bool, a string or any other
-    object raises ValueError.  Broadcasting follows numpy's rule for at most
-    one axis: every 1-D value has length 1 or the common length.
+    object raises ValueError, as do a value of more than one axis and
+    lengths that do not broadcast.
     """
     arrays = [np.asarray(v) for v in values]
     for v, a in zip(values, arrays):
         if a.dtype.kind not in "iuf":
             raise ValueError(f"operating points must be numbers, got {v!r}")
-    arrays = [a.astype(float, copy=False) for a in arrays]
     if any(a.ndim > 1 for a in arrays):
         raise ValueError("operating points must be scalars or 1-D arrays")
-    lengths = {len(a) for a in arrays if a.ndim} - {1}
-    if len(lengths) > 1:
-        raise ValueError(f"operating points of lengths {sorted(lengths)} "
-                         "do not broadcast together")
-    n = lengths.pop() if lengths else 1
-    return (all(a.ndim == 0 for a in arrays),
-            [a.reshape(-1) if a.size == n else np.full(n, a.reshape(-1)[0])
-             for a in arrays])
+    arrays = np.broadcast_arrays(*(a.astype(float, copy=False) for a in arrays))
+    return arrays[0].ndim == 0, [a.reshape(-1) for a in arrays]
 
 
 def _valid_trials(rates: np.ndarray) -> tuple[np.ndarray, int]:

@@ -1,5 +1,9 @@
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 import hapsim
 
 SRC = Path(hapsim.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -18,6 +23,31 @@ def test_all_lists_exactly_the_public_names():
               and not isinstance(value, types.ModuleType)}
     assert public == set(hapsim.__all__)
     assert len(hapsim.__all__) == len(set(hapsim.__all__))
+
+
+def test_all_is_the_readme_library_api():
+    # The names the README's python examples import from the package root,
+    # and the two result types those examples return.
+    blocks = re.findall(r"```python\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.S)
+    documented = {alias.name for block in blocks
+                  for node in ast.walk(ast.parse(block))
+                  if isinstance(node, ast.ImportFrom) and node.module == "hapsim"
+                  for alias in node.names}
+    assert sorted(hapsim.__all__) == sorted(
+        documented | {"SumRateCurve", "SnrSweepResult"})
+
+
+def test_import_loads_no_scenario_layer():
+    # Scenario files are the CLI's; a library caller's import skips the
+    # scenario module and PyYAML.
+    code = ("import sys, hapsim; "
+            "print(sorted({'yaml', 'hapsim.scenario'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _hapsim_imports(path: Path) -> set[str]:

@@ -669,6 +669,26 @@ class TestExitCodes:
         out = tmp_path / "no_such_dir" / "curve.csv"
         assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 4
 
+    @pytest.mark.parametrize("command,keys", [
+        ("snr-sweep", snr_keys()),
+        ("altitude-sweep", altitude_keys()),
+    ], ids=["snr", "altitude"])
+    @pytest.mark.parametrize("out,message", [
+        ("no_such_dir/curve.csv", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "directory"])
+    def test_unusable_output_exits_4_before_drawing(
+            self, tmp_path, capsys, monkeypatch, command, keys, out, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("TrialEnsemble built")
+        monkeypatch.setattr(simulator.TrialEnsemble, "__init__", no_draws)
+        out = str(tmp_path / out)
+        argv = [command, "--config", write_scenario(tmp_path, **keys),
+                "--out", out]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {message}: {out!r}\n"
+        assert not (tmp_path / "no_such_dir").exists()
+
     def test_missing_required_args_raise_system_exit(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["snr-sweep"])
