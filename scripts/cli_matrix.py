@@ -32,11 +32,16 @@ and two input errors that exit 2: an snr-sweep on snr_sweep.yaml with
 relay_antennas 5, a downlink wider than tall, and an altitude-sweep
 --cross-check on altitude_sweep.yaml with sweep_stop 17999.9, whose
 search bracket ends 0.1 m below the platforms, inside the far field.
-Last, geometry on snr_sweep.yaml (baseline on, as shipped) with the
+Then geometry on snr_sweep.yaml (baseline on, as shipped) with the
 platforms at 1.9e154 m and the relay at 0.95e154 m, where only the direct
 link's square overflows float64, so snr-sweep rejects it and geometry
 reports far_field_ok=no.  And an snr-sweep on snr_sweep.yaml with a
-second trials line appended, a key given twice, which exits 2.
+second trials line appended, a key given twice, which exits 2, and an
+optimal-altitude --tol inf on altitude_sweep_symmetric.yaml, which exits
+2 before any draw.  Last, the command line itself: --help of the CLI and
+of each subcommand, which exit 0, and a call with no arguments, which
+prints the usage and exits 2.  Every run has COLUMNS=80 in its
+environment, so the help and usage text wraps the same in any terminal.
 """
 
 from __future__ import annotations
@@ -135,6 +140,14 @@ def runs() -> list[tuple[str, list[str], int]]:
                 ["geometry", "--config", "inputs/direct_overflow.yaml"], 0))
     out.append(("duplicate-key",
                 ["snr-sweep", "--config", "inputs/duplicate_key.yaml"], 2))
+    out.append(("optimal-tol-inf",
+                ["optimal-altitude", "--config",
+                 "inputs/altitude_sweep_symmetric.yaml", "--tol", "inf"], 2))
+    out.append(("help", ["--help"], 0))
+    for command in ("geometry", "snr-sweep", "altitude-sweep",
+                    "optimal-altitude"):
+        out.append((f"help-{command}", [command, "--help"], 0))
+    out.append(("no-arguments", [], 2))
     return out
 
 
@@ -147,12 +160,13 @@ def main(argv: list[str]) -> int:
         print(f"error: {outdir} exists; give a new directory", file=sys.stderr)
         return 2
     write_inputs(os.path.join(outdir, "inputs"))
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               COLUMNS="80")
     mismatches = 0
     for name, args, want in runs():
         run_dir = os.path.join(outdir, name)
         os.makedirs(run_dir)
-        if args[0] in ("snr-sweep", "altitude-sweep"):
+        if args[:1] in (["snr-sweep"], ["altitude-sweep"]):
             args = [*args, "--out", os.path.join(name, "out.csv")]
         proc = subprocess.run([sys.executable, "-m", "hapsim.cli", *args],
                               cwd=outdir, env=env, capture_output=True)

@@ -75,37 +75,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "platform-to-ground MIMO network",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--config", required=True, metavar="PATH",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, metavar="PATH",
                         help="scenario YAML file")
-        sp.add_argument("--seed", type=int, metavar="U64",
+    common.add_argument("--seed", type=int, metavar="U64",
                         help="override master_seed")
-        sp.add_argument("--trials", type=int, metavar="N",
+    common.add_argument("--trials", type=int, metavar="N",
                         help="override trials per point")
-        sp.add_argument("--dump-config", action="store_true",
+    common.add_argument("--dump-config", action="store_true",
                         help="print the effective scenario as YAML and exit")
-
-    sp = sub.add_parser("geometry",
-                        help="print spacings, link distances, and feasibility")
-    common(sp)
-
-    sp = sub.add_parser("snr-sweep",
-                        help="mean sum-rate vs transmit SNR, written as CSV")
-    common(sp)
-    sp.add_argument("--out", required=True, metavar="CSV", help="output file")
-
-    sp = sub.add_parser("altitude-sweep",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", required=True, metavar="CSV", help="output file")
+    sub.add_parser("geometry", parents=[common],
+                   help="print spacings, link distances, and feasibility")
+    sub.add_parser("snr-sweep", parents=[common, output],
+                   help="mean sum-rate vs transmit SNR, written as CSV")
+    sp = sub.add_parser("altitude-sweep", parents=[common, output],
                         help="mean sum-rate vs relay altitude, written as CSV")
-    common(sp)
-    sp.add_argument("--out", required=True, metavar="CSV", help="output file")
     sp.add_argument("--cross-check", action="store_true",
                     help="also refine the optimum by golden-section search "
                          "on the same trials")
-
-    sp = sub.add_parser("optimal-altitude",
+    sp = sub.add_parser("optimal-altitude", parents=[common],
                         help="golden-section search for the best relay altitude")
-    common(sp)
     sp.add_argument("--lo", type=float, metavar="M", help="lower altitude bound")
     sp.add_argument("--hi", type=float, metavar="M", help="upper altitude bound")
     sp.add_argument("--tol", type=float, metavar="M",
@@ -257,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "altitude-sweep":
             return _cmd_altitude_sweep(scenario, args.out, args.cross_check)
         return _cmd_optimal_altitude(scenario, args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: trials too many to store
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

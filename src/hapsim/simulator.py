@@ -442,17 +442,20 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
     """The relay altitude bracket [lo, hi] and resolution tol as floats;
     ValueError unless they are numbers and usable.
 
-    It needs lo < hi, a positive tol (the golden-section stopping width or
-    the grid step), a bracket strictly between the ground stations and the
-    platforms that leaves each hop past the far-field limit and its square
-    within float64, and a positive, finite snr scale on each hop.  Callers
-    that build a trial ensemble check first, so bad input costs no draws.
+    It needs lo < hi, a positive, finite tol (the golden-section stopping
+    width or the grid step), a bracket strictly between the ground stations
+    and the platforms that leaves each hop past the far-field limit and its
+    square within float64, and a positive, finite snr scale on each hop.
+    Callers that build a trial ensemble check first, so bad input costs no
+    draws.
     """
     lo, hi, tol = _number("lo", lo), _number("hi", hi), _number("tol", tol)
     if not lo < hi:
         raise ValueError(f"lo must be < hi, got ({lo!r}, {hi!r})")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if math.isinf(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     lay = cfg.layout
     if not lay.gs_altitude_m < lo < hi < lay.hap_altitude_m:
         raise ValueError(

@@ -13,6 +13,7 @@ import hapsim
 
 SRC = Path(hapsim.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -36,6 +37,16 @@ def test_all_is_the_readme_library_api():
                   for alias in node.names}
     assert sorted(hapsim.__all__) == sorted(
         documented | {"SumRateCurve", "SnrSweepResult"})
+
+
+def test_version_has_one_source():
+    # The package metadata takes its version from hapsim.__version__; read
+    # as text, since Python 3.10 has no tomllib.
+    text = PYPROJECT.read_text(encoding="utf-8")
+    assert not re.search(r'(?m)^version\s*=\s*"', text)
+    assert re.search(r'(?m)^dynamic\s*=\s*\[\s*"version"\s*\]', text)
+    assert re.search(r'(?m)^version\s*=\s*\{\s*attr\s*=\s*'
+                     r'"hapsim\.__version__"\s*\}', text)
 
 
 def test_import_loads_no_scenario_layer():

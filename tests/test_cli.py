@@ -443,6 +443,12 @@ class TestDumpConfig:
 
 
 class TestExitCodes:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("TrialEnsemble built")
+        monkeypatch.setattr(simulator.TrialEnsemble, "__init__", built)
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, bogus_key=1)
         assert main(["geometry", "--config", cfg]) == 2
@@ -678,16 +684,44 @@ class TestExitCodes:
         (".", "[Errno 21] Is a directory"),
     ], ids=["missing-dir", "directory"])
     def test_unusable_output_exits_4_before_drawing(
-            self, tmp_path, capsys, monkeypatch, command, keys, out, message):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("TrialEnsemble built")
-        monkeypatch.setattr(simulator.TrialEnsemble, "__init__", no_draws)
+            self, tmp_path, capsys, no_draws, command, keys, out, message):
         out = str(tmp_path / out)
         argv = [command, "--config", write_scenario(tmp_path, **keys),
                 "--out", out]
         assert main(argv) == 4
         assert capsys.readouterr().err == f"error: {message}: {out!r}\n"
         assert not (tmp_path / "no_such_dir").exists()
+
+    def test_non_finite_tol_exits_2_before_drawing(self, tmp_path, capsys,
+                                                   no_draws):
+        cfg = write_scenario(tmp_path, **altitude_keys())
+        assert main(["optimal-altitude", "--config", cfg, "--tol", "inf"]) == 2
+        assert capsys.readouterr() == ("",
+                                       "error: tol must be finite, got inf\n")
+
+    @pytest.mark.parametrize("command,keys", [
+        ("snr-sweep", snr_keys()),
+        ("altitude-sweep", altitude_keys()),
+        ("optimal-altitude", altitude_keys()),
+    ], ids=["snr", "altitude", "optimal"])
+    def test_trials_too_many_to_store_exit_2(self, tmp_path, capsys,
+                                             monkeypatch, command, keys):
+        # numpy's message for 36 stored forms of 2**32 trials each;
+        # nothing is allocated for real.
+        message = ("Unable to allocate 1.12 TiB for an array with shape "
+                   "(36, 4294967296) and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(simulator.TrialEnsemble, "__init__", out_of_memory)
+        out = tmp_path / "curve.csv"
+        argv = [command, "--config", write_scenario(tmp_path, **keys),
+                "--trials", str(2**32)]
+        if command != "optimal-altitude":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_missing_required_args_raise_system_exit(self):
         with pytest.raises(SystemExit):

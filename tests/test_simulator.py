@@ -1256,6 +1256,19 @@ class TestOptimalAltitude:
         with pytest.raises(ValueError, match=f"^{key} must be a number"):
             find_optimal_altitude(ens, *bracket.values())
 
+    def test_non_finite_tol_rejected(self):
+        # An infinite tol would end the search before its first step, at
+        # the bracket's midpoint.  tol <= 0 and NaN keep their own message.
+        ens = TrialEnsemble(sweep_cfg(), 2, 12345)
+        for check in (partial(check_altitude_bracket, ens.cfg),
+                      partial(find_optimal_altitude, ens)):
+            with pytest.raises(ValueError,
+                               match=r"^tol must be finite, got inf$"):
+                check(4000.0, 14000.0, math.inf)
+            for tol in (0.0, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="^tol must be positive"):
+                    check(4000.0, 14000.0, tol)
+
     def test_bracket_returned_as_floats(self):
         got = check_altitude_bracket(sweep_cfg(), np.float64(4000.0), 14000,
                                      np.float32(500.0))
