@@ -38,7 +38,9 @@ link's square overflows float64, so snr-sweep rejects it and geometry
 reports far_field_ok=no.  And an snr-sweep on snr_sweep.yaml with a
 second trials line appended, a key given twice, which exits 2, and an
 optimal-altitude --tol inf on altitude_sweep_symmetric.yaml, which exits
-2 before any draw.  Last, the command line itself: --help of the CLI and
+2 before any draw, and an optimal-altitude --tol 16500 at 50 trials on
+altitude_sweep.yaml, a tol as wide as the bracket, where the search still
+takes its first step.  Last, the command line itself: --help of the CLI and
 of each subcommand, which exit 0, and a call with no arguments, which
 prints the usage and exits 2.  Every run has COLUMNS=80 in its
 environment, so the help and usage text wraps the same in any terminal.
@@ -143,6 +145,9 @@ def runs() -> list[tuple[str, list[str], int]]:
     out.append(("optimal-tol-inf",
                 ["optimal-altitude", "--config",
                  "inputs/altitude_sweep_symmetric.yaml", "--tol", "inf"], 2))
+    out.append(("optimal-tol-wide",
+                ["optimal-altitude", "--config", "inputs/altitude_sweep.yaml",
+                 "--tol", "16500", "--trials", "50"], 0))
     out.append(("help", ["--help"], 0))
     for command in ("geometry", "snr-sweep", "altitude-sweep",
                     "optimal-altitude"):

@@ -14,11 +14,11 @@ where C1 sums one zero-forced stream per platform on the uplink and C2 does
 the same per ground station on the downlink; simulator.TrialEnsemble
 evaluates it per trial over the kernels' quadratic forms.  The config also
 owns the far-field rule (far_field_m, the shortest admissible link, and
-check_far_field(), the one test of a distance: past that limit, and short
-enough that its square fits a float64) and wide_hop(), the one test that
-zero forcing can serve both hops.  dof() returns M*N*A / (M + N - 1), the
-degrees of freedom of the M x N MIMO X network without a relay, a quantity
-separate from the capacity prefactor and from the relay curve's slope.
+check_far_field(), the one test of a distance, which returns the square
+the path loss divides by) and wide_hop(), the one test that zero forcing
+can serve both hops.  dof() returns M*N*A / (M + N - 1), the degrees of
+freedom of the M x N MIMO X network without a relay, a quantity separate
+from the capacity prefactor and from the relay curve's slope.
 
 Every link mixes a deterministic line-of-sight matrix with an i.i.d.
 Rayleigh scattering matrix,
@@ -294,10 +294,11 @@ class NetworkConfig:
         return self.streams_per_tx or self.relay_antennas
 
 
-def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
-    """Raise ValueError unless link name, distance_m long, is a finite number
-    past the far field and its square, which the path loss divides by, fits
-    in a float64."""
+def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> float:
+    """The square of link name's length distance_m, which the path loss
+    divides by: Python's float power, which rounds some squares otherwise
+    than d * d (the curves' bits depend on it).  ValueError unless the
+    length is a finite number past the far field with a float64 square."""
     distance_m = _number(name, distance_m)
     if not distance_m > 0.0:
         raise ValueError(f"{name} must be positive, got {distance_m:g}")
@@ -307,7 +308,7 @@ def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> None:
         raise ValueError(f"{name} = {distance_m:g} m is inside "
                          f"the far-field limit {cfg.far_field_m:g} m")
     try:
-        distance_m ** 2  # the path loss squares a distance this way
+        return distance_m ** 2
     except OverflowError:
         raise ValueError(f"{name} = {distance_m:g} m is too long: its square "
                          "overflows float64") from None

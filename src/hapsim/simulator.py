@@ -21,9 +21,9 @@ rates, one rate call per pass giving one row of per-trial rates per
 point; one rule, _budget_slices, cuts both the chunks and the passes.
 One pass loop, _curves, serves every curve and frees each pass's
 rows before the next call, so memory grows with the stored forms alone.
-Operating points reach the hop rates along one checked path,
-TrialEnsemble._checked_rates, which tests each scale, each distance
-(network.check_far_field) and float64 overflow.
+Operating points reach the hop rates along one checked path: each
+TrialEnsemble._hop_rate tests its own scales and distances, taking the
+squares from network.check_far_field, and _checked_rates tests overflow.
 
 One reduction, _valid_trials, cuts rows of per-trial rates to their valid
 trials for _curves and for the golden-section objective (_mean_relay_rate)
@@ -348,20 +348,22 @@ class TrialEnsemble:
         """Per-trial sum of log2(1 + snr) over every stream of one hop.
 
         snr_scale and distance_m hold one value per operating point, and the
-        result one row of per-trial sums per point, (P, T).  Each stored row
-        adds its log1p to every point's row, so a trial's sum runs over its
-        forms in index order at any number of points.
+        result one row of per-trial sums per point, (P, T); every scale must
+        be positive and every distance pass check_far_field, under either
+        snr_reference.  Each stored row adds its log1p to every point's row,
+        so a trial's sum runs over its forms in index order at any P.
         """
         hop = self._hops[index]
+        if not (snr_scale > 0.0).all():
+            raise ValueError("snr scale must be positive")
+        square = np.array([check_far_field(self.cfg, hop.distance, d)
+                           for d in distance_m])
         q = self._q[index]
         per_link = len(q) // hop.links
         with np.errstate(over="ignore", invalid="ignore"):
             if self.cfg.snr_reference == "post_path_loss":
                 path = np.ones((len(distance_m), hop.links))
             else:
-                # Python's float power: it rounds some squares otherwise than
-                # d * d, and the curves' bits depend on which one is used.
-                square = np.array([float(d) ** 2 for d in distance_m])
                 path = (hop.ref_gain / square[:, None]) ** 2
             f = snr_scale[:, None] * path
             rate = np.empty((len(f), self.trials))
@@ -376,20 +378,14 @@ class TrialEnsemble:
         return rate
 
     def _checked_rates(self, *points) -> list[np.ndarray]:
-        """Each point's (P, T) hop sums from _hop_rate, after the input checks.
+        """Each point's (P, T) hop sums from _hop_rate, checked for overflow.
 
         A point is a (hop index, scales, distances) triple of float64 arrays
-        of one length P.  Every scale must be positive, and each distance must
-        pass check_far_field, point by point with the hops in the given order.
+        of one length P.  _hop_rate checks each hop's scales and distances,
+        the hops in the given order, so a fault names the first faulty hop.
         An SNR that overflows float64 raises a ValueError naming the first such
         hop at the first such point, so it is not mistaken for a singular trial.
         """
-        for _, scale, _ in points:
-            if not (scale > 0.0).all():
-                raise ValueError("snr scale must be positive")
-        for p in range(len(points[0][2])):
-            for index, _, d in points:
-                check_far_field(self.cfg, self._hops[index].distance, d[p])
         rates = [self._hop_rate(*point) for point in points]
         bad = np.array([~np.isfinite(r).all(axis=1) for r in rates])
         if bad.any():
@@ -571,10 +567,10 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
 
     Every evaluation reuses the ensemble's draws, so the objective is
     deterministic in altitude; given an altitude sweep's ensemble, the
-    search refines that sweep's argmax.  Returns the bracket's midpoint once
-    it is narrower than tol or a probe reaches its ends (it can then shrink
-    no further in float64), or NaN when no trial is valid (singular trials
-    do not depend on altitude, so the objective is then NaN everywhere).
+    search refines that sweep's argmax.  Returns the bracket's midpoint after
+    the first step that leaves it narrower than tol or a probe at its ends
+    (it can then shrink no further in float64), or NaN when no trial is
+    valid (a singular trial is singular at every altitude).
     """
     lo, hi, tol = check_altitude_bracket(ens.cfg, lo, hi, tol)
     objective = _mean_relay_rate(ens)
@@ -585,7 +581,7 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
     fc, fd = objective(c), objective(d)
     if math.isnan(fc):
         return math.nan
-    while b - a > tol and a < c and d < b:
+    while True:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -594,5 +590,6 @@ def find_optimal_altitude(ens: TrialEnsemble, lo: float, hi: float,
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = objective(d)
-    return 0.5 * (a + b)
+        if not (b - a > tol and a < c and d < b):
+            return 0.5 * (a + b)
 

@@ -191,6 +191,16 @@ class TestCheckFarField:
             check_far_field(cfg, "d_sr_m", bad)
         check_far_field(cfg, "d_sr_m", np.float64(9000.0))
 
+    def test_returns_the_float_power_square(self):
+        # The path loss divides by this square; Python's float power rounds
+        # it one ulp away from d * d here, and the curves' bits follow it.
+        cfg = load_scenario(SNR_SCENARIO).network
+        d = 10558.173008232141
+        assert d * d == 111475017.27176175
+        for value in (d, np.float64(d)):
+            got = check_far_field(cfg, "d_sr_m", value)
+            assert type(got) is float and got == 111475017.27176173 == d ** 2
+
 
 class TestMinHapSeparation:
     def test_reference_spacing(self):

@@ -475,6 +475,14 @@ class TestTrialEnsemble:
         a = ens.relay_rates(10.0, 10.0, 9000.0, 9000.0)
         b = ens.relay_rates(10.0, 10.0, 4000.0, 14000.0)
         np.testing.assert_array_equal(a, b)
+        # The far-field rule still holds: 200 m spacings put every link,
+        # the 18 km direct one too, inside it.
+        cfg = sweep_cfg(snr_reference="post_path_loss", rx_spacing_m=200.0)
+        ens = TrialEnsemble(cfg, 3, 6, include_baseline=True)
+        with pytest.raises(ValueError, match="^d_sr_m = 9000 m is inside"):
+            ens.relay_rates(10.0, 10.0, 9000.0, 9000.0)
+        with pytest.raises(ValueError, match="^d_sd_m = 18000 m is inside"):
+            ens.baseline_rates(10.0)
 
 
 class TestRelayRates:
@@ -1268,6 +1276,32 @@ class TestOptimalAltitude:
             for tol in (0.0, -math.inf, math.nan):
                 with pytest.raises(ValueError, match="^tol must be positive"):
                     check(4000.0, 14000.0, tol)
+
+    def test_tol_as_wide_as_the_bracket_takes_one_step(self, monkeypatch):
+        # The first step compares the two probes and keeps the sub-bracket
+        # of the better one; only then may the width stop the search.
+        mean_relay_rate, calls = simulator._mean_relay_rate, []
+
+        def recorded(ens):
+            objective = mean_relay_rate(ens)
+
+            def record(alt):
+                calls.append((alt, objective(alt)))
+                return calls[-1][1]
+            return record
+
+        monkeypatch.setattr(simulator, "_mean_relay_rate", recorded)
+        cfg = sweep_cfg(kappa_up_db=30.0, kappa_down_db=15.0,
+                        hap_power=400.0, relay_power=400.0)
+        ens, lo, hi = TrialEnsemble(cfg, 50, 12345), 1000.0, 17500.0
+        for tol in (hi - lo, 10.0 * (hi - lo)):
+            calls.clear()
+            got = find_optimal_altitude(ens, lo, hi, tol)
+            assert len(calls) == 3
+            (c, fc), (d, fd), _ = calls
+            assert lo < c < d < hi
+            assert got == (0.5 * (lo + d) if fc >= fd else 0.5 * (c + hi))
+            assert got != 0.5 * (lo + hi)
 
     def test_bracket_returned_as_floats(self):
         got = check_altitude_bracket(sweep_cfg(), np.float64(4000.0), 14000,
