@@ -40,10 +40,13 @@ second trials line appended, a key given twice, which exits 2, and an
 optimal-altitude --tol inf on altitude_sweep_symmetric.yaml, which exits
 2 before any draw, and an optimal-altitude --tol 16500 at 50 trials on
 altitude_sweep.yaml, a tol as wide as the bracket, where the search still
-takes its first step.  Last, the command line itself: --help of the CLI and
-of each subcommand, which exit 0, and a call with no arguments, which
-prints the usage and exits 2.  Every run has COLUMNS=80 in its
-environment, so the help and usage text wraps the same in any terminal.
+takes its first step, and an altitude-sweep --cross-check at 50 trials on
+altitude_sweep.yaml with a 1e-12 m step from 10000 m, a grid below float64
+resolution whose points coincide, which exits 2 as it loads.  Last, the
+command line itself: --help of the CLI and of each subcommand, which exit
+0, and a call with no arguments, which prints the usage and exits 2.
+Every run has COLUMNS=80 in its environment, so the help and usage text
+wraps the same in any terminal.
 """
 
 from __future__ import annotations
@@ -68,10 +71,11 @@ def array_scenario_text() -> str:
 def write_inputs(inputs: str) -> None:
     """The shipped scenarios, the array scenario, four variants of
     snr_sweep.yaml, all streams (baseline on, as shipped), all-singular, a
-    wide downlink and a direct link whose square overflows, and two of
-    altitude_sweep.yaml, one with some singular trials and one whose sweep
-    stops inside the platforms' far field, and snr_sweep.yaml with its
-    trials key given twice."""
+    wide downlink and a direct link whose square overflows, and three of
+    altitude_sweep.yaml, one with some singular trials, one whose sweep
+    stops inside the platforms' far field and one whose grid points
+    coincide in float64, and snr_sweep.yaml with its trials key given
+    twice."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
@@ -87,7 +91,10 @@ def write_inputs(inputs: str) -> None:
             ("partly_singular", "altitude_sweep",
              dict(kappa_up_db=[30.0, 90.0, 30.0])),
             ("stop_in_far_field", "altitude_sweep",
-             dict(sweep_stop=17999.9))):
+             dict(sweep_stop=17999.9)),
+            ("grid_below_resolution", "altitude_sweep",
+             dict(sweep_start=10000.0, sweep_stop=10000.00000000001,
+                  sweep_step=1.0e-12))):
         with open(os.path.join(ROOT, "scenarios", f"{base}.yaml"),
                   encoding="utf-8") as fh:
             mapping = yaml.safe_load(fh)
@@ -148,6 +155,10 @@ def runs() -> list[tuple[str, list[str], int]]:
     out.append(("optimal-tol-wide",
                 ["optimal-altitude", "--config", "inputs/altitude_sweep.yaml",
                  "--tol", "16500", "--trials", "50"], 0))
+    out.append(("grid-below-resolution",
+                ["altitude-sweep", "--config",
+                 "inputs/grid_below_resolution.yaml", "--cross-check",
+                 "--trials", "50"], 2))
     out.append(("help", ["--help"], 0))
     for command in ("geometry", "snr-sweep", "altitude-sweep",
                     "optimal-altitude"):

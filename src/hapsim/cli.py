@@ -13,7 +13,7 @@ import sys
 from collections.abc import Iterable
 from itertools import repeat
 
-from .network import dof, min_hap_separation, wide_hop
+from .network import min_hap_separation, wide_hop
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario
 from .simulator import (
     _CHUNK_DRAWS,
@@ -124,7 +124,7 @@ def _cmd_geometry(scenario: Scenario) -> int:
         f"relay_antennas_required={net.required_relay_antennas}",
         f"relay_antennas={net.relay_antennas}",
         f"relay_antennas_ok={_verdict(net.relay_antennas >= net.required_relay_antennas)}",
-        f"dof_total={_fmt(dof(net.num_haps, net.num_gs, net.antennas_per_node))}",
+        f"dof_total={_fmt(net.dof_prefactor * net.antennas_per_node)}",
         f"zero_forcing_feasible={_verdict(wide_hop(net) is None)}",
         f"far_field_ok={_verdict(far_field_ok)}",
     ]
@@ -140,9 +140,11 @@ def _all_singular() -> int:
 
 def _check_out(path: str) -> None:
     """Raise, before any draw and without creating the file, the OSError
-    that writing the CSV to path would: path is a directory, or its
-    directory is missing or not a directory."""
-    if os.path.isdir(path):
+    that writing the CSV to path would: path is empty or a directory, or
+    its directory is missing or not a directory."""
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     else:
         try:
@@ -180,12 +182,6 @@ def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
     return 0
 
 
-def _ensemble(scenario: Scenario) -> TrialEnsemble:
-    """The one trial ensemble an altitude command draws."""
-    sweep = scenario.sweep
-    return TrialEnsemble(scenario.network, sweep.trials, sweep.master_seed)
-
-
 def _cmd_altitude_sweep(scenario: Scenario, out_path: str,
                         cross_check: bool) -> int:
     sweep = scenario.sweep
@@ -196,7 +192,7 @@ def _cmd_altitude_sweep(scenario: Scenario, out_path: str,
                            sweep.stop if cross_check else sweep.grid()[-1],
                            sweep.step)
     _check_out(out_path)
-    ens = _ensemble(scenario)
+    ens = TrialEnsemble(scenario.network, sweep.trials, sweep.master_seed)
     curve = run_altitude_sweep(ens, sweep)
     _write_csv(out_path, "relay_altitude_m,mean_rate_bps_hz,std_err,trials_failed",
                curve)
@@ -221,7 +217,8 @@ def _cmd_optimal_altitude(scenario: Scenario, args: argparse.Namespace) -> int:
             "pass --lo/--hi/--tol or use a relay_altitude_m sweep scenario"
         )
     check_altitude_bracket(scenario.network, lo, hi, tol)  # before any draw
-    best = find_optimal_altitude(_ensemble(scenario), lo, hi, tol)
+    ens = TrialEnsemble(scenario.network, sweep.trials, sweep.master_seed)
+    best = find_optimal_altitude(ens, lo, hi, tol)
     if math.isnan(best):
         return _all_singular()
     print(f"optimal_altitude_m={_fmt(best)}")

@@ -86,10 +86,6 @@ def _check_inputs(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
     return los, nlos, a, b
 
 
-def _gram(h: np.ndarray) -> np.ndarray:
-    return np.matmul(np.conj(h.swapaxes(-1, -2)), h)
-
-
 def _condition(gram: np.ndarray) -> np.ndarray:
     ev = np.linalg.eigvalsh(gram)
     lmin = ev[..., 0]
@@ -226,9 +222,10 @@ def _quadforms(h: np.ndarray, batch: tuple[int, int],
         q, cleared = forms(h)
         singular = ~cleared[:n]
         if singular.any():  # eigvalsh costs a call even on no matrices
-            flagged = np.roll(h[..., :n][..., singular], shift, axis=1)
-            singular[singular] = is_singular(_condition(_gram(
-                np.ascontiguousarray(flagged.transpose(2, 0, 1)))))
+            flagged = np.ascontiguousarray(np.roll(
+                h[..., :n][..., singular], shift, axis=1).transpose(2, 0, 1))
+            singular[singular] = is_singular(_condition(
+                np.matmul(np.conj(flagged.swapaxes(-1, -2)), flagged)))
         q = np.where(singular[:, None], 0.0, q[:n])
     return q.reshape(*batch, q.shape[-1]), singular.reshape(batch)
 

@@ -16,9 +16,7 @@ evaluates it per trial over the kernels' quadratic forms.  The config also
 owns the far-field rule (far_field_m, the shortest admissible link, and
 check_far_field(), the one test of a distance, which returns the square
 the path loss divides by) and wide_hop(), the one test that zero forcing
-can serve both hops.  dof() returns M*N*A / (M + N - 1), the degrees of
-freedom of the M x N MIMO X network without a relay, a quantity separate
-from the capacity prefactor and from the relay curve's slope.
+can serve both hops.
 
 Every link mixes a deterministic line-of-sight matrix with an i.i.d.
 Rayleigh scattering matrix,
@@ -285,14 +283,6 @@ class NetworkConfig:
         """Capacity prefactor M*N / (M + N - 1); carries no antenna count."""
         return self.num_haps * self.num_gs / (self.num_haps + self.num_gs - 1)
 
-    def uplink_streams(self) -> int:
-        """N_T on the uplink: configured override or the uplink column count."""
-        return self.streams_per_tx or self.antennas_per_node
-
-    def downlink_streams(self) -> int:
-        """N_T on the downlink: configured override or the relay column count."""
-        return self.streams_per_tx or self.relay_antennas
-
 
 def check_far_field(cfg: NetworkConfig, name: str, distance_m: float) -> float:
     """The square of link name's length distance_m, which the path loss
@@ -319,14 +309,6 @@ def wide_hop(cfg: NetworkConfig) -> str | None:
     fewer rows than columns, so zero forcing fails on every trial; else None."""
     a, r = cfg.antennas_per_node, cfg.relay_antennas
     return None if r == a else f"uplink ({r} x {a})" if r < a else f"downlink ({a} x {r})"
-
-
-def dof(num_tx: int, num_rx: int, antennas: int) -> float:
-    """Degrees of freedom M*N*A / (M + N - 1) of the M x N X network, no relay."""
-    m, n, a = map(_integer, ("num_tx", "num_rx", "antennas"), (num_tx, num_rx, antennas))
-    if m < 1 or n < 1 or a < 1:
-        raise ValueError(f"counts must be >= 1, got ({m}, {n}, {a})")
-    return m * n * a / (m + n - 1)
 
 
 def _steering(num_elements: int, spacing_m: float, wavelength_m: float,

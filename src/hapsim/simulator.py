@@ -109,6 +109,15 @@ class SweepSpec:
                 f"step {self.step!r} yields fewer than 2 points over "
                 f"[{self.start!r}, {self.stop!r}]"
             )
+        # Rounding can merge neighbouring points only where the step is
+        # within a few float64 spacings of the grid's largest magnitude, so
+        # the grid is built only then.
+        if (self.step <= 4 * np.spacing(max(abs(self.start), abs(self.stop)))
+                and (np.diff(self.grid()) <= 0.0).any()):
+            raise ValueError(
+                f"step {self.step!r} is below float64 resolution over "
+                f"[{self.start!r}, {self.stop!r}]: grid points coincide"
+            )
         trials, seed = trial_budget(self.trials, self.master_seed)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", seed)
@@ -385,6 +394,11 @@ class TrialEnsemble:
         the hops in the given order, so a fault names the first faulty hop.
         An SNR that overflows float64 raises a ValueError naming the first such
         hop at the first such point, so it is not mistaken for a singular trial.
+        The point comes first: _curves raises at the first pass that holds an
+        overflow, so the first such point and its hop are the same at any pass
+        size.  A check per hop inside _hop_rate would name the first hop that
+        overflows anywhere in the pass, which the pass size, and so --trials,
+        can change.
         """
         rates = [self._hop_rate(*point) for point in points]
         bad = np.array([~np.isfinite(r).all(axis=1) for r in rates])
@@ -469,9 +483,12 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
 
 
 def _altitude_scales(cfg: NetworkConfig) -> tuple[float, float]:
-    """Each relay hop's snr scale power/(noise * N_T); ValueError at 0 or inf."""
-    up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
-    dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+    """Each relay hop's snr scale power/(noise * N_T), N_T the configured
+    streams_per_tx or else the hop's column count; ValueError at 0 or inf."""
+    up = cfg.hap_power / (cfg.noise_power
+                          * (cfg.streams_per_tx or cfg.antennas_per_node))
+    dn = cfg.relay_power / (cfg.noise_power
+                            * (cfg.streams_per_tx or cfg.relay_antennas))
     for scale, hop, keys in ((up, "d_sr_m", "hap_power/noise_power"),
                              (dn, "d_rd_m", "relay_power/noise_power")):
         if scale == 0.0:

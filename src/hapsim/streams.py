@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 from collections.abc import Callable
 
 import numpy as np
@@ -39,12 +38,13 @@ _SPAWN_A = _INIT_A * _MULT_A**16 & _MASK32
 
 
 def trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
-    """(trials, master_seed) as ints; ValueError for a bool, a non-integer
-    (numpy's integers are integers) or a value outside the seeded range."""
+    """(trials, master_seed) as ints; ValueError for a bool, a value other
+    than an int or a numpy integer scalar (as network's counts) or a value
+    outside the seeded range."""
     for name, value in (("trials", trials), ("master_seed", master_seed)):
-        if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    trials, seed = operator.index(trials), operator.index(master_seed)
+    trials, seed = int(trials), int(master_seed)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [1, 2**32], got {trials!r}")
     if not 0 <= seed < 2**64:

@@ -107,9 +107,10 @@ def test_network_capacity_matches_transliteration_oracle(capsys):
             kappa_up_db=float(rng.uniform(0.0, 10.0)),
             kappa_down_db=float(rng.uniform(0.0, 10.0)),
             ref_gain_up=8.1e7, ref_gain_down=8.1e7)
-        scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
-        scale_dn = cfg.relay_power / (cfg.noise_power
-                                      * cfg.downlink_streams())
+        scale_up = cfg.hap_power / (
+            cfg.noise_power * (cfg.streams_per_tx or cfg.antennas_per_node))
+        scale_dn = cfg.relay_power / (
+            cfg.noise_power * (cfg.streams_per_tx or cfg.relay_antennas))
         lay = cfg.layout
         got = TrialEnsemble(cfg, trials, i).relay_rates(
             scale_up, scale_dn, lay.d_sr_m, lay.d_rd_m)

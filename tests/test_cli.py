@@ -43,6 +43,15 @@ def altitude_keys(**extra):
     return keys
 
 
+# Every command, each way it loads a scenario; a --out gets its path appended.
+EVERY_COMMAND = pytest.mark.parametrize("argv", [
+    ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],
+    ["snr-sweep", "--dump-config", "--out"],
+    ["altitude-sweep", "--out"], ["optimal-altitude"]],
+    ids=["geometry", "geometry-dump-config", "snr", "snr-dump-config",
+         "altitude", "optimal"])
+
+
 def parsed_lines(out: str) -> dict:
     return dict(line.split("=", 1) for line in out.strip().splitlines())
 
@@ -474,12 +483,7 @@ class TestExitCodes:
         assert err.startswith("error: sweep: step 1e-300 yields too many ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],
-        ["snr-sweep", "--dump-config", "--out"],
-        ["altitude-sweep", "--out"], ["optimal-altitude"]],
-        ids=["geometry", "geometry-dump-config", "snr", "snr-dump-config",
-             "altitude", "optimal"])
+    @EVERY_COMMAND
     def test_sweep_with_too_many_points_exits_2(self, tmp_path, capsys, argv):
         # A finite count past the limit fails as the scenario loads, before
         # any grid is allocated, whatever the command.
@@ -495,6 +499,23 @@ class TestExitCodes:
         assert err == ("error: sweep: step 1.0 yields too many points to "
                        "count over [0.0, 1e+300]; a sweep has at most 1000000 "
                        "points\n")
+
+    @EVERY_COMMAND
+    def test_grid_below_float64_resolution_exits_2(self, tmp_path, capsys,
+                                                   no_draws, argv):
+        # Ten points, four of them equal to their neighbour once rounded:
+        # rejected as the scenario loads, whatever the command.
+        cfg = write_scenario(tmp_path, **altitude_keys(
+            sweep_start=10000.0, sweep_stop=10000.00000000001,
+            sweep_step=1.0e-12))
+        out = tmp_path / "curve.csv"
+        if argv[-1] == "--out":
+            argv = argv + [str(out)]
+        assert main(argv + ["--config", cfg]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", "error: sweep: step 1e-12 is below float64 resolution over "
+                "[10000.0, 10000.00000000001]: grid points coincide\n")
 
     def test_bad_override_exits_2(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, **snr_keys())
@@ -682,7 +703,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("out,message", [
         ("no_such_dir/curve.csv", "[Errno 2] No such file or directory"),
         (".", "[Errno 21] Is a directory"),
-    ], ids=["missing-dir", "directory"])
+        ("scenario.yaml/curve.csv", "[Errno 20] Not a directory"),
+    ], ids=["missing-dir", "directory", "under-a-file"])
     def test_unusable_output_exits_4_before_drawing(
             self, tmp_path, capsys, no_draws, command, keys, out, message):
         out = str(tmp_path / out)
@@ -691,6 +713,18 @@ class TestExitCodes:
         assert main(argv) == 4
         assert capsys.readouterr().err == f"error: {message}: {out!r}\n"
         assert not (tmp_path / "no_such_dir").exists()
+
+    @pytest.mark.parametrize("command,keys", [
+        ("snr-sweep", snr_keys()),
+        ("altitude-sweep", altitude_keys()),
+    ], ids=["snr", "altitude"])
+    def test_empty_output_exits_4_before_drawing(self, tmp_path, capsys,
+                                                 no_draws, command, keys):
+        argv = [command, "--config", write_scenario(tmp_path, **keys),
+                "--out", ""]
+        assert main(argv) == 4
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: ''\n")
 
     def test_non_finite_tol_exits_2_before_drawing(self, tmp_path, capsys,
                                                    no_draws):

@@ -2,7 +2,7 @@
 
 The layout's distances and the platform spacing rule, every value check of
 NetworkConfig and its derived fields, the far-field test of a distance,
-dof(), the dB conversion and the line-of-sight matrix.  Nothing here draws
+the dB conversion and the line-of-sight matrix.  Nothing here draws
 a trial: what the ensemble does with the config is checked in
 test_simulator.py.
 """
@@ -20,7 +20,6 @@ from hapsim.network import (
     ScenarioLayout,
     check_far_field,
     db_to_linear,
-    dof,
     los_channel,
     min_hap_separation,
 )
@@ -163,8 +162,8 @@ class TestStrictFields:
             SweepSpec(SNR_DB, start="0", stop=30.0, step=2.5)
 
     def test_dof_rejects_a_fraction(self):
-        with pytest.raises(ValueError, match="^num_tx must be an integer"):
-            dof(2.5, 3, 1)
+        with pytest.raises(ValueError, match="^num_haps must be an integer"):
+            make_cfg(2.5, 3, antennas=1)
 
     def test_numpy_values_keep_their_stored_values(self):
         cfg = NetworkConfig(
@@ -251,11 +250,13 @@ class TestDof:
         (1, 1, 1, 1.0), (3, 3, 1, 1.8), (2, 3, 2, 3.0),
     ])
     def test_reference_values(self, m, n, a, expected):
-        assert dof(m, n, a) == pytest.approx(expected, rel=1e-15)
+        cfg = make_cfg(m, n, antennas=a)
+        assert cfg.dof_prefactor * cfg.antennas_per_node == pytest.approx(
+            expected, rel=1e-15)
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError, match=">= 1"):
-            dof(0, 3, 1)
+            make_cfg(0, 3, antennas=1)
 
 
 class TestDbToLinear:

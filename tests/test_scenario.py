@@ -206,6 +206,17 @@ class TestLoading:
                                   f"key 'kappa_up_db'\n  in \"{path}\", "
                                   "line 2, column 1")
 
+    @pytest.mark.parametrize("text,trials", [
+        ("<<: {trials: 7}\n", 7),
+        ("<<: {trials: 7}\ntrials: 9\n", 9),
+        ("trials: 9\n<<: {trials: 7}\n", 9),
+    ], ids=["merged", "explicit-after", "explicit-before"])
+    def test_merged_keys_are_not_repeats(self, tmp_path, text, trials):
+        # A key written out beside a merge key overrides the merged one.
+        path = tmp_path / "merged.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert load_scenario(str(path)).sweep.trials == trials
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(str(tmp_path / "nope.yaml"))

@@ -57,8 +57,10 @@ def oracle_relay_rates(cfg: NetworkConfig, ens: TrialEnsemble
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble and oracle relay rates per trial, at the configured powers."""
     lay = cfg.layout
-    scale_up = cfg.hap_power / (cfg.noise_power * cfg.uplink_streams())
-    scale_dn = cfg.relay_power / (cfg.noise_power * cfg.downlink_streams())
+    scale_up = cfg.hap_power / (
+        cfg.noise_power * (cfg.streams_per_tx or cfg.antennas_per_node))
+    scale_dn = cfg.relay_power / (
+        cfg.noise_power * (cfg.streams_per_tx or cfg.relay_antennas))
     got = ens.relay_rates(scale_up, scale_dn, lay.d_sr_m, lay.d_rd_m)
     c_up, c_dn, _ = oracles.trial_hop_rates(
         cfg, ens.master_seed, ens.trials, scale_up, scale_dn, lay.d_sr_m,
@@ -150,6 +152,11 @@ class TestSweepSpec:
          r"a sweep has at most 1000000 points$"),
         (dict(start=-2.5, stop=float(simulator.MAX_SWEEP_POINTS) - 2.5,
               step=1.0), "a sweep has at most 1000000 points"),
+        (dict(trials=np.array([5])), "trials must be an integer"),
+        (dict(trials=np.array(5)), "trials must be an integer"),
+        (dict(start=10000.0, stop=10000.00000000001, step=1.0e-12),
+         r"^step 1e-12 is below float64 resolution over "
+         r"\[10000.0, 10000.00000000001\]: grid points coincide$"),
     ])
     def test_validation(self, kwargs, msg):
         base = dict(variable=SNR_DB, start=0.0, stop=30.0, step=2.5)
@@ -197,6 +204,8 @@ class TestChunkSeeding:
         (True, 3, "trials must be an integer"),
         (2, 3.99, "master_seed must be an integer"),
         (2, "3", "master_seed must be an integer"),
+        (np.array([5]), 3, "trials must be an integer"),
+        (np.array(5), 3, "trials must be an integer"),
     ])
     def test_budget_rejected_before_any_draw(self, monkeypatch, trials,
                                              seed, msg):
@@ -274,8 +283,8 @@ class TestHarnessTransparency:
         spec = SweepSpec(RELAY_ALTITUDE_M, 8000.0, 10000.0, 1000.0,
                          trials=self.TRIALS, master_seed=778)
         curve = run_altitude_sweep(ensemble_for(cfg, spec), spec)
-        scale_up = 50.0 / (2.0 * cfg.uplink_streams())
-        scale_dn = 80.0 / (2.0 * cfg.downlink_streams())
+        scale_up = 50.0 / (2.0 * (cfg.streams_per_tx or cfg.antennas_per_node))
+        scale_dn = 80.0 / (2.0 * (cfg.streams_per_tx or cfg.relay_antennas))
         for x, mean_rate in zip(curve.xs, curve.mean_rates):
             d_sr = cfg.layout.hap_altitude_m - x
             d_rd = x - cfg.layout.gs_altitude_m
