@@ -42,9 +42,14 @@ optimal-altitude --tol inf on altitude_sweep_symmetric.yaml, which exits
 altitude_sweep.yaml, a tol as wide as the bracket, where the search still
 takes its first step, and an altitude-sweep --cross-check at 50 trials on
 altitude_sweep.yaml with a 1e-12 m step from 10000 m, a grid below float64
-resolution whose points coincide, which exits 2 as it loads.  Last, the
-command line itself: --help of the CLI and of each subcommand, which exit
-0, and a call with no arguments, which prints the usage and exits 2.
+resolution whose points coincide, which exits 2 as it loads.  Two runs
+check the --trials/--seed overrides: an snr-sweep on snr_sweep.yaml with
+--trials 0, which exits 2 with the file key's "sweep: " message, and one
+on a copy of snr_sweep.yaml with trials 0 run with --trials 7 --seed 7,
+where the flag replaces the file's value before it is checked, so it
+exits 0.  Last, the command line itself: --help of the CLI and of each
+subcommand, which exit 0, and a call with no arguments, which prints the
+usage and exits 2.
 Every run has COLUMNS=80 in its environment, so the help and usage text
 wraps the same in any terminal.
 """
@@ -69,13 +74,13 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario, four variants of
+    """The shipped scenarios, the array scenario, five variants of
     snr_sweep.yaml, all streams (baseline on, as shipped), all-singular, a
-    wide downlink and a direct link whose square overflows, and three of
-    altitude_sweep.yaml, one with some singular trials, one whose sweep
-    stops inside the platforms' far field and one whose grid points
-    coincide in float64, and snr_sweep.yaml with its trials key given
-    twice."""
+    wide downlink, a direct link whose square overflows and zero trials,
+    and three of altitude_sweep.yaml, one with some singular trials, one
+    whose sweep stops inside the platforms' far field and one whose grid
+    points coincide in float64, and snr_sweep.yaml with its trials key
+    given twice."""
     os.makedirs(inputs)
     for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
         shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
@@ -88,6 +93,7 @@ def write_inputs(inputs: str) -> None:
             ("wide_downlink", "snr_sweep", dict(relay_antennas=5)),
             ("direct_overflow", "snr_sweep",
              dict(hap_altitude_m=1.9e154, relay_altitude_m=0.95e154)),
+            ("zero_trials", "snr_sweep", dict(trials=0)),
             ("partly_singular", "altitude_sweep",
              dict(kappa_up_db=[30.0, 90.0, 30.0])),
             ("stop_in_far_field", "altitude_sweep",
@@ -159,6 +165,12 @@ def runs() -> list[tuple[str, list[str], int]]:
                 ["altitude-sweep", "--config",
                  "inputs/grid_below_resolution.yaml", "--cross-check",
                  "--trials", "50"], 2))
+    out.append(("override-trials-zero",
+                ["snr-sweep", "--config", "inputs/snr_sweep.yaml",
+                 "--trials", "0"], 2))
+    out.append(("override-replaces-file",
+                ["snr-sweep", "--config", "inputs/zero_trials.yaml",
+                 "--trials", "7", "--seed", "7"], 0))
     out.append(("help", ["--help"], 0))
     for command in ("geometry", "snr-sweep", "altitude-sweep",
                     "optimal-altitude"):

@@ -229,9 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _keep_chunk_memory()
     try:
-        scenario = load_scenario(args.config)
-        scenario = scenario.with_overrides(trials=args.trials,
-                                           master_seed=args.seed)
+        scenario = load_scenario(args.config, trials=args.trials,
+                                 master_seed=args.seed)
         if args.dump_config:
             sys.stdout.write(dump_scenario(scenario))
             return 0

@@ -69,6 +69,14 @@ def _number(name: str, value, kind: str = "a number") -> float:
         raise ValueError(f"{name} is out of float64 range") from None
 
 
+def _finite(name: str, value) -> float:
+    """value as a finite float; ValueError as _number's or for inf or nan."""
+    value = _number(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _flag(name: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be true or false, got {value!r}")
@@ -95,10 +103,7 @@ def _as_float_tuple(value, count: int, key: str) -> tuple[float, ...]:
         items = [_number(key, value, "a number or a per-link list")] * count
     if len(items) != count:
         raise ValueError(f"{key} must have {count} entries, got {len(items)}")
-    for v in items:
-        if not math.isfinite(v):
-            raise ValueError(f"{key} entries must be finite, got {v!r}")
-    return tuple(items)
+    return tuple(_finite(f"{key} entries", v) for v in items)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -257,10 +262,7 @@ class NetworkConfig:
             v = getattr(self, key)
             set_(key, _require_positive(key, wl / 2.0 if v is None else v))
         for key in ("aoa_deg", "aod_deg"):
-            v = _number(key, getattr(self, key))
-            if not math.isfinite(v):
-                raise ValueError(f"{key} must be finite, got {v!r}")
-            set_(key, v)
+            set_(key, _finite(key, getattr(self, key)))
         set_("all_streams", _flag("all_streams", self.all_streams))
         if _text("snr_reference", self.snr_reference) not in SNR_REFERENCE_CHOICES:
             raise ValueError(

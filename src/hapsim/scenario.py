@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import yaml
 
@@ -45,15 +45,6 @@ class Scenario:
                              f"got {beta!r}")
         object.__setattr__(self, "spacing_dof_beta", beta)
 
-    def with_overrides(self, trials: int | None = None,
-                       master_seed: int | None = None) -> "Scenario":
-        sweep = self.sweep
-        if trials is not None:
-            sweep = replace(sweep, trials=trials)
-        if master_seed is not None:
-            sweep = replace(sweep, master_seed=master_seed)
-        return replace(self, sweep=sweep)
-
 
 # The schema: every scenario key with its default, grouped by the object
 # it configures and in the order the objects are built.  A key names its
@@ -81,16 +72,22 @@ def _field(key: str) -> str:
     return key.removeprefix("sweep_")
 
 
-def scenario_from_mapping(mapping: dict) -> Scenario:
-    """Validate a parsed document and build the Scenario it describes."""
-    if mapping is None:
-        mapping = {}
-    if not isinstance(mapping, dict):
+def _keys(document) -> dict:
+    """The document's mapping, {} for none; ScenarioError for another
+    kind of document or an unknown key."""
+    if document is None:
+        return {}
+    if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a key-value mapping")
-    unknown = sorted(set(mapping) - set(DEFAULTS))
+    unknown = sorted(set(document) - set(DEFAULTS))
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {', '.join(unknown)}")
-    values = {**DEFAULTS, **mapping}
+    return document
+
+
+def scenario_from_mapping(mapping: dict) -> Scenario:
+    """Validate a parsed document and build the Scenario it describes."""
+    values = {**DEFAULTS, **_keys(mapping)}
 
     def build(cls, prefix: str = "", **parts):
         try:
@@ -145,14 +142,18 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"))
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read and validate a scenario YAML file."""
+def load_scenario(path: str, *, trials: int | None = None,
+                  master_seed: int | None = None) -> Scenario:
+    """Read and validate a scenario YAML file; trials and master_seed, where
+    not None, replace the file's values before any value is checked."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"invalid YAML in {path}: {exc}") from exc
-    return scenario_from_mapping(document)
+    overrides = {"trials": trials, "master_seed": master_seed}
+    return scenario_from_mapping({**_keys(document), **{
+        key: value for key, value in overrides.items() if value is not None}})
 
 
 def effective_mapping(scenario: Scenario) -> dict:

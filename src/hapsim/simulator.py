@@ -44,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, streams
-from .network import (NetworkConfig, _number, _text, check_far_field,
-                      db_to_linear, los_channel)
+from .network import (NetworkConfig, _finite, _number, _text,
+                      check_far_field, db_to_linear, los_channel)
 from .streams import trial_budget
 
 _LN2 = math.log(2.0)
@@ -87,10 +87,7 @@ class SweepSpec:
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
         for key in ("start", "stop", "step"):
-            v = _number(key, getattr(self, key))
-            if not math.isfinite(v):
-                raise ValueError(f"{key} must be finite, got {v!r}")
-            object.__setattr__(self, key, v)
+            object.__setattr__(self, key, _finite(key, getattr(self, key)))
         if not self.start < self.stop:
             raise ValueError(
                 f"start must be < stop, got ({self.start!r}, {self.stop!r})"

@@ -517,11 +517,26 @@ class TestExitCodes:
             "", "error: sweep: step 1e-12 is below float64 resolution over "
                 "[10000.0, 10000.00000000001]: grid points coincide\n")
 
-    def test_bad_override_exits_2(self, tmp_path, capsys):
+    def test_bad_override_exits_2(self, tmp_path, capsys, no_draws):
+        # A flag's fault reads as the file key's would.
         cfg = write_scenario(tmp_path, **snr_keys())
         out = tmp_path / "curve.csv"
         assert main(["snr-sweep", "--config", cfg, "--out", str(out),
                      "--trials", "0"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", "error: sweep: trials must be in [1, 2**32], got 0\n")
+
+    def test_override_replaces_invalid_file_value(self, tmp_path, capsys):
+        # The flag's value replaces the file's before either is checked.
+        cfg = write_scenario(tmp_path, **snr_keys(trials=0))
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", cfg, "--out", str(out),
+                     "--trials", "7"]) == 0
+        assert out.exists()
+        assert main(["geometry", "--config", cfg, "--dump-config",
+                     "--trials", "7"]) == 0
+        assert "\ntrials: 7\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],

@@ -126,21 +126,37 @@ class TestPerLinkValues:
 
 
 class TestOverrides:
-    def test_with_overrides_replaces_sweep_fields(self):
-        s = scenario_from_mapping({})
-        t = s.with_overrides(trials=77, master_seed=42)
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("", encoding="utf-8")
+        return str(path)
+
+    def test_overrides_replace_sweep_fields(self, empty):
+        s = load_scenario(empty)
+        t = load_scenario(empty, trials=77, master_seed=42)
         assert t.sweep.trials == 77
         assert t.sweep.master_seed == 42
         assert s.sweep.trials == 1000
         assert t.network == s.network
 
-    def test_with_overrides_none_is_noop(self):
-        s = scenario_from_mapping({})
-        assert s.with_overrides() == s
+    def test_no_overrides_is_noop(self, empty):
+        assert load_scenario(empty, trials=None, master_seed=None) == \
+            scenario_from_mapping({})
 
-    def test_bad_override_rejected(self):
-        with pytest.raises(ValueError, match="trials"):
-            scenario_from_mapping({}).with_overrides(trials=0)
+    def test_bad_override_rejected(self, empty):
+        with pytest.raises(ScenarioError,
+                           match=r"^sweep: trials must be in \[1, 2\*\*32\]"):
+            load_scenario(empty, trials=0)
+
+    @pytest.mark.parametrize("text,message", [
+        ("- 1\n", "scenario document must be a key-value mapping"),
+        ("bogus: 1\n", "unknown scenario keys: bogus")])
+    def test_document_checked_before_overrides(self, tmp_path, text, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            load_scenario(str(path), trials=0, master_seed=-1)
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ search against the grid.  The streams the ensemble draws from are tested
 in test_streams.py, the config it reads in test_network.py.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from functools import partial
@@ -23,7 +24,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import LAYOUT, gram_condition, make_cfg, random_complex
+from helpers import (LAYOUT, bootstrap_mean_ci, gram_condition, make_cfg,
+                     random_complex)
 
 from hapsim import kernels, simulator, streams
 from hapsim.network import FAR_FIELD_FACTOR, NetworkConfig, db_to_linear
@@ -648,6 +650,24 @@ class TestCorrelatedColumnsDegradation:
             return float(np.mean(rates))
         rates = [mean_rate(k) for k in (0.0, 10.0, 20.0)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+    def test_line_of_sight_carries_no_snr_under_zero_forcing(self):
+        # The line of sight is rank one, so zero forcing projects it out and
+        # an uplink form keeps only the scattering share 1 / (1 + kappa):
+        # q (1 + kappa) has one mean at 20 and 30 dB, and the relay rate
+        # falls as kappa rises on both hops.
+        base = load_scenario("scenarios/altitude_sweep.yaml").network
+        ensembles = {k: TrialEnsemble(dataclasses.replace(
+            base, kappa_up_db=k, kappa_down_db=k), 2000, 1)
+            for k in (0.0, 10.0, 20.0, 30.0)}
+        scaled = {k: ensembles[k]._q[simulator._UP].ravel()
+                  * (1.0 + db_to_linear(k)) for k in (20.0, 30.0)}
+        for k, other in ((20.0, 30.0), (30.0, 20.0)):
+            lo, hi = bootstrap_mean_ci(scaled[k])
+            assert lo <= scaled[other].mean() <= hi
+        rates = [simulator._mean_relay_rate(ens)(9000.0)
+                 for ens in ensembles.values()]
+        assert all(b < a for a, b in zip(rates, rates[1:]))
 
     def test_huge_kappa_raises_singularity(self):
         # 130 dB leaves a rank-one channel: every trial is singular.
