@@ -16,6 +16,9 @@ when ``diff -r`` finds nothing between their OUTDIRs:
     python3 new/scripts/cli_matrix.py /tmp/new-matrix
     diff -r /tmp/old-matrix /tmp/new-matrix
 
+The scenarios under OUTDIR/inputs are written from their parsed mappings,
+so the comparison sees a scenario's values, not its comments.
+
 The matrix: snr-sweep on snr_sweep.yaml and on the benchmark's generated
 array scenario, altitude-sweep --cross-check on altitude_sweep.yaml and
 optimal-altitude on altitude_sweep_symmetric.yaml, each at 1, 999 and 5000
@@ -57,7 +60,6 @@ wraps the same in any terminal.
 from __future__ import annotations
 
 import os
-import shutil
 import subprocess
 import sys
 
@@ -80,13 +82,14 @@ def write_inputs(inputs: str) -> None:
     and three of altitude_sweep.yaml, one with some singular trials, one
     whose sweep stops inside the platforms' far field and one whose grid
     points coincide in float64, and snr_sweep.yaml with its trials key
-    given twice."""
+    given twice.  Each scenario and variant is written as yaml.safe_dump of
+    its parsed mapping, so a comment-only edit of a shipped scenario
+    changes no file under OUTDIR."""
     os.makedirs(inputs)
-    for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
-        shutil.copy(os.path.join(ROOT, "scenarios", f"{name}.yaml"), inputs)
-    with open(os.path.join(inputs, "array.yaml"), "w", encoding="utf-8") as fh:
-        fh.write(array_scenario_text())
+    texts = {"array": array_scenario_text()}
     for name, base, changes in (
+            *((name, name, {}) for name in (
+                "snr_sweep", "altitude_sweep", "altitude_sweep_symmetric")),
             ("all_streams", "snr_sweep", dict(all_streams=True)),
             ("singular", "snr_sweep", dict(kappa_up_db=200.0,
                                            kappa_down_db=200.0)),
@@ -104,15 +107,13 @@ def write_inputs(inputs: str) -> None:
         with open(os.path.join(ROOT, "scenarios", f"{base}.yaml"),
                   encoding="utf-8") as fh:
             mapping = yaml.safe_load(fh)
+        texts[name] = yaml.safe_dump({**mapping, **changes}, sort_keys=False)
+    # yaml.safe_dump cannot write a key twice, so the line goes in as text.
+    texts["duplicate_key"] = texts["snr_sweep"] + "trials: 7\n"
+    for name, text in texts.items():
         with open(os.path.join(inputs, f"{name}.yaml"), "w",
                   encoding="utf-8") as fh:
-            yaml.safe_dump({**mapping, **changes}, fh, sort_keys=False)
-    # yaml.safe_dump cannot write a key twice, so the line goes in as text.
-    shutil.copy(os.path.join(ROOT, "scenarios", "snr_sweep.yaml"),
-                os.path.join(inputs, "duplicate_key.yaml"))
-    with open(os.path.join(inputs, "duplicate_key.yaml"), "a",
-              encoding="utf-8") as fh:
-        fh.write("trials: 7\n")
+            fh.write(text)
 
 
 def runs() -> list[tuple[str, list[str], int]]:

@@ -83,9 +83,11 @@ def _flag(name: str, value) -> bool:
     return bool(value)
 
 
-def _text(name: str, value) -> str:
+def _choice(name: str, value, choices: tuple[str, ...]) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value
 
 
@@ -129,12 +131,10 @@ class ScenarioLayout:
         for key in ("hap_altitude_m", "relay_altitude_m", "hap_spacing_m",
                     "gs_spacing_m"):
             object.__setattr__(self, key, _require_positive(key, getattr(self, key)))
-        object.__setattr__(self, "gs_altitude_m",
-                           _number("gs_altitude_m", self.gs_altitude_m))
-        if self.gs_altitude_m < 0.0 or not math.isfinite(self.gs_altitude_m):
-            raise ValueError(
-                f"gs_altitude_m must be non-negative, got {self.gs_altitude_m!r}"
-            )
+        gs = _finite("gs_altitude_m", self.gs_altitude_m)
+        if gs < 0.0:
+            raise ValueError(f"gs_altitude_m must be non-negative, got {gs!r}")
+        object.__setattr__(self, "gs_altitude_m", gs)
         if not self.gs_altitude_m < self.relay_altitude_m < self.hap_altitude_m:
             raise ValueError(
                 "altitudes must satisfy gs_altitude_m < relay_altitude_m < "
@@ -264,11 +264,7 @@ class NetworkConfig:
         for key in ("aoa_deg", "aod_deg"):
             set_(key, _finite(key, getattr(self, key)))
         set_("all_streams", _flag("all_streams", self.all_streams))
-        if _text("snr_reference", self.snr_reference) not in SNR_REFERENCE_CHOICES:
-            raise ValueError(
-                f"snr_reference must be one of {SNR_REFERENCE_CHOICES}, "
-                f"got {self.snr_reference!r}"
-            )
+        _choice("snr_reference", self.snr_reference, SNR_REFERENCE_CHOICES)
 
     @property
     def required_relay_antennas(self) -> int:

@@ -13,13 +13,12 @@ the relay antenna count), so a dumped scenario re-parses identically.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import MISSING, dataclass, fields
 
 import yaml
 
-from .network import NetworkConfig, ScenarioLayout, _flag, _number
+from .network import NetworkConfig, ScenarioLayout, _flag, _require_positive
 from .simulator import SweepSpec
 
 
@@ -39,11 +38,8 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "include_baseline",
                            _flag("include_baseline", self.include_baseline))
-        beta = _number("spacing_dof_beta", self.spacing_dof_beta)
-        if not 0.0 < beta < math.inf:
-            raise ValueError("spacing_dof_beta must be positive and finite, "
-                             f"got {beta!r}")
-        object.__setattr__(self, "spacing_dof_beta", beta)
+        object.__setattr__(self, "spacing_dof_beta", _require_positive(
+            "spacing_dof_beta", self.spacing_dof_beta))
 
 
 # The schema: every scenario key with its default, grouped by the object

@@ -44,9 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, streams
-from .network import (NetworkConfig, _finite, _number, _text,
+from .network import (NetworkConfig, _choice, _finite, _integer, _number,
                       check_far_field, db_to_linear, los_channel)
-from .streams import trial_budget
 
 _LN2 = math.log(2.0)
 # Scales two standard normals to the planes of a CN(0, 1) entry.  numpy
@@ -70,6 +69,17 @@ MAX_SWEEP_POINTS = 10**6
 _CHUNK_DRAWS = 2**17
 
 
+def _trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
+    """(trials, master_seed) as ints; ValueError as network's counts, or for
+    a value outside the seeded range."""
+    trials, seed = _integer("trials", trials), _integer("master_seed", master_seed)
+    if not 1 <= trials <= streams.MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, 2**32], got {trials!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"master_seed must fit in 64 bits, got {seed!r}")
+    return trials, seed
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional sweep definition with its Monte Carlo budget."""
@@ -82,10 +92,7 @@ class SweepSpec:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self) -> None:
-        if _text("variable", self.variable) not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
-            )
+        _choice("variable", self.variable, SWEEP_VARIABLES)
         for key in ("start", "stop", "step"):
             object.__setattr__(self, key, _finite(key, getattr(self, key)))
         if not self.start < self.stop:
@@ -115,7 +122,7 @@ class SweepSpec:
                 f"step {self.step!r} is below float64 resolution over "
                 f"[{self.start!r}, {self.stop!r}]: grid points coincide"
             )
-        trials, seed = trial_budget(self.trials, self.master_seed)
+        trials, seed = _trial_budget(self.trials, self.master_seed)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", seed)
 
@@ -336,7 +343,7 @@ class TrialEnsemble:
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
                  include_baseline: bool = False):
         self.cfg = cfg
-        self.trials, self.master_seed = trial_budget(trials, master_seed)
+        self.trials, self.master_seed = _trial_budget(trials, master_seed)
         self.has_baseline = bool(include_baseline)
         self._hops = _hops(cfg, include_baseline)
         runs = _runs(self._hops)
@@ -461,8 +468,7 @@ def check_altitude_bracket(cfg: NetworkConfig, lo: float, hi: float,
         raise ValueError(f"lo must be < hi, got ({lo!r}, {hi!r})")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if math.isinf(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    tol = _finite("tol", tol)
     lay = cfg.layout
     if not lay.gs_altitude_m < lo < hi < lay.hap_altitude_m:
         raise ValueError(

@@ -22,8 +22,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-# A trial's spawn key is one 32-bit word, and the master seed at most two.
-_MAX_TRIALS = 2**32
+# Trials a master seed can seed: a trial's spawn key is one 32-bit word,
+# and the master seed at most two.
+MAX_TRIALS = 2**32
 
 # numpy's SeedSequence constants (hashmix and mix, and generate_state's hash);
 # _trial_states repeats the spawn-key stage of the hash.
@@ -35,21 +36,6 @@ _MASK32 = 2**32 - 1
 # The hash constant of the spawn key's first hash: the pool took 16 before it
 # (4 of the padded seed words, 12 in the mixing rounds).
 _SPAWN_A = _INIT_A * _MULT_A**16 & _MASK32
-
-
-def trial_budget(trials: int, master_seed: int) -> tuple[int, int]:
-    """(trials, master_seed) as ints; ValueError for a bool, a value other
-    than an int or a numpy integer scalar (as network's counts) or a value
-    outside the seeded range."""
-    for name, value in (("trials", trials), ("master_seed", master_seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    trials, seed = int(trials), int(master_seed)
-    if not 1 <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, 2**32], got {trials!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"master_seed must fit in 64 bits, got {seed!r}")
-    return trials, seed
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -157,7 +143,7 @@ def _pair_order() -> np.ndarray:
         raise RuntimeError(f"unknown PCG64 state layout: wrote the words "
                            f"{written}, read back {read}")
     order = np.array([written.index(word) for word in read])
-    seed, trial, got = 2**64 - 1, _MAX_TRIALS - 1, np.empty((1, 4))
+    seed, trial, got = 2**64 - 1, MAX_TRIALS - 1, np.empty((1, 4))
     _draw_rows(seed, trial, got, order)
     want = trial_rng(seed, trial).standard_normal((1, 4))
     if got.tobytes() != want.tobytes():

@@ -3,7 +3,9 @@
 The one network builder the tests use (make_cfg over LAYOUT), seeded
 random matrices with conditioning control, kernel inputs that carry given
 matrices unchanged, the eigenvalue condition number the kernels' gate
-computes, and a bootstrap interval the tests use on the simulator's output.
+computes, a bootstrap interval the tests use on the simulator's output,
+and the curves a shipped scenario's sweep command computes, which the
+reference-curve check and scripts/reference_curves.py share.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from hapsim.network import NetworkConfig, ScenarioLayout
+from hapsim.scenario import load_scenario
+from hapsim.simulator import (SNR_DB, SumRateCurve, TrialEnsemble,
+                              run_altitude_sweep, run_snr_sweep)
 
 LAYOUT = ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0)
 
@@ -86,3 +91,18 @@ def bootstrap_mean_ci(samples: np.ndarray, confidence: float = 0.95,
     means = x[idx].mean(axis=1)
     alpha = 0.5 * (1.0 - confidence)
     return float(np.quantile(means, alpha)), float(np.quantile(means, 1.0 - alpha))
+
+
+def scenario_curves(path, trials: int, master_seed: int
+                    ) -> dict[str, SumRateCurve]:
+    """The curves of the scenario file at path, by name, at the given
+    trials and seed: "relay" and, where the file asks for it, "baseline"
+    from an SNR sweep, or "relay" from an altitude sweep."""
+    scenario = load_scenario(str(path), trials=trials, master_seed=master_seed)
+    net, spec = scenario.network, scenario.sweep
+    if spec.variable == SNR_DB:
+        result = run_snr_sweep(net, spec, scenario.include_baseline)
+        return {"relay": result.relay,
+                **({"baseline": result.baseline} if result.baseline else {})}
+    return {"relay": run_altitude_sweep(TrialEnsemble(net, trials, master_seed),
+                                        spec)}

@@ -7,15 +7,18 @@ Monte Carlo configurations and tolerances are frozen; do not loosen them
 to make a failing run green.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import yaml
 from scipy import integrate, stats
 
 import oracles
-from helpers import bootstrap_mean_ci, kernel_inputs, well_conditioned
+from helpers import (bootstrap_mean_ci, kernel_inputs, scenario_curves,
+                     well_conditioned)
 
 from hapsim import kernels, simulator
 from hapsim.cli import main
@@ -30,6 +33,7 @@ from hapsim.simulator import (
 )
 
 MASTER_SEED = 12345
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -374,3 +378,32 @@ def test_csv_reruns_byte_identical(tmp_path, capsys):
         _report("sweep re-runs are byte-identical CSVs", ok,
                 f"matched {sum(same.values())}/{len(same)} pairs ("
                 + ", ".join(same) + f"), {time.perf_counter() - t0:.1f} s")
+
+
+def test_curves_match_seed_independent_reference(capsys):
+    # Frozen before the first run: one run a scenario at MASTER_SEED with
+    # 10^4 trials, and |z| <= 4.5 at every point of every curve against
+    # tests/data/reference_curves.json (scripts/reference_curves.py: seeds
+    # 1-10 at 10^5 trials each, pooled).  At a fixed seed this cannot flake;
+    # it moves only when the distribution of a curve moves.
+    t0 = time.perf_counter()
+    reference = json.loads((REPO / "tests" / "data" / "reference_curves.json")
+                           .read_text(encoding="utf-8"))["curves"]
+    worst = {}
+    for name in ("snr_sweep", "altitude_sweep", "altitude_sweep_symmetric"):
+        path = REPO / "scenarios" / f"{name}.yaml"
+        for curve, got in scenario_curves(path, 10**4, MASTER_SEED).items():
+            ref = reference[f"{name}/{curve}"]
+            assert got.xs.tolist() == ref["xs"]
+            z = (got.mean_rates - ref["mean"]) / np.hypot(got.std_errs,
+                                                          ref["std_err"])
+            at = int(np.abs(z).argmax())
+            worst[f"{name}/{curve}"] = (float(z[at]), float(got.xs[at]))
+    ok = (set(worst) == set(reference)
+          and all(abs(z) <= 4.5 for z, _ in worst.values()))
+    with capsys.disabled():
+        _report("shipped curves match seed-independent reference curves "
+                "(|z| <= 4.5 at every point, 10^4 trials)", ok,
+                "largest |z| " + ", ".join(f"{key} {z:+.2f} at {x:g}"
+                                           for key, (z, x) in worst.items())
+                + f", {time.perf_counter() - t0:.1f} s")

@@ -550,7 +550,7 @@ class TestExitCodes:
         assert main(argv + ["--config", cfg]) == 2
         assert not out.exists()
         assert capsys.readouterr() == ("", "error: spacing_dof_beta must be "
-                                       "positive and finite, got -1.0\n")
+                                       "a positive finite number, got -1.0\n")
 
     @pytest.mark.parametrize("argv", [
         ["geometry"], ["geometry", "--dump-config"], ["snr-sweep", "--out"],

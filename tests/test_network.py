@@ -55,9 +55,17 @@ class TestScenarioLayout:
                            gs_altitude_m=gs)
 
     def test_negative_gs_altitude_rejected(self):
-        with pytest.raises(ValueError, match="gs_altitude_m"):
+        with pytest.raises(ValueError,
+                           match=r"^gs_altitude_m must be non-negative, got -1.0$"):
             ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0,
                            gs_altitude_m=-1.0)
+
+    @pytest.mark.parametrize("gs", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gs_altitude_rejected(self, gs):
+        with pytest.raises(ValueError,
+                           match=f"^gs_altitude_m must be finite, got {gs!r}$"):
+            ScenarioLayout(hap_altitude_m=18000.0, relay_altitude_m=9000.0,
+                           gs_altitude_m=gs)
 
     def test_fields_coerced_to_float(self):
         lay = ScenarioLayout(hap_altitude_m=18000, relay_altitude_m=9000)
@@ -160,6 +168,20 @@ class TestStrictFields:
     def test_sweep_rejects_a_string(self):
         with pytest.raises(ValueError, match="^start must be a number"):
             SweepSpec(SNR_DB, start="0", stop=30.0, step=2.5)
+
+    @pytest.mark.parametrize("build,value,msg", [
+        (lambda v: make_cfg(2, 2, snr_reference=v), "mid",
+         "snr_reference must be one of ('pre_path_loss', 'post_path_loss'), "
+         "got 'mid'"),
+        (lambda v: SweepSpec(v, 0.0, 30.0, 2.5), "power",
+         "variable must be one of ('snr_db', 'relay_altitude_m'), got 'power'"),
+        (lambda v: SweepSpec(v, 0.0, 30.0, 2.5), 3,
+         "variable must be a string, got 3"),
+    ], ids=["snr_reference", "variable", "variable-type"])
+    def test_choice_keys_name_their_choices(self, build, value, msg):
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == msg
 
     def test_dof_rejects_a_fraction(self):
         with pytest.raises(ValueError, match="^num_haps must be an integer"):
