@@ -1,15 +1,15 @@
 """Batched zero-forcing quadratic forms: the one numerical core of hapsim.
 
-Both sweep kernels take a stack of line-of-sight matrices ``los`` with shape
-(L, r, c), per-trial scattering draws ``nlos`` with shape (T, L, r, c), and
-per-link Rician mixing weights ``a``, ``b`` of shape (L,).  For each trial t
-and link l they form H = a[l]*los[l] + b[l]*nlos[t, l] and G = H^H H, and
-read stream k's form q_k = 1 / [G^{-1}]_kk = h_k^H (I - P_k) h_k, where
-P_k projects onto the other columns: column 0 (first_stream_quadforms) or
-every column (all_stream_quadforms).  scale * q_k is stream k's zero-forcing
-SNR, so path gains and power scale q from the outside and one kernel pass
-serves a whole sweep.  simulator.TrialEnsemble is the only caller; it
-joins consecutive hops of one shape and kernel into one call per chunk.
+Both sweep kernels take the one line-of-sight matrix ``los`` (r, c) that
+their L links share, scattering draws ``nlos`` (T, L, r, c) and per-link
+Rician mixing weights ``a``, ``b`` of shape (L,).  For each trial t and link
+l they form H = a[l]*los + b[l]*nlos[t, l] and G = H^H H, and read stream
+k's form q_k = 1 / [G^{-1}]_kk = h_k^H (I - P_k) h_k, where P_k projects
+onto the other columns: column 0 (first_stream_quadforms) or every column
+(all_stream_quadforms).  scale * q_k is stream k's zero-forcing SNR, so path
+gains and power scale q from the outside and one kernel pass serves a whole
+sweep.  simulator.TrialEnsemble is the only caller; it joins consecutive
+hops of one shape and kernel into one call per chunk.
 
 The kernel mixes H batch-first, in place from b nlos, and drops its own
 reference to nlos, so a caller that handed over its only one frees the
@@ -66,24 +66,6 @@ CONDITION_LIMIT = 1e12
 # factor of ten absorbs the bound's and the test's errors, about cond(G) eps,
 # and the test's own G, which rounds otherwise than the factor's.
 _SCREEN_LIMIT = 1e11
-
-
-def _check_inputs(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
-                  b: np.ndarray) -> tuple[np.ndarray, ...]:
-    los = np.ascontiguousarray(los, dtype=np.complex128)
-    nlos = np.ascontiguousarray(nlos, dtype=np.complex128)
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if nlos.ndim != 4 or los.ndim != 3:
-        raise ValueError("nlos must be (T, L, r, c) and los (L, r, c)")
-    if los.shape != nlos.shape[1:]:
-        raise ValueError(
-            f"los shape {los.shape} does not match nlos trailing {nlos.shape[1:]}"
-        )
-    n_links = los.shape[0]
-    if a.shape != (n_links,) or b.shape != (n_links,):
-        raise ValueError(f"mixing weights must have shape ({n_links},)")
-    return los, nlos, a, b
 
 
 def _condition(gram: np.ndarray) -> np.ndarray:
@@ -203,7 +185,19 @@ def _mixed(los: np.ndarray, nlos: np.ndarray, a: np.ndarray,
            b: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """H = a los + b nlos as an (n, r, c) stack, made in place from b nlos,
     and the batch shape (T, L)."""
-    los, nlos, a, b = _check_inputs(los, nlos, a, b)
+    los = np.ascontiguousarray(los, dtype=np.complex128)
+    nlos = np.ascontiguousarray(nlos, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if nlos.ndim != 4:
+        raise ValueError(f"nlos must be (T, L, r, c), got shape {nlos.shape}")
+    if los.shape != nlos.shape[2:]:
+        raise ValueError(f"los shape {los.shape} does not match nlos shape "
+                         f"{nlos.shape}: los is the one (r, c) matrix that "
+                         "every link shares")
+    n_links = nlos.shape[1]
+    if a.shape != (n_links,) or b.shape != (n_links,):
+        raise ValueError(f"mixing weights must have shape ({n_links},)")
     h = b[:, None, None] * nlos
     h += a[:, None, None] * los
     return h.reshape(math.prod(h.shape[:2]), *h.shape[2:]), h.shape[:2]

@@ -29,7 +29,8 @@ line-of-sight part; the trial ensemble draws the scattering part from each
 trial's stream, the kernels mix the two and the ensemble applies the path
 gain.  The line-of-sight part is the outer product of receive and transmit
 steering vectors: rank one at any array size, and set by the wavelength,
-spacings and angles alone, never by the link distance.
+spacings and angles alone, never by the link or its distance, so a kernel
+call takes one los_channel matrix for all its links, which share a shape.
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, streams
-from .network import (NetworkConfig, _choice, _finite, _integer, _number,
-                      check_far_field, db_to_linear, los_channel)
+from .network import (NetworkConfig, _choice, _finite, _flag, _integer,
+                      _number, check_far_field, db_to_linear, los_channel)
 
 _LN2 = math.log(2.0)
 # Scales two standard normals to the planes of a CN(0, 1) entry.  numpy
@@ -137,10 +137,10 @@ class SweepSpec:
 @dataclass(frozen=True, eq=False)
 class SumRateCurve:
     """A sweep as columns: the points xs, strictly ascending, with each
-    point's mean rate and its standard error (float64 arrays of one length),
-    and the count of failed trials.  Singular trials do not depend on the
-    operating point, so trials_failed is one count for the whole curve.  A
-    mean is NaN, and its standard error 0, where every trial failed."""
+    point's mean rate and its standard error (1-D float64 arrays of one
+    length), and the count of failed trials.  Singular trials do not depend
+    on the operating point, so trials_failed is one count for the whole
+    curve.  A mean is NaN, and its std error 0, where every trial failed."""
 
     xs: np.ndarray
     mean_rates: np.ndarray
@@ -148,10 +148,13 @@ class SumRateCurve:
     trials_failed: int
 
     def __post_init__(self) -> None:
-        for key in ("xs", "mean_rates", "std_errs"):
-            object.__setattr__(self, key,
-                               np.asarray(getattr(self, key), dtype=float))
-        if (np.diff(self.xs) <= 0.0).any():
+        for key in ("xs", "mean_rates", "std_errs"):  # xs first
+            column = np.asarray(getattr(self, key), dtype=float)
+            object.__setattr__(self, key, column)
+            if column.shape != (self.xs.size,):
+                raise ValueError("xs, mean_rates and std_errs must be 1-D of "
+                                 f"one length, got {key} of shape {column.shape}")
+        if not (np.diff(self.xs) > 0.0).all():
             raise ValueError("xs must be strictly ascending")
 
     @property
@@ -242,7 +245,7 @@ class _Hop(NamedTuple):
     links: int
     shape: tuple[int, int]        # (receive, transmit) antennas of every link
     span: slice                   # the hop's columns of a trial's fill
-    los: np.ndarray               # (links, *shape) line-of-sight stack
+    los: np.ndarray               # the shape's line-of-sight matrix
     a: np.ndarray                 # per-link sqrt(k/(1+k)), k the Rician factor
     b: np.ndarray                 # per-link sqrt(1/(1+k))
     ref_gain: np.ndarray          # per-link reference gain
@@ -279,9 +282,9 @@ def _hops(cfg: NetworkConfig, include_baseline: bool) -> tuple[_Hop, ...]:
     for distance, keys, links, shape, kappa_db, ref_gain, all_streams in kinds:
         span = slice(width, width + 2 * links * math.prod(shape))
         width = span.stop
-        los = np.broadcast_to(los_channel(cfg, *shape), (links, *shape))
         k = np.array([db_to_linear(v) for v in kappa_db])
-        hops.append(_Hop(distance, keys, links, shape, span, los,
+        hops.append(_Hop(distance, keys, links, shape, span,
+                         los_channel(cfg, *shape),
                          np.sqrt(k / (1.0 + k)), np.sqrt(1.0 / (1.0 + k)),
                          np.array(ref_gain), all_streams))
     return tuple(hops)
@@ -291,8 +294,8 @@ def _runs(hops: tuple[_Hop, ...]) -> tuple[tuple[_Hop, ...], ...]:
     """The hops grouped, in hop order, into runs of consecutive hops that
     share a matrix shape and a kernel, as the relay hops do in every CLI
     sweep, with the baseline under all_streams.  A chunk makes one kernel
-    call for the whole run, its hops' links joined in hop order; their
-    draws are already adjacent in a trial's fill."""
+    call for the whole run, on their shape's line-of-sight matrix, its hops'
+    links joined in hop order; their draws are adjacent in a trial's fill."""
     return tuple(tuple(run) for _, run in itertools.groupby(
         hops, key=lambda hop: (hop.shape, hop.all_streams)))
 
@@ -321,9 +324,9 @@ def _draw_chunk(runs: tuple[tuple[_Hop, ...], ...], master_seed: int, lo: int,
     for run in runs:
         kernel = (kernels.all_stream_quadforms if run[0].all_streams
                   else kernels.first_stream_quadforms)
-        los, a, b = (np.concatenate(parts)
-                     for parts in zip(*((hop.los, hop.a, hop.b) for hop in run)))
-        q, singular = kernel(los, nlos.pop(0), a, b)
+        a, b = (np.concatenate(parts)
+                for parts in zip(*((hop.a, hop.b) for hop in run)))
+        q, singular = kernel(run[0].los, nlos.pop(0), a, b)
         bounds = np.cumsum([hop.links for hop in run])[:-1]
         for q_hop, singular_hop, (q_view, failed_view) in zip(
                 np.split(q, bounds, axis=1), np.split(singular, bounds, axis=1),
@@ -344,8 +347,8 @@ class TrialEnsemble:
                  include_baseline: bool = False):
         self.cfg = cfg
         self.trials, self.master_seed = _trial_budget(trials, master_seed)
-        self.has_baseline = bool(include_baseline)
-        self._hops = _hops(cfg, include_baseline)
+        self.has_baseline = _flag("include_baseline", include_baseline)
+        self._hops = _hops(cfg, self.has_baseline)
         runs = _runs(self._hops)
         self._q = [np.empty((h.links * (h.shape[1] if h.all_streams else 1),
                              self.trials)) for h in self._hops]
@@ -522,9 +525,10 @@ def _mean_relay_rate(ens: TrialEnsemble) -> Callable[[float], float]:
 
 
 def check_snr_hops(cfg: NetworkConfig, include_baseline: bool) -> None:
-    """Raise ValueError unless every hop run_snr_sweep draws passes
-    check_far_field at the layout's distance, in _hops() order: d_sr_m and
-    d_rd_m, then d_sd_m with the baseline."""
+    """Raise ValueError unless include_baseline is a bool and every hop
+    run_snr_sweep draws passes check_far_field at the layout's distance, in
+    _hops() order: d_sr_m and d_rd_m, then d_sd_m with the baseline."""
+    include_baseline = _flag("include_baseline", include_baseline)
     for name in ("d_sr_m", "d_rd_m", "d_sd_m")[:3 if include_baseline else 2]:
         check_far_field(cfg, name, getattr(cfg.layout, name))
 
@@ -539,7 +543,7 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     """
     check_sweep_variable(spec, SNR_DB)
     # Reject bad input before any draw; the hop table itself, line-of-sight
-    # stacks included, is the ensemble's to build.
+    # matrices included, is the ensemble's to build.
     check_snr_hops(cfg, include_baseline)
     grid = spec.grid()
     gammas = np.array([db_to_linear(x) for x in grid])

@@ -56,11 +56,12 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def kernel_inputs(hs) -> tuple[np.ndarray, ...]:
     """Kernel arguments whose mixed channels are exactly the matrices hs.
 
-    One trial per matrix, one link, zero line-of-sight and weights a = 0,
-    b = 1, so the kernel's H = a * los + b * nlos is each matrix unchanged.
+    One trial per matrix, one link, a zero line-of-sight matrix and weights
+    a = 0, b = 1, so the kernel's H = a * los + b * nlos is each matrix
+    unchanged.
     """
     hs = np.asarray(hs, dtype=np.complex128)
-    return np.zeros((1, *hs.shape[1:])), hs[:, None], np.zeros(1), np.ones(1)
+    return np.zeros(hs.shape[1:]), hs[:, None], np.zeros(1), np.ones(1)
 
 
 def gram_condition(h) -> np.ndarray:

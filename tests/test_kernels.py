@@ -37,7 +37,7 @@ def reference_quadforms(los, nlos, a, b, all_streams):
     singular = np.zeros((n_trials, n_links), dtype=bool)
     for t in range(n_trials):
         for l in range(n_links):
-            h = a[l] * los[l] + b[l] * nlos[t, l]
+            h = a[l] * los + b[l] * nlos[t, l]
             s = np.linalg.svd(h, compute_uv=False)
             if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 >= CONDITION_LIMIT:
                 singular[t, l] = True
@@ -55,12 +55,11 @@ def reference_quadforms(los, nlos, a, b, all_streams):
 
 
 def workload(seed=7, trials=40, links=3, rows=4, cols=4):
+    """Kernel arguments: one rank-one line-of-sight matrix that every link
+    shares, as in the ensemble, and a Rician factor per link."""
     rng = np.random.default_rng(seed)
-    los = np.empty((links, rows, cols), dtype=np.complex128)
-    for l in range(links):
-        v = np.exp(2j * np.pi * rng.uniform(size=rows))
-        w = np.exp(2j * np.pi * rng.uniform(size=cols))
-        los[l] = np.outer(v, w)
+    los = np.outer(np.exp(2j * np.pi * rng.uniform(size=rows)),
+                   np.exp(2j * np.pi * rng.uniform(size=cols)))
     nlos = np.stack([
         np.stack([random_complex(rng, rows, cols) for _ in range(links)])
         for _ in range(trials)])
@@ -279,6 +278,16 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="does not match"):
             first_stream_quadforms(los[:2], nlos, a, b)
 
+    def test_stacked_los_rejected(self):
+        # The links of a call share one (r, c) line-of-sight matrix; a stack
+        # of per-link copies is refused, naming both shapes.
+        los, nlos, a, b = workload(trials=2)
+        stacked = np.broadcast_to(los, (3, *los.shape))
+        for kernel in (first_stream_quadforms, all_stream_quadforms):
+            with pytest.raises(ValueError, match=r"los shape \(3, 4, 4\) does "
+                               r"not match nlos shape \(2, 3, 4, 4\)"):
+                kernel(stacked, nlos, a, b)
+
     def test_weight_shape_rejected(self):
         los, nlos, a, b = workload(trials=2)
         with pytest.raises(ValueError, match="mixing weights"):
@@ -287,7 +296,7 @@ class TestInputValidation:
     def test_channels_without_rows_are_singular(self):
         # H with no rows has G = 0: every matrix is flagged and q is zero.
         nlos = np.zeros((2, 1, 0, 3), dtype=np.complex128)
-        args = np.zeros((1, 0, 3)), nlos, np.zeros(1), np.ones(1)
+        args = np.zeros((0, 3)), nlos, np.zeros(1), np.ones(1)
         q, singular = all_stream_quadforms(*args)
         q0, singular0 = first_stream_quadforms(*args)
         assert singular.tolist() == singular0.tolist() == [[True], [True]]

@@ -25,10 +25,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from helpers import (LAYOUT, bootstrap_mean_ci, gram_condition, make_cfg,
-                     random_complex)
+                     random_complex, scenario_curves)
 
 from hapsim import kernels, simulator, streams
-from hapsim.network import FAR_FIELD_FACTOR, NetworkConfig, db_to_linear
+from hapsim.network import (FAR_FIELD_FACTOR, NetworkConfig, db_to_linear,
+                            los_channel)
 from hapsim.scenario import load_scenario
 from hapsim.simulator import (
     RELAY_ALTITUDE_M,
@@ -428,12 +429,42 @@ class TestSumRateCurve:
         with pytest.raises(ValueError, match="ascending"):
             SumRateCurve([2.0, 1.0], [1.0, 1.0], [0.0, 0.0], 0)
 
+    @pytest.mark.parametrize("xs", [[math.nan, 1.0, 2.0], [1.0, math.nan]],
+                             ids=["nan-first", "nan-last"])
+    def test_nan_point_rejected(self, xs):
+        with pytest.raises(ValueError, match="^xs must be strictly ascending$"):
+            SumRateCurve(xs, [1.0] * len(xs), [0.0] * len(xs), 0)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            SumRateCurve([1.0, 2.0, 3.0], [1.0, 1.0], [0.0, 0.0, 0.0], 0)
+
+    def test_two_dimensional_columns_rejected(self):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            SumRateCurve([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]],
+                         [[0.0, 0.0], [0.0, 0.0]], 0)
+
 
 class TestTrialEnsemble:
     def test_baseline_requires_flag(self):
         ens = TrialEnsemble(sweep_cfg(), trials=3, master_seed=1)
         with pytest.raises(RuntimeError, match="baseline"):
             ens.baseline_rates(10.0)
+
+    @pytest.mark.parametrize("flag", ["false", "no", 1, None])
+    def test_baseline_flag_must_be_a_bool(self, flag, monkeypatch):
+        # A truthy string does not switch the baseline on; the check comes
+        # before any draw, for the ensemble and for the SNR sweep alike.
+        def no_draws(*args):
+            raise AssertionError("drew trials")
+
+        monkeypatch.setattr(streams, "fill_trials", no_draws)
+        message = f"^include_baseline must be true or false, got {flag!r}$"
+        with pytest.raises(ValueError, match=message):
+            TrialEnsemble(sweep_cfg(), 3, 1, include_baseline=flag)
+        spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=3, master_seed=1)
+        with pytest.raises(ValueError, match=message):
+            run_snr_sweep(sweep_cfg(), spec, include_baseline=flag)
 
     def test_non_positive_scale_rejected(self):
         ens = TrialEnsemble(sweep_cfg(), trials=3, master_seed=1)
@@ -898,6 +929,33 @@ class TestChunking:
             assert sum(nlos[0] for _, nlos in group) == trials
         assert max(math.prod(nlos) for _, nlos in calls) <= (
             simulator._CHUNK_DRAWS // 2)
+
+    @pytest.mark.parametrize("scenario", [
+        "altitude_sweep", "altitude_sweep_symmetric", "snr_sweep", "array"])
+    def test_kernel_calls_take_the_shared_line_of_sight(self, monkeypatch,
+                                                        scenario):
+        # Every call, one sweep of each shipped scenario and of a 4 x 4
+        # network of 9-element arrays with all streams, gets the one (r, c)
+        # line-of-sight matrix that its links share: los_channel's bits.
+        calls = []
+        for name in ("first_stream_quadforms", "all_stream_quadforms"):
+            def spy(los, nlos, a, b, kernel=getattr(kernels, name)):
+                calls.append((los, nlos.shape[2:]))
+                return kernel(los, nlos, a, b)
+            monkeypatch.setattr(kernels, name, spy)
+        if scenario == "array":
+            cfg = sweep_cfg(4, 4, antennas=9, relay_antennas=9,
+                            all_streams=True)
+            run_snr_sweep(cfg, SweepSpec(SNR_DB, 0.0, 30.0, 10.0, trials=40,
+                                         master_seed=3))
+        else:
+            path = f"scenarios/{scenario}.yaml"
+            cfg = load_scenario(path).network
+            scenario_curves(path, 40, 3)
+        assert calls
+        for los, shape in calls:
+            assert los.shape == shape
+            assert los.tobytes() == los_channel(cfg, *shape).tobytes()
 
     def test_joined_calls_equal_one_call_per_hop(self):
         # One all-stream call serves all three hops of PARTLY_SINGULAR; each
