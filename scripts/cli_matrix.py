@@ -26,7 +26,11 @@ trials with seeds 7 and 0; snr-sweep and altitude-sweep --cross-check at
 20000 trials, which take several sweep passes; an snr-sweep on
 snr_sweep.yaml with all_streams on, where the uplink, downlink and direct
 links share one kernel call per chunk; an snr-sweep whose hops are all
-singular (Rician factor 200 dB on both), which exits 3; and an
+singular (Rician factor 200 dB on both), which exits 3; two snr-sweeps
+whose uplink SNR overflows float64 where its trials are singular, which
+exit 2, not 3: every uplink singular (200 dB) with ref_gain_up 1e200, and
+only the second platform's uplink singular (3, 200 and 3 dB) with
+ref_gain_up 3.16e158, where the other two overflow at 30 dB only; and an
 altitude-sweep --cross-check on altitude_sweep.yaml with the second
 platform's uplink at 90 dB, where 57 of 999 trials are singular, so both
 the grid means and the golden-section search drop failed trials.  It
@@ -76,9 +80,10 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario, five variants of
-    snr_sweep.yaml, all streams (baseline on, as shipped), all-singular, a
-    wide downlink, a direct link whose square overflows and zero trials,
+    """The shipped scenarios, the array scenario, seven variants of
+    snr_sweep.yaml, all streams (baseline on, as shipped), all-singular,
+    two whose singular uplinks overflow, a wide downlink, a direct link
+    whose square overflows and zero trials,
     and three of altitude_sweep.yaml, one with some singular trials, one
     whose sweep stops inside the platforms' far field and one whose grid
     points coincide in float64, and snr_sweep.yaml with its trials key
@@ -93,6 +98,10 @@ def write_inputs(inputs: str) -> None:
             ("all_streams", "snr_sweep", dict(all_streams=True)),
             ("singular", "snr_sweep", dict(kappa_up_db=200.0,
                                            kappa_down_db=200.0)),
+            ("singular_overflow", "snr_sweep",
+             dict(kappa_up_db=200.0, ref_gain_up=1.0e+200)),
+            ("singular_link_overflow", "snr_sweep",
+             dict(kappa_up_db=[3.0, 200.0, 3.0], ref_gain_up=3.16e+158)),
             ("wide_downlink", "snr_sweep", dict(relay_antennas=5)),
             ("direct_overflow", "snr_sweep",
              dict(hap_altitude_m=1.9e154, relay_altitude_m=0.95e154)),
@@ -140,6 +149,9 @@ def runs() -> list[tuple[str, list[str], int]]:
     out.append(("singular-t200-s1",
                 ["snr-sweep", "--config", "inputs/singular.yaml",
                  "--trials", "200", "--seed", "1"], 3))
+    for name in ("singular_overflow", "singular_link_overflow"):
+        out.append((name.replace("_", "-"),
+                    ["snr-sweep", "--config", f"inputs/{name}.yaml"], 2))
     out.append(("partly-singular-t999-s7",
                 ["altitude-sweep", "--config", "inputs/partly_singular.yaml",
                  "--cross-check", "--trials", "999", "--seed", "7"], 0))

@@ -11,7 +11,7 @@ laid out in _hops() order; streams fills a chunk's rows at once.
 A TrialEnsemble runs the zero-forcing kernels once per configuration, on
 chunks of as many trials as fit _CHUNK_DRAWS draws, with one kernel call
 per chunk for each run of hops that share a matrix shape and a kernel
-(_runs), and keeps only the singular flags and the quadratic forms,
+(_runs), and keeps only the quadratic forms, NaN on a singular link,
 trial-last: one row of T forms per link and stream.  The forms are
 invariant under uniform scaling of a channel matrix, so transmit power and
 path loss (amplitude gain/d^2, so an SNR falls as d^-4) multiply in
@@ -156,6 +156,10 @@ class SumRateCurve:
                                  f"one length, got {key} of shape {column.shape}")
         if not (np.diff(self.xs) > 0.0).all():
             raise ValueError("xs must be strictly ascending")
+        failed = _integer("trials_failed", self.trials_failed)
+        object.__setattr__(self, "trials_failed", failed)
+        if failed < 0 or not (self.std_errs >= 0.0).all():
+            raise ValueError("trials_failed and every std_err must be >= 0")
 
     @property
     def argmax_x(self) -> float:
@@ -301,15 +305,15 @@ def _runs(hops: tuple[_Hop, ...]) -> tuple[tuple[_Hop, ...], ...]:
 
 
 def _draw_chunk(runs: tuple[tuple[_Hop, ...], ...], master_seed: int, lo: int,
-                q_out: list[np.ndarray], failed_out: list[np.ndarray]) -> None:
-    """Draw trials lo..lo+n-1 and reduce them into hop i's views: q_out[i]
-    (forms, n) takes its forms trial-last and failed_out[i] (n,) whether any
-    of its links is singular.  Each trial's fill, in hop order, becomes the
-    CN(0, 1) scattering matrices of every link.  The fill is freed before
-    the first kernel call, and no reference to a run's scattering matrices
-    is kept past its call, so the kernel can free them once it has mixed H
-    (where the interpreter hands the argument over, as CPython 3.11 does)."""
-    n = len(failed_out[0])
+                q_out: list[np.ndarray]) -> None:
+    """Draw trials lo..lo+n-1 and reduce them into hop i's view q_out[i]
+    (forms, n), trial-last, NaN on a singular link.  Each trial's fill, in
+    hop order, becomes the CN(0, 1) scattering matrices of every link.  The
+    fill is freed before the first kernel call, and no reference to a run's
+    scattering matrices is kept past its call, so the kernel can free them
+    once it has mixed H (where the interpreter hands the argument over, as
+    CPython 3.11 does)."""
+    n = q_out[0].shape[1]
     x = np.empty((n, runs[-1][-1].span.stop))
     streams.fill_trials(master_seed, lo, x)
     nlos = []
@@ -320,27 +324,25 @@ def _draw_chunk(runs: tuple[tuple[_Hop, ...], ...], master_seed: int, lo: int,
         np.multiply(z[:, :, 0], _INV_SQRT2, out=nlos[-1].real)
         np.multiply(z[:, :, 1], _INV_SQRT2, out=nlos[-1].imag)
     del x, z
-    views = zip(q_out, failed_out)
+    views = iter(q_out)
     for run in runs:
         kernel = (kernels.all_stream_quadforms if run[0].all_streams
                   else kernels.first_stream_quadforms)
         a, b = (np.concatenate(parts)
                 for parts in zip(*((hop.a, hop.b) for hop in run)))
         q, singular = kernel(run[0].los, nlos.pop(0), a, b)
+        q[singular] = np.nan
         bounds = np.cumsum([hop.links for hop in run])[:-1]
-        for q_hop, singular_hop, (q_view, failed_view) in zip(
-                np.split(q, bounds, axis=1), np.split(singular, bounds, axis=1),
-                views):
+        for q_hop, q_view in zip(np.split(q, bounds, axis=1), views):
             q_view[...] = q_hop.reshape(n, -1).T
-            failed_view[...] = singular_hop.any(axis=1)
 
 
 class TrialEnsemble:
     """Zero-forcing quadratic forms of a fixed scenario's trial draws.
 
     Construction runs _draw_chunk chunk by chunk and keeps only q (float64,
-    one row of T per link and stream, link-major) and the per-trial flags;
-    relay_rates and baseline_rates give failed (singular) trials NaN rates.
+    one row of T per link and stream, link-major), NaN on a singular link,
+    so relay_rates and baseline_rates give failed (singular) trials NaN rates.
     """
 
     def __init__(self, cfg: NetworkConfig, trials: int, master_seed: int,
@@ -352,12 +354,9 @@ class TrialEnsemble:
         runs = _runs(self._hops)
         self._q = [np.empty((h.links * (h.shape[1] if h.all_streams else 1),
                              self.trials)) for h in self._hops]
-        self._failed = [np.empty(self.trials, dtype=bool) for _ in self._hops]
         for part in _budget_slices(self.trials, self._hops[-1].span.stop):
             _draw_chunk(runs, self.master_seed, part.start,
-                        [q[:, part] for q in self._q],
-                        [failed[part] for failed in self._failed])
-        self._relay_failed = self._failed[_UP] | self._failed[_DOWN]
+                        [q[:, part] for q in self._q])
 
     def _hop_rate(self, index: int, snr_scale: np.ndarray,
                   distance_m: np.ndarray) -> np.ndarray:
@@ -367,7 +366,9 @@ class TrialEnsemble:
         result one row of per-trial sums per point, (P, T); every scale must
         be positive and every distance pass check_far_field, under either
         snr_reference.  Each stored row adds its log1p to every point's row,
-        so a trial's sum runs over its forms in index order at any P.
+        so a trial's sum runs over its forms in index order at any P; a NaN
+        (singular) form makes it NaN.  A point's row is all inf where f times
+        a form, a singular one as 0, is not finite: NaN would hide it in sums.
         """
         hop = self._hops[index]
         if not (snr_scale > 0.0).all():
@@ -375,22 +376,22 @@ class TrialEnsemble:
         square = np.array([check_far_field(self.cfg, hop.distance, d)
                            for d in distance_m])
         q = self._q[index]
-        per_link = len(q) // hop.links
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.cfg.snr_reference == "post_path_loss":
-                path = np.ones((len(distance_m), hop.links))
-            else:
-                path = (hop.ref_gain / square[:, None]) ** 2
-            f = snr_scale[:, None] * path
+            path = (np.ones((len(square), hop.links))
+                    if self.cfg.snr_reference == "post_path_loss"
+                    else (hop.ref_gain / square[:, None]) ** 2)
+            f = np.repeat(snr_scale[:, None] * path, len(q) // hop.links, axis=1)
             rate = np.empty((len(f), self.trials))
             part = np.empty_like(rate) if len(q) > 1 else None
             for k, row in enumerate(q):
                 out = part if k else rate
-                np.multiply(f[:, k // per_link, None], row, out=out)
+                np.multiply(f[:, k, None], row, out=out)
                 np.log1p(out, out=out)
                 if k:
                     rate += part
             rate /= _LN2
+            top = np.fmax.reduce(q, axis=1, initial=0.0)  # singular as 0
+            rate[~np.isfinite(f * top).all(axis=1)] = np.inf
         return rate
 
     def _checked_rates(self, *points) -> list[np.ndarray]:
@@ -408,7 +409,7 @@ class TrialEnsemble:
         can change.
         """
         rates = [self._hop_rate(*point) for point in points]
-        bad = np.array([~np.isfinite(r).all(axis=1) for r in rates])
+        bad = np.array([np.isinf(r[:, 0]) for r in rates])
         if bad.any():
             hop = self._hops[points[bad[:, bad.any(axis=0).argmax()].argmax()][0]]
             raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
@@ -428,7 +429,6 @@ class TrialEnsemble:
         c1, c2 = self._checked_rates((_UP, up, d_sr), (_DOWN, dn, d_rd))
         rates = np.minimum(c1, c2, out=c1)
         rates *= self.cfg.dof_prefactor
-        rates[:, self._relay_failed] = np.nan
         return rates[0] if scalar else rates
 
     def baseline_rates(self, snr_scale) -> np.ndarray:
@@ -443,7 +443,6 @@ class TrialEnsemble:
                                                   self.cfg.layout.d_sd_m)
         (rate,) = self._checked_rates((_DIRECT, scale, d_sd))
         rate /= self.cfg.num_haps * self.cfg.num_gs
-        rate[:, self._failed[_DIRECT]] = np.nan
         return rate[0] if scalar else rate
 
 

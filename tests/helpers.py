@@ -2,10 +2,11 @@
 
 The one network builder the tests use (make_cfg over LAYOUT), seeded
 random matrices with conditioning control, kernel inputs that carry given
-matrices unchanged, the eigenvalue condition number the kernels' gate
-computes, a bootstrap interval the tests use on the simulator's output,
-and the curves a shipped scenario's sweep command computes, which the
-reference-curve check and scripts/reference_curves.py share.
+matrices unchanged, an ensemble's failed trials on a hop, the eigenvalue
+condition number the kernels' gate computes, a bootstrap interval the
+tests use on the simulator's output, and the curves a shipped scenario's
+sweep command computes, which the reference-curve check and
+scripts/reference_curves.py share.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def kernel_inputs(hs) -> tuple[np.ndarray, ...]:
     """
     hs = np.asarray(hs, dtype=np.complex128)
     return np.zeros(hs.shape[1:]), hs[:, None], np.zeros(1), np.ones(1)
+
+
+def failed_trials(ens: TrialEnsemble, hop: int) -> np.ndarray:
+    """(T,) bool: whether each trial of ens is singular on some link of hop,
+    where the ensemble stores NaN forms."""
+    return np.isnan(ens._q[hop]).any(axis=0)
 
 
 def gram_condition(h) -> np.ndarray:

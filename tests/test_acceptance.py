@@ -17,8 +17,8 @@ import yaml
 from scipy import integrate, stats
 
 import oracles
-from helpers import (bootstrap_mean_ci, kernel_inputs, scenario_curves,
-                     well_conditioned)
+from helpers import (bootstrap_mean_ci, failed_trials, kernel_inputs,
+                     scenario_curves, well_conditioned)
 
 from hapsim import kernels, simulator
 from hapsim.cli import main
@@ -181,7 +181,7 @@ def test_rayleigh_zf_rates_match_closed_form(capsys):
     # wide and always singular, so the uplink hop's rate is read directly.
     ens = _rayleigh_ensemble(2, 2, 2, 4, all_streams=True)
     cfg = ens.cfg
-    assert not ens._failed[simulator._UP].any()
+    assert not failed_trials(ens, simulator._UP).any()
     streams = cfg.num_haps * cfg.antennas_per_node
     for rho in rhos:
         rates = ens._hop_rate(simulator._UP, np.array([rho]),

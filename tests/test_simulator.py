@@ -24,8 +24,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import (LAYOUT, bootstrap_mean_ci, gram_condition, make_cfg,
-                     random_complex, scenario_curves)
+from helpers import (LAYOUT, bootstrap_mean_ci, failed_trials, gram_condition,
+                     make_cfg, random_complex, scenario_curves)
 
 from hapsim import kernels, simulator, streams
 from hapsim.network import (FAR_FIELD_FACTOR, NetworkConfig, db_to_linear,
@@ -443,6 +443,24 @@ class TestSumRateCurve:
         with pytest.raises(ValueError, match="1-D of one length"):
             SumRateCurve([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]],
                          [[0.0, 0.0], [0.0, 0.0]], 0)
+
+    @pytest.mark.parametrize("failed,message", [
+        (-3, "^trials_failed and every std_err must be >= 0$"),
+        ("many", "^trials_failed must be an integer, got 'many'$"),
+        (True, "^trials_failed must be an integer, got True$"),
+        (2.5, "^trials_failed must be an integer, got 2.5$"),
+    ], ids=["negative", "str", "bool", "float"])
+    def test_bad_failed_count_rejected(self, failed, message):
+        with pytest.raises(ValueError, match=message):
+            SumRateCurve([1.0, 2.0], [1.0, 1.0], [0.0, 0.0], failed)
+
+    def test_negative_std_err_rejected(self):
+        with pytest.raises(ValueError, match="every std_err must be >= 0"):
+            SumRateCurve([1.0, 2.0], [1.0, 1.0], [-5.0, 0.0], 0)
+
+    def test_failed_count_stored_as_int(self):
+        curve = SumRateCurve([1.0, 2.0], [1.0, 1.0], [0.0, 0.0], np.int64(3))
+        assert type(curve.trials_failed) is int and curve.trials_failed == 3
 
 
 class TestTrialEnsemble:
@@ -868,7 +886,7 @@ class TestChunking:
 
     @staticmethod
     def stored(ens: TrialEnsemble) -> list[bytes]:
-        return [a.tobytes() for a in ens._q + ens._failed]
+        return [a.tobytes() for a in ens._q]
 
     @settings(max_examples=6, deadline=None, database=None)
     @given(chunk=st.integers(1, 64), trials=st.integers(1, 150),
@@ -959,22 +977,26 @@ class TestChunking:
 
     def test_joined_calls_equal_one_call_per_hop(self):
         # One all-stream call serves all three hops of PARTLY_SINGULAR; each
-        # hop's forms and flags are the bits of a call on that hop alone.
+        # hop's forms are the bits of a call on that hop alone, NaN exactly
+        # on the links that call flags and finite and positive elsewhere.
         cfg = sweep_cfg(**PARTLY_SINGULAR)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
         assert len(simulator._runs(ens._hops)) == 1
         x = np.empty((150, ens._hops[-1].span.stop))
         streams.fill_trials(3, 0, x)
-        for hop, q, failed in zip(ens._hops, ens._q, ens._failed):
+        for hop, q in zip(ens._hops, ens._q):
             z = x[:, hop.span].reshape(150, hop.links, 2, *hop.shape)
             nlos = np.empty(z[:, :, 0].shape, dtype=np.complex128)
             nlos.real = z[:, :, 0] * simulator._INV_SQRT2
             nlos.imag = z[:, :, 1] * simulator._INV_SQRT2
             q_hop, singular = kernels.all_stream_quadforms(
                 hop.los, nlos, hop.a, hop.b)
+            flagged = np.repeat(singular, q_hop.shape[2], axis=1).T
+            assert (np.isnan(q) == flagged).all()
+            assert np.isfinite(q[~flagged]).all() and (q[~flagged] > 0.0).all()
+            q_hop[singular] = np.nan
             assert q_hop.reshape(150, -1).T.tobytes() == q.tobytes()
-            assert singular.any(axis=1).tobytes() == failed.tobytes()
-        assert ens._failed[0].any() and ens._failed[2].any()
+        assert failed_trials(ens, 0).any() and failed_trials(ens, 2).any()
 
     @pytest.mark.parametrize("cfg,baseline", [
         (load_scenario("scenarios/snr_sweep.yaml").network, True),
@@ -983,9 +1005,9 @@ class TestChunking:
          False),
     ], ids=["snr-baseline", "altitude", "9x9-all-streams"])
     def test_build_working_set_is_a_few_chunks(self, cfg, baseline):
-        # Beyond the stored forms and flags, a build holds one chunk's
-        # draws and its kernel temporaries: at most four chunk budgets of
-        # float64, over two full chunks and a tail.
+        # Beyond the stored forms, a build holds one chunk's draws and its
+        # kernel temporaries: at most four chunk budgets of float64, over
+        # two full chunks and a tail.
         trials = 2 * (simulator._CHUNK_DRAWS // draw_width(cfg, baseline)) + 1
         TrialEnsemble(cfg, 1, 5, include_baseline=baseline)
         tracemalloc.start()
@@ -995,18 +1017,18 @@ class TestChunking:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in ens._q + ens._failed)
+        kept = sum(a.nbytes for a in ens._q)
         assert peak - kept <= 4 * 8 * simulator._CHUNK_DRAWS
 
     def test_example_has_singular_and_regular_trials(self):
         ens = TrialEnsemble(sweep_cfg(**PARTLY_SINGULAR), 150, 3,
                             include_baseline=True)
-        failed = ens._failed[0] | ens._failed[2]
+        failed = failed_trials(ens, 0) | failed_trials(ens, 2)
         assert 0 < failed.sum() < failed.size
 
     def test_memory_grows_with_stored_forms_only(self, monkeypatch):
-        # Four times the trials may only add about what the stored q and
-        # flags add; the draws of a chunk are freed before the next one.
+        # Four times the trials may only add about what the stored q adds;
+        # the draws of a chunk are freed before the next one.
         # A smaller chunk keeps the traced runs short.
         cfg = load_scenario("scenarios/snr_sweep.yaml").network
         chunk = 256
@@ -1022,7 +1044,7 @@ class TestChunking:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            return peak, sum(a.nbytes for a in ens._q + ens._failed)
+            return peak, sum(a.nbytes for a in ens._q)
 
         (peak_1, kept_1), (peak_4, kept_4) = traced(n), traced(4 * n)
         assert peak_4 - peak_1 <= 2 * (kept_4 - kept_1)
@@ -1111,7 +1133,7 @@ class TestGridPasses:
     def test_grid_equals_single_points(self, reference):
         cfg = sweep_cfg(**PARTLY_SINGULAR, snr_reference=reference)
         ens = TrialEnsemble(cfg, 150, 3, include_baseline=True)
-        failed = ens._failed[0] | ens._failed[1]
+        failed = failed_trials(ens, 0) | failed_trials(ens, 1)
         assert 0 < failed.sum() < failed.size
         up = np.geomspace(0.5, 5e3, 9)
         dn = up[::-1].copy()
@@ -1227,6 +1249,32 @@ class TestOperatingPoints:
             ens.relay_rates(gammas[1], gammas[1], 9000.0, 9000.0)
         with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
             ens.relay_rates(gammas[2], gammas[2], 9000.0, 9000.0)
+
+    def test_overflow_named_where_every_trial_is_singular(self):
+        # Every uplink trial is singular and the uplink's path factor
+        # overflows: the sweep names the overflow, not a failed trial.  An
+        # infinite snr scale is named on these draws as on regular ones.
+        cfg = make_cfg(kappa_up_db=200.0, ref_gain_up=1e200)
+        spec = SweepSpec(SNR_DB, 0.0, 10.0, 5.0, trials=20, master_seed=4)
+        with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
+            run_snr_sweep(cfg, spec)
+        singular = TrialEnsemble(cfg, 20, 4)
+        assert failed_trials(singular, simulator._UP).all()
+        for ens in (singular, TrialEnsemble(sweep_cfg(), 20, 4)):
+            with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
+                ens.relay_rates(np.inf, 1.0, 9000.0, 9000.0)
+
+    def test_overflow_named_beside_an_always_singular_link(self):
+        # The second platform's uplink is singular in every trial, so each
+        # trial's uplink sum meets a NaN form.  The other two overflow at
+        # snr scale 1e4 (path factor 1.5e304, largest forms about 1.5 and
+        # 1.9), and that is still named, not taken for failed trials.
+        cfg = make_cfg(kappa_up_db=[3.0, 200.0, 3.0], ref_gain_up=1e160)
+        ens = TrialEnsemble(cfg, 50, 3)
+        assert failed_trials(ens, simulator._UP).all()
+        assert np.isnan(ens.relay_rates(1e3, 1e3, 9000.0, 9000.0)).all()
+        with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
+            ens.relay_rates(1e4, 1e4, 9000.0, 9000.0)
 
     @pytest.mark.parametrize("gammas,bad", [
         ([1.0, 0.0, -1.0], 1), ([2.0, 3.0, math.nan], 2),
@@ -1407,7 +1455,9 @@ class TestOptimalAltitude:
         # The search's value at an altitude carries the bits of the mean
         # an altitude sweep reports there, with or without failed trials.
         ens = TrialEnsemble(sweep_cfg(**overrides), 150, 3)
-        assert ens._relay_failed.any() == bool(overrides)
+        failed = failed_trials(ens, simulator._UP) | failed_trials(
+            ens, simulator._DOWN)
+        assert failed.any() == bool(overrides)
         objective = simulator._mean_relay_rate(ens)
         for alt in (4000.0, 7321.5, 9000.0, 13999.0):
             spec = SweepSpec(RELAY_ALTITUDE_M, alt, alt + 1.0, 1.0,
