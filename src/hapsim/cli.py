@@ -22,6 +22,7 @@ from .simulator import (
     TrialEnsemble,
     check_altitude_bracket,
     check_snr_hops,
+    check_snr_sweep,
     check_sweep_variable,
     find_optimal_altitude,
     run_altitude_sweep,
@@ -169,6 +170,8 @@ def _write_csv(path: str, header: str, curve: SumRateCurve,
 
 
 def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
+    # Input errors come before an unusable --out, as in altitude-sweep.
+    check_snr_sweep(scenario.network, scenario.sweep, scenario.include_baseline)
     _check_out(out_path)
     result = run_snr_sweep(scenario.network, scenario.sweep,
                            include_baseline=scenario.include_baseline)

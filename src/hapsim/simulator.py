@@ -21,9 +21,9 @@ rates, one rate call per pass giving one row of per-trial rates per
 point; one rule, _budget_slices, cuts both the chunks and the passes.
 One pass loop, _curves, serves every curve and frees each pass's
 rows before the next call, so memory grows with the stored forms alone.
-Operating points reach the hop rates along one checked path: each
-TrialEnsemble._hop_rate tests its own scales and distances, taking the
-squares from network.check_far_field, and _checked_rates tests overflow.
+Operating points reach the hop rates along one checked path:
+TrialEnsemble._checked_rates tests every hop's scales, distances and
+overflow, against each stored row's largest form, before _hop_rate sums.
 
 One reduction, _valid_trials, cuts rows of per-trial rates to their valid
 trials for _curves and for the golden-section objective (_mean_relay_rate)
@@ -357,64 +357,61 @@ class TrialEnsemble:
         for part in _budget_slices(self.trials, self._hops[-1].span.stop):
             _draw_chunk(runs, self.master_seed, part.start,
                         [q[:, part] for q in self._q])
+        # Each stored row's largest form, a singular one as 0.
+        self._top = [np.fmax.reduce(q, axis=1, initial=0.0) for q in self._q]
 
-    def _hop_rate(self, index: int, snr_scale: np.ndarray,
-                  distance_m: np.ndarray) -> np.ndarray:
-        """Per-trial sum of log2(1 + snr) over every stream of one hop.
+    def _hop_rate(self, index: int, f: np.ndarray) -> np.ndarray:
+        """Per-trial sum of log2(1 + f q) over one hop's stored rows q.
 
-        snr_scale and distance_m hold one value per operating point, and the
-        result one row of per-trial sums per point, (P, T); every scale must
-        be positive and every distance pass check_far_field, under either
-        snr_reference.  Each stored row adds its log1p to every point's row,
-        so a trial's sum runs over its forms in index order at any P; a NaN
-        (singular) form makes it NaN.  A point's row is all inf where f times
-        a form, a singular one as 0, is not finite: NaN would hide it in sums.
+        f holds one factor per operating point and row, (P, K), checked by
+        _checked_rates, and the result one row of per-trial sums per point,
+        (P, T).  Each stored row adds its log1p to every point's row, so a
+        trial's sum runs over its forms in index order at any P; a NaN
+        (singular) form makes it NaN.
         """
-        hop = self._hops[index]
-        if not (snr_scale > 0.0).all():
-            raise ValueError("snr scale must be positive")
-        square = np.array([check_far_field(self.cfg, hop.distance, d)
-                           for d in distance_m])
         q = self._q[index]
-        with np.errstate(over="ignore", invalid="ignore"):
-            path = (np.ones((len(square), hop.links))
-                    if self.cfg.snr_reference == "post_path_loss"
-                    else (hop.ref_gain / square[:, None]) ** 2)
-            f = np.repeat(snr_scale[:, None] * path, len(q) // hop.links, axis=1)
-            rate = np.empty((len(f), self.trials))
-            part = np.empty_like(rate) if len(q) > 1 else None
-            for k, row in enumerate(q):
-                out = part if k else rate
-                np.multiply(f[:, k, None], row, out=out)
-                np.log1p(out, out=out)
-                if k:
-                    rate += part
-            rate /= _LN2
-            top = np.fmax.reduce(q, axis=1, initial=0.0)  # singular as 0
-            rate[~np.isfinite(f * top).all(axis=1)] = np.inf
+        rate = np.empty((len(f), self.trials))
+        part = np.empty_like(rate) if len(q) > 1 else None
+        for k, row in enumerate(q):
+            out = part if k else rate
+            np.multiply(f[:, k, None], row, out=out)
+            np.log1p(out, out=out)
+            if k:
+                rate += part
+        rate /= _LN2
         return rate
 
     def _checked_rates(self, *points) -> list[np.ndarray]:
-        """Each point's (P, T) hop sums from _hop_rate, checked for overflow.
+        """Each point's (P, T) hop sums from _hop_rate, once all are checked.
 
         A point is a (hop index, scales, distances) triple of float64 arrays
-        of one length P.  _hop_rate checks each hop's scales and distances,
-        the hops in the given order, so a fault names the first faulty hop.
-        An SNR that overflows float64 raises a ValueError naming the first such
-        hop at the first such point, so it is not mistaken for a singular trial.
-        The point comes first: _curves raises at the first pass that holds an
-        overflow, so the first such point and its hop are the same at any pass
-        size.  A check per hop inside _hop_rate would name the first hop that
-        overflows anywhere in the pass, which the pass size, and so --trials,
-        can change.
+        of one length P.  Hop by hop, in the given order, every scale must be
+        positive and every distance pass check_far_field, under either
+        snr_reference.  Then an SNR past float64 (a factor times its row's
+        largest form, a singular one as 0, not finite) raises a ValueError
+        naming the first such point and its first such hop, so it is not
+        mistaken for a singular trial, and _curves names the same point and
+        hop at any pass size, as --trials sets it.
         """
-        rates = [self._hop_rate(*point) for point in points]
-        bad = np.array([np.isinf(r[:, 0]) for r in rates])
+        factors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index, snr_scale, distance_m in points:
+                hop, top = self._hops[index], self._top[index]
+                if not (snr_scale > 0.0).all():
+                    raise ValueError("snr scale must be positive")
+                square = np.array([check_far_field(self.cfg, hop.distance, d)
+                                   for d in distance_m])
+                path = (np.ones((len(square), hop.links))
+                        if self.cfg.snr_reference == "post_path_loss"
+                        else (hop.ref_gain / square[:, None]) ** 2)
+                f = np.repeat(snr_scale[:, None] * path, len(top) // hop.links, axis=1)
+                factors.append((index, f, ~np.isfinite(f * top).all(axis=1)))
+        bad = np.array([b for _, _, b in factors])
         if bad.any():
             hop = self._hops[points[bad[:, bad.any(axis=0).argmax()].argmax()][0]]
             raise ValueError(f"SNR on {hop.distance} overflows float64: lower "
                              f"{hop.snr_keys} or the swept SNR")
-        return rates
+        return [self._hop_rate(index, f) for index, f, _ in factors]
 
     def relay_rates(self, snr_scale_up, snr_scale_dn, d_sr_m,
                     d_rd_m) -> np.ndarray:
@@ -532,6 +529,22 @@ def check_snr_hops(cfg: NetworkConfig, include_baseline: bool) -> None:
         check_far_field(cfg, name, getattr(cfg.layout, name))
 
 
+def check_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
+                    include_baseline: bool) -> np.ndarray:
+    """The linear snr scale at each point of spec's grid, checked before any
+    draw: ValueError unless spec sweeps snr_db, every hop passes
+    check_snr_hops and no point's linear value is 0."""
+    check_sweep_variable(spec, SNR_DB)
+    check_snr_hops(cfg, include_baseline)
+    grid = spec.grid()
+    gammas = np.array([db_to_linear(x) for x in grid])
+    for x, gamma in zip(grid, gammas):
+        if gamma == 0.0:
+            raise ValueError(
+                f"snr_db sweep point {float(x)!r} dB is too small for a linear value")
+    return gammas
+
+
 def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
                   include_baseline: bool = False) -> SnrSweepResult:
     """Mean sum-rate versus transmit SNR at the configured layout.
@@ -540,16 +553,8 @@ def run_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
     both hops (and to the baseline when enabled) ahead of path loss, or in
     place of it under snr_reference = "post_path_loss".
     """
-    check_sweep_variable(spec, SNR_DB)
-    # Reject bad input before any draw; the hop table itself, line-of-sight
-    # matrices included, is the ensemble's to build.
-    check_snr_hops(cfg, include_baseline)
+    gammas = check_snr_sweep(cfg, spec, include_baseline)
     grid = spec.grid()
-    gammas = np.array([db_to_linear(x) for x in grid])
-    for x, gamma in zip(grid, gammas):
-        if gamma == 0.0:
-            raise ValueError(
-                f"snr_db sweep point {float(x)!r} dB is too small for a linear value")
     ens = TrialEnsemble(cfg, spec.trials, spec.master_seed,
                         include_baseline=include_baseline)
     lay = cfg.layout

@@ -184,8 +184,8 @@ def test_rayleigh_zf_rates_match_closed_form(capsys):
     assert not failed_trials(ens, simulator._UP).any()
     streams = cfg.num_haps * cfg.antennas_per_node
     for rho in rhos:
-        rates = ens._hop_rate(simulator._UP, np.array([rho]),
-                              np.array([cfg.layout.d_sr_m]))[0]
+        rates = ens._checked_rates((simulator._UP, np.array([rho]),
+                                    np.array([cfg.layout.d_sr_m])))[0][0]
         zs.setdefault("L=3", []).append(
             _z_score(rates / streams, oracles.zf_mean_log_rate(3, rho)))
 

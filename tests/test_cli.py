@@ -741,6 +741,26 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: [Errno 2] No such file or directory: ''\n")
 
+    @pytest.mark.parametrize("scenario,keys,message", [
+        ("snr_sweep.yaml", dict(relay_altitude_m=0.2),
+         "d_rd_m = 0.2 m is inside the far-field limit 0.3125 m"),
+        ("snr_sweep.yaml", dict(sweep_start=-4000.0),
+         "snr_db sweep point -4000.0 dB is too small for a linear value"),
+        ("altitude_sweep.yaml", {},
+         "spec.variable must be 'snr_db', got 'relay_altitude_m'"),
+    ], ids=["far-field", "db-underflow", "wrong-variable"])
+    def test_snr_input_error_exits_2_before_an_empty_output(
+            self, tmp_path, capsys, monkeypatch, no_draws, scenario, keys,
+            message):
+        # As for the altitude commands, snr-sweep's own input checks come
+        # before the --out check.
+        mapping = yaml.safe_load((SCENARIOS / scenario).read_text())
+        cfg = write_scenario(tmp_path, **{**mapping, **keys})
+        monkeypatch.chdir(tmp_path)
+        assert main(["snr-sweep", "--config", cfg, "--out", ""]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir(tmp_path) == ["scenario.yaml"]
+
     def test_non_finite_tol_exits_2_before_drawing(self, tmp_path, capsys,
                                                    no_draws):
         cfg = write_scenario(tmp_path, **altitude_keys())

@@ -1067,16 +1067,16 @@ class TestHopRates:
         assert ens._q[hop].shape == (kind.links * kind.shape[1], 150)
         scales = np.geomspace(1.0, 1e4, 7)
         dists = np.linspace(2000.0, 16000.0, 7)
-        whole = ens._hop_rate(hop, scales, dists)
+        whole = ens._checked_rates((hop, scales, dists))[0]
         assert whole.shape == (7, 150)
         for size in (1, 2, 3, 7):
-            parts = [ens._hop_rate(hop, scales[lo:lo + size],
-                                   dists[lo:lo + size])
+            parts = [ens._checked_rates((hop, scales[lo:lo + size],
+                                         dists[lo:lo + size]))[0]
                      for lo in range(0, 7, size)]
             assert np.concatenate(parts).tobytes() == whole.tobytes(), size
         for trials in (149, 1):
             head = TrialEnsemble(cfg, trials, 3, include_baseline=True)
-            assert head._hop_rate(hop, scales, dists).tobytes() == (
+            assert head._checked_rates((hop, scales, dists))[0].tobytes() == (
                 whole[:, :trials].copy().tobytes()), trials
 
     @pytest.mark.parametrize("scenario", ["altitude_sweep.yaml",
@@ -1097,7 +1097,8 @@ class TestHopRates:
             path = (hop.ref_gain / d ** 2) ** 2
             f = 30.0 * np.repeat(path, len(q) // hop.links)
             want = np.log1p(q.T * f).sum(axis=1) / math.log(2.0)
-            got = ens._hop_rate(index, np.array([30.0]), np.array([d]))
+            got = ens._checked_rates((index, np.array([30.0]),
+                                      np.array([d])))[0]
             if len(q) < 8:
                 assert got[0].tobytes() == want.tobytes(), hop.distance
             else:
@@ -1141,8 +1142,9 @@ class TestGridPasses:
         d_rd = 18000.0 - d_sr
         for index, (scale, dist) in enumerate([(up, d_sr), (dn, d_rd),
                                                (up, np.full(9, 1.8e4))]):
-            grid = ens._hop_rate(index, scale, dist)
-            single = [ens._hop_rate(index, scale[i:i + 1], dist[i:i + 1])
+            grid = ens._checked_rates((index, scale, dist))[0]
+            single = [ens._checked_rates((index, scale[i:i + 1],
+                                          dist[i:i + 1]))[0]
                       for i in range(9)]
             assert grid.tobytes() == np.concatenate(single).tobytes(), index
         relay = ens.relay_rates(up, dn, d_sr, d_rd)
@@ -1275,6 +1277,30 @@ class TestOperatingPoints:
         assert np.isnan(ens.relay_rates(1e3, 1e3, 9000.0, 9000.0)).all()
         with pytest.raises(ValueError, match="^SNR on d_sr_m overflows"):
             ens.relay_rates(1e4, 1e4, 9000.0, 9000.0)
+
+    def test_overflow_raises_before_any_sum(self, monkeypatch):
+        # At 1e300 only the downlink of the relay hops overflows, and the
+        # direct links do (see the tests around this one): each call raises
+        # before _hop_rate sums any hop, the uplink included.
+        cfg = sweep_cfg(ref_gain_up=8.1e10, ref_gain_down=8.1e12,
+                        ref_gain_direct=8.1e12)
+        ens = TrialEnsemble(cfg, 20, 4, include_baseline=True)
+        calls = []
+        hop_rate = TrialEnsemble._hop_rate
+
+        def counted(self, index, *args):
+            calls.append(index)
+            return hop_rate(self, index, *args)
+        monkeypatch.setattr(TrialEnsemble, "_hop_rate", counted)
+        ens.relay_rates(1e290, 1e290, 9000.0, 9000.0)
+        ens.baseline_rates(1e290)
+        assert calls == [simulator._UP, simulator._DOWN, simulator._DIRECT]
+        calls.clear()
+        with pytest.raises(ValueError, match="^SNR on d_rd_m overflows"):
+            ens.relay_rates(1e300, 1e300, 9000.0, 9000.0)
+        with pytest.raises(ValueError, match="^SNR on d_sd_m overflows"):
+            ens.baseline_rates(1e300)
+        assert calls == []
 
     @pytest.mark.parametrize("gammas,bad", [
         ([1.0, 0.0, -1.0], 1), ([2.0, 3.0, math.nan], 2),
