@@ -54,10 +54,11 @@ check the --trials/--seed overrides: an snr-sweep on snr_sweep.yaml with
 --trials 0, which exits 2 with the file key's "sweep: " message, and one
 on a copy of snr_sweep.yaml with trials 0 run with --trials 7 --seed 7,
 where the flag replaces the file's value before it is checked, so it
-exits 0.  Two snr-sweeps on snr_sweep.yaml with --out '', an empty path,
+exits 0.  Three snr-sweeps on snr_sweep.yaml with --out '', an empty path,
 check that the input error comes first and exits 2, not 4: one with the
-relay at 0.2 m, so its downlink is inside the far field, and one whose
-sweep starts at -4000 dB, too small for a linear value.  Last, the
+relay at 0.2 m, so its downlink is inside the far field, one whose
+sweep starts at -4000 dB, too small for a linear value, and one whose
+sweep stops at 4000 dB, where 3085 dB is too large for one.  Last, the
 command line itself: --help of the CLI and of each
 subcommand, which exit 0, and a call with no arguments, which prints the
 usage and exits 2.
@@ -84,11 +85,11 @@ def array_scenario_text() -> str:
 
 
 def write_inputs(inputs: str) -> None:
-    """The shipped scenarios, the array scenario, seven variants of
+    """The shipped scenarios, the array scenario, ten variants of
     snr_sweep.yaml, all streams (baseline on, as shipped), all-singular,
     two whose singular uplinks overflow, a wide downlink, a direct link
     whose square overflows, zero trials, a relay inside the downlink's far
-    field and a sweep from -4000 dB,
+    field, a sweep from -4000 dB and a sweep to 4000 dB,
     and three of altitude_sweep.yaml, one with some singular trials, one
     whose sweep stops inside the platforms' far field and one whose grid
     points coincide in float64, and snr_sweep.yaml with its trials key
@@ -113,6 +114,7 @@ def write_inputs(inputs: str) -> None:
             ("zero_trials", "snr_sweep", dict(trials=0)),
             ("near_field", "snr_sweep", dict(relay_altitude_m=0.2)),
             ("db_underflow", "snr_sweep", dict(sweep_start=-4000.0)),
+            ("db_overflow", "snr_sweep", dict(sweep_stop=4000.0)),
             ("partly_singular", "altitude_sweep",
              dict(kappa_up_db=[30.0, 90.0, 30.0])),
             ("stop_in_far_field", "altitude_sweep",
@@ -191,7 +193,7 @@ def runs() -> list[tuple[str, list[str], int]]:
     out.append(("override-replaces-file",
                 ["snr-sweep", "--config", "inputs/zero_trials.yaml",
                  "--trials", "7", "--seed", "7"], 0))
-    for name in ("near_field", "db_underflow"):
+    for name in ("near_field", "db_underflow", "db_overflow"):
         out.append((f"{name.replace('_', '-')}-empty-out",
                     ["snr-sweep", "--config", f"inputs/{name}.yaml",
                      "--out", ""], 2))

@@ -170,9 +170,13 @@ def _write_csv(path: str, header: str, curve: SumRateCurve,
 
 
 def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
-    # Input errors come before an unusable --out, as in altitude-sweep.
-    check_snr_sweep(scenario.network, scenario.sweep, scenario.include_baseline)
-    _check_out(out_path)
+    # Input errors outrank an unusable --out, as in altitude-sweep, so the
+    # input is checked here only then; else run_snr_sweep checks it once.
+    try:
+        _check_out(out_path)
+    except (OSError, ValueError):  # ValueError: a NUL in the directory
+        check_snr_sweep(scenario.network, scenario.sweep, scenario.include_baseline)
+        raise
     result = run_snr_sweep(scenario.network, scenario.sweep,
                            include_baseline=scenario.include_baseline)
     base = (repeat("") if result.baseline is None

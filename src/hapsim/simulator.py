@@ -533,15 +533,15 @@ def check_snr_sweep(cfg: NetworkConfig, spec: SweepSpec,
                     include_baseline: bool) -> np.ndarray:
     """The linear snr scale at each point of spec's grid, checked before any
     draw: ValueError unless spec sweeps snr_db, every hop passes
-    check_snr_hops and no point's linear value is 0."""
+    check_snr_hops and no point's linear value is 0.  run_snr_sweep runs
+    it; the CLI runs it first only when --out is unusable."""
     check_sweep_variable(spec, SNR_DB)
     check_snr_hops(cfg, include_baseline)
     grid = spec.grid()
     gammas = np.array([db_to_linear(x) for x in grid])
-    for x, gamma in zip(grid, gammas):
-        if gamma == 0.0:
-            raise ValueError(
-                f"snr_db sweep point {float(x)!r} dB is too small for a linear value")
+    if not gammas.all():  # argmin: the first 0, as no value is negative
+        raise ValueError(f"snr_db sweep point {float(grid[gammas.argmin()])!r} "
+                         "dB is too small for a linear value")
     return gammas
 
 

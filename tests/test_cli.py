@@ -11,6 +11,7 @@ import yaml
 import hapsim
 from hapsim import cli, simulator
 from hapsim.cli import build_parser, main
+from hapsim.network import db_to_linear
 from hapsim.scenario import scenario_from_mapping
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -748,7 +749,9 @@ class TestExitCodes:
          "snr_db sweep point -4000.0 dB is too small for a linear value"),
         ("altitude_sweep.yaml", {},
          "spec.variable must be 'snr_db', got 'relay_altitude_m'"),
-    ], ids=["far-field", "db-underflow", "wrong-variable"])
+        ("snr_sweep.yaml", dict(sweep_stop=4000.0),
+         "3085.0 dB is too large for a linear value"),
+    ], ids=["far-field", "db-underflow", "wrong-variable", "db-overflow"])
     def test_snr_input_error_exits_2_before_an_empty_output(
             self, tmp_path, capsys, monkeypatch, no_draws, scenario, keys,
             message):
@@ -760,6 +763,47 @@ class TestExitCodes:
         assert main(["snr-sweep", "--config", cfg, "--out", ""]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """The dB values simulator converts to linear, in call order."""
+        calls = []
+
+        def counted(value_db):
+            calls.append(value_db)
+            return db_to_linear(value_db)
+        monkeypatch.setattr(simulator, "db_to_linear", counted)
+        return calls
+
+    def test_snr_sweep_converts_each_grid_point_once(self, tmp_path,
+                                                     conversions):
+        # The Rician factors (10 dB) are converted too, so only the grid
+        # points are counted: 1, 6 and 11 dB.
+        cfg = write_scenario(tmp_path, **snr_keys(sweep_start=1.0,
+                                                  sweep_stop=11.0))
+        out = tmp_path / "curve.csv"
+        assert main(["snr-sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert [x for x in conversions if x != 10.0] == [1.0, 6.0, 11.0]
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_valid_input_with_an_empty_output_is_checked_once(
+            self, tmp_path, capsys, no_draws, conversions):
+        cfg = write_scenario(tmp_path, **snr_keys())
+        assert main(["snr-sweep", "--config", cfg, "--out", ""]) == 4
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: ''\n")
+        assert conversions == [0.0, 5.0, 10.0]
+
+    def test_snr_input_error_comes_before_a_nul_in_the_output_directory(
+            self, tmp_path, capsys, no_draws):
+        # os.stat raises ValueError for the NUL; a command line cannot
+        # carry one, so only an in-process call reaches this.
+        cfg = write_scenario(tmp_path, **snr_keys(relay_altitude_m=0.2))
+        assert main(["snr-sweep", "--config", cfg, "--out",
+                     str(tmp_path / "a\0b" / "curve.csv")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: d_rd_m = 0.2 m is inside the far-field limit "
+                "0.3125 m\n")
 
     def test_non_finite_tol_exits_2_before_drawing(self, tmp_path, capsys,
                                                    no_draws):
