@@ -140,9 +140,12 @@ def _all_singular() -> int:
 
 
 def _check_out(path: str) -> None:
-    """Raise, before any draw and without creating the file, the OSError
-    that writing the CSV to path would: path is empty or a directory, or
-    its directory is missing or not a directory."""
+    """Raise, before any draw and without creating the file, the error that
+    writing the CSV to path would: open's ValueError for a NUL byte, or the
+    OSError for an empty path or a directory, or for a directory part that
+    is missing or not a directory."""
+    if "\0" in path:
+        raise ValueError("embedded null byte")
     if not path:
         code = errno.ENOENT
     elif os.path.isdir(path):
@@ -174,7 +177,7 @@ def _cmd_snr_sweep(scenario: Scenario, out_path: str) -> int:
     # input is checked here only then; else run_snr_sweep checks it once.
     try:
         _check_out(out_path)
-    except (OSError, ValueError):  # ValueError: a NUL in the directory
+    except (OSError, ValueError):  # ValueError: a NUL in the path
         check_snr_sweep(scenario.network, scenario.sweep, scenario.include_baseline)
         raise
     result = run_snr_sweep(scenario.network, scenario.sweep,

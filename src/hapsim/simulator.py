@@ -387,11 +387,12 @@ class TrialEnsemble:
         A point is a (hop index, scales, distances) triple of float64 arrays
         of one length P.  Hop by hop, in the given order, every scale must be
         positive and every distance pass check_far_field, under either
-        snr_reference.  Then an SNR past float64 (a factor times its row's
-        largest form, a singular one as 0, not finite) raises a ValueError
-        naming the first such point and its first such hop, so it is not
-        mistaken for a singular trial, and _curves names the same point and
-        hop at any pass size, as --trials sets it.
+        snr_reference; each distinct distance is checked once.  Then an SNR
+        past float64 (a factor times its row's largest form, a singular one
+        as 0, not finite) raises a ValueError naming the first such point and
+        its first such hop, so it is not mistaken for a singular trial, and
+        _curves names the same point and hop at any pass size, as --trials
+        sets it.
         """
         factors = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -399,8 +400,12 @@ class TrialEnsemble:
                 hop, top = self._hops[index], self._top[index]
                 if not (snr_scale > 0.0).all():
                     raise ValueError("snr scale must be positive")
-                square = np.array([check_far_field(self.cfg, hop.distance, d)
-                                   for d in distance_m])
+                # Each distinct distance once, in order of first occurrence:
+                # an SNR sweep repeats one distance at every point.
+                distance_m = distance_m.tolist()
+                squares = {d: check_far_field(self.cfg, hop.distance, d)
+                           for d in dict.fromkeys(distance_m)}
+                square = np.array([squares[d] for d in distance_m])
                 path = (np.ones((len(square), hop.links))
                         if self.cfg.snr_reference == "post_path_loss"
                         else (hop.ref_gain / square[:, None]) ** 2)

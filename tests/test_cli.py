@@ -805,6 +805,30 @@ class TestExitCodes:
             "", "error: d_rd_m = 0.2 m is inside the far-field limit "
                 "0.3125 m\n")
 
+    @pytest.mark.parametrize("command,keys", [
+        ("snr-sweep", snr_keys()),
+        ("altitude-sweep", altitude_keys()),
+    ], ids=["snr", "altitude"])
+    def test_nul_in_the_output_name_exits_2_before_drawing(
+            self, tmp_path, capsys, no_draws, command, keys):
+        # open raises this ValueError, so without the check the whole sweep
+        # would run first.
+        argv = [command, "--config", write_scenario(tmp_path, **keys),
+                "--out", str(tmp_path / "cur\0ve.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: embedded null byte\n")
+        assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+    def test_snr_input_error_comes_before_a_nul_in_the_output_name(
+            self, tmp_path, capsys, no_draws):
+        cfg = write_scenario(tmp_path, **snr_keys(relay_altitude_m=0.2))
+        assert main(["snr-sweep", "--config", cfg, "--out",
+                     str(tmp_path / "cur\0ve.csv")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: d_rd_m = 0.2 m is inside the far-field limit "
+                "0.3125 m\n")
+        assert os.listdir(tmp_path) == ["scenario.yaml"]
+
     def test_non_finite_tol_exits_2_before_drawing(self, tmp_path, capsys,
                                                    no_draws):
         cfg = write_scenario(tmp_path, **altitude_keys())

@@ -187,7 +187,7 @@ class TestChunkSeeding:
                 made.append(args)
                 super().__init__(*args, **kwargs)
 
-        streams._pair_order()  # the one-off probe draws its own stream
+        streams._seeder()  # the one-off self-check draws its own stream
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         trial_rng(5, 0)
         assert len(made) == 1
@@ -229,24 +229,24 @@ class TestChunkSeeding:
 
     def test_seeding_self_check_raises_before_any_draw(self, monkeypatch):
         # A hash constant that differs from numpy's makes the chunk path's
-        # rows differ from trial_rng's; the probe must catch that before
-        # the ensemble draws a trial of its own.
-        drawn = []
-        draw_rows = streams._draw_rows
+        # rows differ from trial_rng's; the self-check must catch that
+        # before the ensemble draws a trial of its own.
+        seeded = []
+        seed_words = streams._seed_words
 
-        def spy(master_seed, lo, out, order):
-            drawn.append(master_seed)
-            draw_rows(master_seed, lo, out, order)
+        def spy(pool, lo, hi):
+            seeded.append((lo, hi))
+            return seed_words(pool, lo, hi)
 
         monkeypatch.setattr(streams, "_MULT_A", streams._MULT_A ^ 2)
-        monkeypatch.setattr(streams, "_draw_rows", spy)
-        streams._pair_order.cache_clear()
+        monkeypatch.setattr(streams, "_seed_words", spy)
+        streams._seeder.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="disagrees with trial_rng"):
                 TrialEnsemble(sweep_cfg(), 4, 5)
         finally:
-            streams._pair_order.cache_clear()
-        assert drawn == [2**64 - 1]
+            streams._seeder.cache_clear()
+        assert seeded == [(2**32 - 1, 2**32)]
 
 
 class TestHarnessTransparency:
@@ -1327,6 +1327,29 @@ class TestOperatingPoints:
             ens.relay_rates(1.0, 1.0, 9000.0, d)
         with pytest.raises(ValueError, match="d_sr_m = 40 m .* far-field"):
             ens.relay_rates(1.0, 1.0, d, d)
+
+    def test_far_field_checked_once_per_distinct_distance(self, monkeypatch):
+        # An SNR sweep has the layout's distances at every point: a
+        # 1000-point sweep checks each hop's once before the draws and once
+        # in its one rate pass, not once per point.
+        calls = []
+        check, init = simulator.check_far_field, TrialEnsemble.__init__
+
+        def spy(cfg, name, distance_m):
+            calls.append(name)
+            return check(cfg, name, distance_m)
+
+        def built(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            calls.append("built")
+
+        monkeypatch.setattr(simulator, "check_far_field", spy)
+        monkeypatch.setattr(TrialEnsemble, "__init__", built)
+        spec = SweepSpec(SNR_DB, 0.0, 999.0, 1.0, trials=4)
+        assert spec.num_points == 1000
+        run_snr_sweep(sweep_cfg(), spec, include_baseline=True)
+        hops = ["d_sr_m", "d_rd_m", "d_sd_m"]
+        assert calls == [*hops, "built", *hops]
 
     def test_distance_whose_square_overflows_rejected(self):
         ens = TrialEnsemble(sweep_cfg(), 3, 1)
